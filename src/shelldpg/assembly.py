@@ -7,6 +7,16 @@ A_T = Bmat' G^-1 Bmat, rhs_T = Bmat' G^-1 l.  Scatter-adding the element
 contributions over the global dof numbering yields a sparse SPD system
 on the free dofs.
 
+G and Bmat depend on the element only through its Jacobian J and its
+edge signs s_{T,E}: the element tensors of an affine map are those of
+its shape (Kirby and Logg, ACM TOMS 2006), and a sign flip is a signed
+permutation of the trace columns (`traces.flipped_edge_columns`).
+Newest-vertex bisection keeps the number of distinct Jacobians small
+(Stevenson, Math. Comp. 2008), so the elements are grouped into
+Jacobian classes (`jacobian_classes`), and G, Bmat and the Cholesky
+factor of G are built once per class; only the load is per element.
+`ElementSystems` documents the algebra.
+
 Test space per element (broken): v in [P3]^2, z in P3, T in sym P3,
 S in sym P4, Q in skew P2; 111 dofs with the block offsets below.
 Symmetric tensor blocks use the orthonormal frames (E11, E12s, E22)
@@ -27,9 +37,12 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
+from scipy.linalg import solve_triangular
 
 from .model import apply_Cinv, eval_loads
 from .polyquad import (
+    FRAMES_SYM,
+    SQ2,
     map_gradients,
     map_hessians,
     map_points,
@@ -37,27 +50,28 @@ from .polyquad import (
     triangle_geometry,
     triangle_rule,
 )
-from .traces import TraceDofMap, apply_bc, edge_pairings, local_trace_columns
+from .traces import (
+    TraceDofMap,
+    apply_bc,
+    edge_pairings,
+    flipped_edge_columns,
+    local_trace_columns,
+)
 
 N_TEST = 111
 OFF_V, OFF_Z, OFF_T, OFF_S, OFF_Q = 0, 20, 30, 60, 105
 QUAD_DEGREE = 8
 N_FIELD = 10
-# elements per batch of the element kernels: each batch holds a few
-# (CHUNK, 111, 111) Gram-sized arrays, which set the peak memory; 128
-# keeps the batched einsums as fast as 512 did
-CHUNK = 128
-_SQ2 = np.sqrt(2.0)
+# Jacobians are keyed on a grid of this size relative to the power of two
+# of their largest entry: rounding noise of a repeated shape stays on one
+# grid point, distinct shapes do not merge
+CLASS_RTOL = 1e-10
+# Jacobian classes per call of the element kernels: each call holds a few
+# (batch, 111, 111) Gram-sized temporaries, so this bounds the peak
+# memory on meshes with many distinct shapes
+CLASS_BATCH = 128
 
-# symmetric frames as full matrices, and the skew frame
-FRAMES_SYM = np.array(
-    [
-        [[1.0, 0.0], [0.0, 0.0]],
-        [[0.0, 1.0 / _SQ2], [1.0 / _SQ2, 0.0]],
-        [[0.0, 0.0], [0.0, 1.0]],
-    ]
-)
-FRAME_SKEW = np.array([[0.0, 1.0 / _SQ2], [-1.0 / _SQ2, 0.0]])
+FRAME_SKEW = np.array([[0.0, 1.0 / SQ2], [-1.0 / SQ2, 0.0]])
 # M field directions M11, M12, M22
 DIR_M = np.array(
     [
@@ -77,8 +91,8 @@ def _div_from_grads(g):
     gx, gy = g[..., 0], g[..., 1]
     out = np.zeros(g.shape[:-1] + (3, 2))
     out[..., 0, 0] = gx
-    out[..., 1, 0] = gy / _SQ2
-    out[..., 1, 1] = gx / _SQ2
+    out[..., 1, 0] = gy / SQ2
+    out[..., 1, 1] = gx / SQ2
     out[..., 2, 1] = gy
     return out
 
@@ -86,13 +100,13 @@ def _div_from_grads(g):
 def _divdiv_from_hess(h):
     """div div of psi*frame for all frames; (..., dim, 3)."""
     return np.stack(
-        [h[..., 0, 0], _SQ2 * h[..., 0, 1], h[..., 1, 1]], axis=-1
+        [h[..., 0, 0], SQ2 * h[..., 0, 1], h[..., 1, 1]], axis=-1
     )
 
 
 def _b_coeffs(B):
     """B : frame for the three symmetric frames."""
-    return np.array([B[0, 0], _SQ2 * B[0, 1], B[1, 1]])
+    return np.array([B[0, 0], SQ2 * B[0, 1], B[1, 1]])
 
 
 def element_gram_batch(mesh, problem, els):
@@ -149,7 +163,7 @@ def element_gram_batch(mesh, problem, els):
             0, 2, 1
         )
     v2 = b2.eval(rule.points)
-    Wg = np.stack([g3[..., 1], -g3[..., 0]], axis=-1) / _SQ2
+    Wg = np.stack([g3[..., 1], -g3[..., 0]], axis=-1) / SQ2
     M_vq = np.einsum("eq,eqic,qm->eicm", wd, Wg, v2)
     for c in range(2):
         blk = M_vq[:, :, c, :]
@@ -317,35 +331,124 @@ def element_load_batch(mesh, problem, els):
     return l
 
 
-def apply_gram_inverse(G, R):
-    """Solve G X = R per element with symmetric diagonal equilibration."""
-    diag = np.einsum("eii->ei", G)
-    if np.any(diag <= 0.0):
-        e = int(np.nonzero(np.any(diag <= 0.0, axis=1))[0][0])
-        raise AssemblyError(f"Gram matrix not positive in element slot {e}")
+def jacobian_classes(mesh):
+    """Group the elements of a mesh by their Jacobian up to translation.
+
+    Returns (cls, reps): the class index of every element and the
+    lowest-index element of each class.  A Jacobian is keyed by the
+    binary exponent of its largest entry and its entries rounded to
+    `CLASS_RTOL` times that power of two, so J and 2 J never share a
+    class.  A shape whose entries straddle a grid point may get two
+    classes, which costs one more kernel call and nothing else.
+    """
+    J, _, _ = triangle_geometry(mesh.triangle_coords())
+    J = J.reshape(len(J), 4)
+    _, expo = np.frexp(np.abs(J).max(axis=1))
+    grid = np.rint(np.ldexp(J, -expo[:, None]) / CLASS_RTOL).astype(np.int64)
+    key = np.column_stack([expo, grid])
+    _, reps, cls = np.unique(key, axis=0, return_index=True, return_inverse=True)
+    return cls.ravel(), reps
+
+
+def gram_factor(G):
+    """Cholesky factor of one symmetrically equilibrated Gram matrix.
+
+    Returns (L, s) with L L' = S G S for S = diag(s), s = diag(G)^-1/2,
+    so that G^-1 = S L^-T L^-1 S.
+    """
+    diag = np.diag(G)
+    if not np.all(diag > 0.0):
+        raise AssemblyError("Gram matrix not positive")
     s = 1.0 / np.sqrt(diag)
-    Gs = G * s[:, :, None]
-    Gs *= s[:, None, :]
     try:
-        X = np.linalg.solve(Gs, s[:, :, None] * R)
+        L = np.linalg.cholesky(s[:, None] * G * s[None, :])
     except np.linalg.LinAlgError:
-        for e in range(G.shape[0]):
-            try:
-                np.linalg.solve(Gs[e], R[e])
-            except np.linalg.LinAlgError:
-                raise AssemblyError(f"singular Gram matrix in element slot {e}")
-        raise
-    return s[:, :, None] * X
+        raise AssemblyError("Cholesky factorization of the Gram matrix failed") from None
+    return L, s
 
 
 @dataclass
 class ElementSystems:
-    """Condensed per-element normal equations for estimation and reuse."""
+    """Per-element normal equations from Jacobian-class factors.
+
+    The elements of class J (`jacobian_classes`) share G_J, B_J and the
+    factor L_J of `gram_factor`; the class keeps W_J = L_J^-1 S_J B_J,
+    built on its lowest-index element.  Element T keeps
+    y_T = L_J^-1 S_J l_T and the signed column map P_T (`perm`, `sign`)
+    of its edge signs relative to that element:
+    B_T[:, j] = sign[T, j] * B_J[:, perm[T, j]].  Then
+
+        A_T = P_T' W_J' W_J P_T,  rhs_T = P_T' W_J' y_T,  c_T = |y_T|^2,
+
+    and the residual of a local solution u_T in the dual test norm is
+    |y_T - W_J P_T u_T| (`residual_norms`).
+    """
 
     A: np.ndarray  # (nel, nc, nc)
     rhs: np.ndarray  # (nel, nc)
     c: np.ndarray  # (nel,)   l' G^-1 l
     cols: np.ndarray  # (nel, nc) global dof indices
+    cls: np.ndarray  # (nel,) Jacobian class
+    W: list  # per class (111, nc)
+    y: np.ndarray  # (nel, 111)
+    perm: np.ndarray  # (nel, nc)
+    sign: np.ndarray  # (nel, nc)
+
+    def residual_norms(self, uloc):
+        """|y_T - W_J P_T u_T| per element for local solutions (nel, nc)."""
+        out = np.empty(len(uloc))
+        for W, mem in zip(self.W, _class_members(self.cls, len(self.W))):
+            v = np.zeros((len(mem), W.shape[1]))
+            np.put_along_axis(v, self.perm[mem], self.sign[mem] * uloc[mem], axis=1)
+            out[mem] = np.linalg.norm(self.y[mem] - v @ W.T, axis=1)
+        return out
+
+
+def _class_members(cls, ncls):
+    """Element indices of each class, in class order."""
+    order = np.argsort(cls, kind="stable")
+    return np.split(order, np.cumsum(np.bincount(cls, minlength=ncls))[:-1])
+
+
+def _element_systems(mesh, problem, k, cols):
+    """Class-factored `ElementSystems` of all elements.
+
+    `cols` (nel, nc) are the global dof indices of the local columns.
+    """
+    nt, nc = cols.shape
+    cls, reps = jacobian_classes(mesh)
+    signs = mesh.tri_edge_sign
+    tperm, tsign = flipped_edge_columns(k, signs != signs[reps[cls]])
+    perm = np.hstack([np.tile(np.arange(N_FIELD), (nt, 1)), N_FIELD + tperm])
+    sign = np.hstack([np.ones((nt, N_FIELD)), tsign])
+    l = element_load_batch(mesh, problem, np.arange(nt))
+
+    members = _class_members(cls, len(reps))
+    Ws = []
+    y = np.empty((nt, N_TEST))
+    A = np.empty((nt, nc, nc))
+    rhs = np.empty((nt, nc))
+    for lo in range(0, len(reps), CLASS_BATCH):
+        batch = reps[lo:lo + CLASS_BATCH]
+        G = element_gram_batch(mesh, problem, batch)
+        Bm = element_b_batch(mesh, problem, k, batch)
+        for j in range(lo, lo + len(batch)):
+            try:
+                L, s = gram_factor(G[j - lo])
+            except AssemblyError as err:
+                raise AssemblyError(
+                    f"{err} in element {reps[j]} (Jacobian class {j})") from None
+            W = solve_triangular(L, s[:, None] * Bm[j - lo], lower=True)
+            Ws.append(W)
+            mem = members[j]
+            y[mem] = solve_triangular(L, (s * l[mem]).T, lower=True).T
+            WtW = W.T @ W
+            WtW = 0.5 * (WtW + WtW.T)
+            P, S = perm[mem], sign[mem]
+            A[mem] = WtW[P[:, :, None], P[:, None, :]] * (S[:, :, None] * S[:, None, :])
+            rhs[mem] = S * np.take_along_axis(y[mem] @ W, P, axis=1)
+    c = np.einsum("ei,ei->e", y, y)
+    return ElementSystems(A, rhs, c, cols, cls, Ws, y, perm, sign)
 
 
 @dataclass
@@ -374,7 +477,7 @@ class NormalEquations:
         return full[self.dofmap.ntrace :].reshape(nt, N_FIELD)
 
 
-def assemble_normal_equations(mesh, problem, k, chunk=CHUNK):
+def assemble_normal_equations(mesh, problem, k):
     """Assemble the global DPG normal equations on the free dofs."""
     dofmap = TraceDofMap(mesh, k)
     constrained = apply_bc(dofmap, problem)
@@ -390,41 +493,23 @@ def assemble_normal_equations(mesh, problem, k, chunk=CHUNK):
     ndof = free_trace.size + N_FIELD * nt
 
     nc = N_FIELD + dofmap.ncols
-    A_el = np.empty((nt, nc, nc))
-    rhs_el = np.empty((nt, nc))
-    c_el = np.empty(nt)
     cols = np.empty((nt, nc), dtype=int)
     cols[:, :N_FIELD] = ntrace + N_FIELD * np.arange(nt)[:, None] + np.arange(N_FIELD)
     cols[:, N_FIELD:] = dofmap.element_columns
-
-    for lo in range(0, nt, chunk):
-        els = np.arange(lo, min(lo + chunk, nt))
-        G = element_gram_batch(mesh, problem, els)
-        Bm = element_b_batch(mesh, problem, k, els)
-        l = element_load_batch(mesh, problem, els)
-        try:
-            X = apply_gram_inverse(G, np.concatenate([Bm, l[:, :, None]], axis=2))
-        except AssemblyError as err:
-            raise AssemblyError(f"{err} (elements {lo}..{els[-1]})") from None
-        GiB, Gil = X[:, :, :-1], X[:, :, -1]
-        At = np.einsum("eri,erj->eij", Bm, GiB)
-        A_el[els] = 0.5 * (At + At.transpose(0, 2, 1))
-        rhs_el[els] = np.einsum("eri,er->ei", Bm, Gil)
-        c_el[els] = np.einsum("er,er->e", l, Gil)
+    elements = _element_systems(mesh, problem, k, cols)
 
     gcols = index_map[cols]  # (nt, nc), -1 on constrained
     rows = np.broadcast_to(gcols[:, :, None], (nt, nc, nc))
     colsm = np.broadcast_to(gcols[:, None, :], (nt, nc, nc))
     keep = (rows >= 0) & (colsm >= 0)
     A = scipy.sparse.coo_matrix(
-        (A_el[keep], (rows[keep].astype(np.int32), colsm[keep].astype(np.int32))),
+        (elements.A[keep], (rows[keep].astype(np.int32), colsm[keep].astype(np.int32))),
         shape=(ndof, ndof),
     ).tocsr()
     rhs = np.zeros(ndof)
     keep_r = gcols >= 0
-    np.add.at(rhs, gcols[keep_r], rhs_el[keep_r])
+    np.add.at(rhs, gcols[keep_r], elements.rhs[keep_r])
 
-    elements = ElementSystems(A_el, rhs_el, c_el, cols)
     dof_xy = _dof_coordinates(mesh, dofmap)[index_map >= 0]
     return NormalEquations(A, rhs, dofmap, constrained, index_map, ndof,
                            elements, dof_xy, problem)
@@ -462,17 +547,3 @@ def element_b(mesh, problem, k, element=0):
 
 def element_load(mesh, problem, element=0):
     return element_load_batch(mesh, problem, np.array([element]))[0]
-
-
-def write_element_triplets(path, G, Bmat, l):
-    """Plain-text dump of one element system for debugging."""
-    with open(path, "w") as fh:
-        fh.write(f"# gram {G.shape[0]}x{G.shape[1]}\n")
-        for i, j in zip(*np.nonzero(G)):
-            fh.write(f"G {i} {j} {G[i, j]:.17e}\n")
-        fh.write(f"# b {Bmat.shape[0]}x{Bmat.shape[1]}\n")
-        for i, j in zip(*np.nonzero(Bmat)):
-            fh.write(f"B {i} {j} {Bmat[i, j]:.17e}\n")
-        fh.write("# load\n")
-        for i in np.nonzero(l)[0]:
-            fh.write(f"l {i} {l[i]:.17e}\n")

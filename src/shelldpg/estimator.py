@@ -1,26 +1,22 @@
 """Built-in residual estimator and the adaptive refinement loop.
 
 The element estimator is the discrete dual norm of the element
-residual, eta(T)^2 = r' G^-1 r with r = l - B u_T.  The condensed
-algebra c_T - 2 u_T . rhs_T + u_T . A_T u_T is the same quantity on
-paper but subtracts numbers of size c_T; once the residual is a few
-orders below sqrt(c_T) the difference is pure roundoff (the scaled
-norms make c_T large for thin shells).  Forming r explicitly keeps the
-relative accuracy of the quadratic form at the cost of re-building the
-element systems once per estimate.
+residual, eta(T)^2 = r' G^-1 r with r = l - B u_T.  The assembly keeps
+the Gram factor of each Jacobian class, so the estimator forms the
+residual explicitly in the factored frame, eta(T) = |y_T - W_J P_T u_T|
+(`ElementSystems.residual_norms`), without building any element matrix
+again.  The condensed algebra c_T - 2 u_T . rhs_T + u_T . A_T u_T
+(`element_estimator`) is the same quantity on paper but subtracts
+numbers of size c_T; once the residual is a few orders below sqrt(c_T)
+the difference is pure roundoff (the scaled norms make c_T large for
+thin shells).
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import (
-    CHUNK,
-    assemble_normal_equations,
-    element_b_batch,
-    element_gram_batch,
-    element_load_batch,
-)
+from .assembly import assemble_normal_equations
 from .mesh import dorfler_mark, initial_rectangle_mesh, refine
 from .solver import solve_spd
 
@@ -45,25 +41,9 @@ def element_estimator(element_system, local_solution):
     return float(_clamped(eta2, scale)[0])
 
 
-def element_estimators(neq, x, chunk=CHUNK):
+def element_estimators(neq, x):
     """All element estimators for a free-dof solution vector."""
-    mesh, prob, k = neq.dofmap.mesh, neq.problem, neq.dofmap.k
-    full = neq.expand(x)
-    uloc = full[neq.elements.cols]
-    nt = mesh.ntriangles
-    eta2 = np.empty(nt)
-    scale = np.empty(nt)
-    for lo in range(0, nt, chunk):
-        els = np.arange(lo, min(lo + chunk, nt))
-        G = element_gram_batch(mesh, prob, els)
-        B = element_b_batch(mesh, prob, k, els)
-        l = element_load_batch(mesh, prob, els)
-        r = l - np.einsum("eij,ej->ei", B, uloc[els])
-        y = np.linalg.solve(G, r[..., None])[..., 0]
-        eta2[els] = np.einsum("ei,ei->e", r, y)
-        scale[els] = np.einsum("ei,ei->e", np.abs(r), np.abs(y))
-    # the Gram solve leaves roundoff of order eps kappa(G) per element
-    return _clamped(eta2, scale, tol=1e-6)
+    return neq.elements.residual_norms(neq.expand(x)[neq.elements.cols])
 
 
 @dataclass

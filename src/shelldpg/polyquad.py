@@ -18,6 +18,17 @@ from scipy.special import roots_jacobi, roots_legendre
 MAX_TRIANGLE_DEGREE = 12
 MAX_BASIS_DEGREE = 4
 
+SQ2 = np.sqrt(2.0)
+# orthonormal frames of the symmetric 2x2 tensors (E11, E12s, E22), with
+# E12s = offdiag / sqrt(2); tensor-valued test functions are psi * frame
+FRAMES_SYM = np.array(
+    [
+        [[1.0, 0.0], [0.0, 0.0]],
+        [[0.0, 1.0 / SQ2], [1.0 / SQ2, 0.0]],
+        [[0.0, 0.0], [0.0, 1.0]],
+    ]
+)
+
 
 def monomial_integral(a, b):
     """Exact integral of x^a y^b over the reference triangle."""

@@ -76,13 +76,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh import Mesh
-from .polyquad import edge_rule, triangle_basis, triangle_geometry
+from .polyquad import SQ2, edge_rule, triangle_basis, triangle_geometry
 
 REF_VERTICES = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-
-# orthonormal frames for symmetric tensors (E11, E12s, E22): action on a
-# normal vector n gives the rows below
-_SQ2 = np.sqrt(2.0)
 
 
 def local_trace_columns(k):
@@ -238,13 +234,13 @@ class TracePairings:
 
 
 def _frame_times_normal(nrm):
-    """(..., 3 frames, 2) arrays: each symmetric frame applied to n."""
+    """(..., 3 frames, 2) arrays: each of `polyquad.FRAMES_SYM` applied to n."""
     n1, n2 = nrm[..., 0], nrm[..., 1]
     zero = np.zeros_like(n1)
     return np.stack(
         [
             np.stack([n1, zero], axis=-1),
-            np.stack([n2 / _SQ2, n1 / _SQ2], axis=-1),
+            np.stack([n2 / SQ2, n1 / SQ2], axis=-1),
             np.stack([zero, n2], axis=-1),
         ],
         axis=-2,
@@ -321,7 +317,7 @@ def edge_pairings(mesh: Mesh, k: int, elements=None) -> TracePairings:
         gx, gy = g4p[..., 0], g4p[..., 1]
         n1, n2 = nrm[:, 0, None, None], nrm[:, 1, None, None]
         ndivS = np.stack(
-            [n1 * gx, (n1 * gy + n2 * gx) / _SQ2, n2 * gy], axis=-1
+            [n1 * gx, (n1 * gy + n2 * gx) / SQ2, n2 * gy], axis=-1
         )  # (nt, Q, 15, 3)
         Sn = v4[None, :, :, None, None] * fn3[:, None, None, :, :]  # (nt,Q,15,3,2)
 
@@ -368,3 +364,31 @@ def edge_pairings(mesh: Mesh, k: int, elements=None) -> TracePairings:
         pm[:, :, 7 + 2 * j] = np.where(lo_is_a, -zb, za)
 
     return TracePairings(pu, pw, pn, pm)
+
+
+def flipped_edge_columns(k, flip):
+    """Signed permutation of the local trace columns under edge-sign flips.
+
+    Two elements of the same shape have the same pairing matrices except
+    where their edge signs s_{T,E} differ.  Flipping s_{T,E} on local
+    edge j negates its two N_hat columns and its q column, and swaps its
+    two twist columns, because the lower-index endpoint becomes the
+    other end of the edge (the `lo_is_a` branch of `edge_pairings`).
+    `flip` is an (n, 3) boolean array of flipped local edges.  Returns
+    (perm, sign), each (n, local_trace_columns(k)), such that column c
+    of the flipped pairing equals sign[:, c] times column perm[:, c] of
+    the unflipped one.
+    """
+    flip = np.asarray(flip, dtype=bool)
+    ncols = local_trace_columns(k)
+    cn = 15 + 6 * k  # first N_hat column, after u_hat and w_hat
+    cm, ct = cn + 6, cn + 12  # first (m_n, q) column and first twist
+    perm = np.tile(np.arange(ncols), (flip.shape[0], 1))
+    sign = np.ones(perm.shape)
+    s = np.where(flip, -1.0, 1.0)
+    for j in range(3):
+        sign[:, [cn + 2 * j, cn + 2 * j + 1, cm + 2 * j + 1]] = s[:, j, None]
+        lo, hi = ct + 2 * j, ct + 2 * j + 1
+        perm[:, lo] = np.where(flip[:, j], hi, lo)
+        perm[:, hi] = np.where(flip[:, j], lo, hi)
+    return perm, sign

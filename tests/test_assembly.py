@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from shelldpg import assembly as asm
 from shelldpg.mesh import Mesh, initial_rectangle_mesh, refine
@@ -100,22 +101,44 @@ def test_gram_value_blocks():
 
 
 def test_gram_inverse_reconstruction():
-    # reconstruction is checked for the symmetrically equilibrated
+    # the factor is checked against the symmetrically equilibrated
     # operator that actually gets factorized; in the raw frame the
-    # entries span too many orders for G @ x itself to be evaluable
-    # beyond eps * |G||x|
+    # entries span too many orders for L L' to reproduce G beyond
+    # eps * |G| entrywise
     mesh = small_mesh()
-    rng = np.random.default_rng(5)
+    _, reps = asm.jacobian_classes(mesh)
     for d in (1.0, 1e-2, 1e-4):
         prob = plain_problem(B=[[0.0, 0.0], [0.0, 1.0]], d=d)
-        els = np.arange(mesh.ntriangles)
-        G = asm.element_gram_batch(mesh, prob, els)
-        r = rng.standard_normal((len(els), asm.N_TEST, 3))
-        X = asm.apply_gram_inverse(G, r)
-        s = 1.0 / np.sqrt(np.einsum("eii->ei", G))
-        res = s[:, :, None] * (np.einsum("eij,ejc->eic", G, X) - r)
-        rel = np.abs(res).max() / np.abs(s[:, :, None] * r).max()
-        assert rel < 1e-10, (d, rel)
+        for G in asm.element_gram_batch(mesh, prob, reps):
+            L, s = asm.gram_factor(G)
+            Gs = s[:, None] * G * s[None, :]
+            assert np.array_equal(L, np.tril(L))
+            rel = np.abs(L @ L.T - Gs).max() / np.abs(Gs).max()
+            assert rel < 1e-10, (d, rel)
+
+
+@pytest.mark.parametrize("spoil", ["negate", "indefinite"])
+def test_gram_failure_names_element_and_class(monkeypatch, spoil):
+    mesh = small_mesh()
+    prob = make_benchmark("cyl_clamped")
+    cls, reps = asm.jacobian_classes(mesh)
+    bad = len(reps) // 2
+    kernel = asm.element_gram_batch
+
+    def spoiled(mesh_, prob_, els):
+        G = kernel(mesh_, prob_, els)
+        hit = np.nonzero(np.asarray(els) == reps[bad])[0]
+        if spoil == "negate":
+            G[hit] *= -1.0
+        else:
+            # positive diagonal, but the leading 2x2 block is indefinite
+            G[hit, 0, 1] = G[hit, 1, 0] = 2.0 * np.sqrt(G[hit, 0, 0] * G[hit, 1, 1])
+        return G
+
+    monkeypatch.setattr(asm, "element_gram_batch", spoiled)
+    with pytest.raises(asm.AssemblyError,
+                       match=rf"in element {reps[bad]} \(Jacobian class {bad}\)"):
+        asm.assemble_normal_equations(mesh, prob, 0)
 
 
 def test_gram_membrane_bending_decoupling():
@@ -321,7 +344,7 @@ def test_normal_equations_dense_oracle():
         rect=(0.0, 1.0, 0.0, 1.0), B=[[0.0, 0.0], [0.0, 1.0]], d=1e-1,
         f=lambda x, y: np.cos(2.0 * y), p=None, bc=bc,
     )
-    neq = asm.assemble_normal_equations(mesh, prob, 1, chunk=1)
+    neq = asm.assemble_normal_equations(mesh, prob, 1)
 
     dm = neq.dofmap
     nt = mesh.ntriangles
@@ -357,13 +380,109 @@ def test_assembled_system_shape_and_symmetry():
     assert asym <= 1e-12 * np.abs(neq.A.data).max()
 
 
-def test_chunking_invariance():
-    mesh = small_mesh(rounds=0)
+def test_element_order_invariance():
+    # renumbering the elements renumbers edges and dofs and changes the
+    # element on which each Jacobian class is built; the systems agree to
+    # the rounding of G and B between members of a class (the direct
+    # oracle's bound)
+    mesh = small_mesh()
     prob = make_benchmark("cyl_clamped")
-    a = asm.assemble_normal_equations(mesh, prob, 0, chunk=3)
-    b = asm.assemble_normal_equations(mesh, prob, 0, chunk=512)
-    assert np.abs(a.A.toarray() - b.A.toarray()).max() == 0.0
-    assert np.array_equal(a.rhs, b.rhs)
+    perm = np.random.default_rng(9).permutation(mesh.ntriangles)
+    renum = Mesh(mesh.vertices, mesh.triangles[perm], rect=mesh.rect)
+    a = asm.assemble_normal_equations(mesh, prob, 0)
+    b = asm.assemble_normal_equations(renum, prob, 0)
+    assert len(a.elements.W) == len(b.elements.W)
+    for name in ("A", "rhs", "c"):
+        x, y = getattr(a.elements, name)[perm], getattr(b.elements, name)
+        assert np.abs(x - y).max() <= 1e-10 * np.abs(x).max(), name
+
+    # global dofs of b -> global dofs of a, through the element columns
+    to_a = np.empty(b.index_map.size, dtype=int)
+    to_a[b.elements.cols] = a.elements.cols[perm]
+    ia, ib = a.index_map[to_a], b.index_map
+    # the twist gauge follows the edge numbering: compare the dofs free
+    # in both numberings
+    both = (ia >= 0) & (ib >= 0)
+    assert both.sum() >= a.ndof - mesh.nvertices
+    Aa = a.A.toarray()[np.ix_(ia[both], ia[both])]
+    Ab = b.A.toarray()[np.ix_(ib[both], ib[both])]
+    assert np.abs(Aa - Ab).max() <= 1e-10 * np.abs(Aa).max()
+    ra, rb = a.rhs[ia[both]], b.rhs[ib[both]]
+    assert np.abs(ra - rb).max() <= 1e-10 * np.abs(ra).max()
+
+
+def test_jacobian_class_keys():
+    base = np.array([[0.0, 0.0], [0.3, 0.1], [0.05, 0.27]])
+    J = (base[1:] - base[0]).T
+    pattern = np.array([[1.0, -1.0], [-1.0, 1.0]])
+    mirrored = base[[0, 2, 1]] * np.array([-1.0, 1.0])  # reflected, still CCW
+    tris = [
+        base,
+        base + np.array([5.0, -2.0]),  # translated: same class
+        np.vstack([[0.0, 0.0], (J * (1.0 + 1e-13 * pattern)).T]),  # same class
+        2.0 * base,  # 2 J: own class
+        mirrored,  # mirror image: own class
+        np.vstack([[0.0, 0.0], (J * (1.0 + 1e-7 * pattern)).T]),  # own class
+    ]
+    mesh = Mesh(np.vstack(tris), np.arange(18).reshape(6, 3))
+    cls, reps = asm.jacobian_classes(mesh)
+    assert cls[0] == cls[1] == cls[2]
+    assert reps[cls[0]] == 0
+    assert len({cls[0], cls[3], cls[4], cls[5]}) == 4
+    assert len(reps) == 4
+
+
+def direct_element_systems(mesh, prob, k, els):
+    """A_T, rhs_T, c_T of each element from its own G, B and l.
+
+    Cholesky solves of each element's equilibrated G: the class path
+    factors G the same way, and at these condition numbers (1e10 and
+    more) LU and Cholesky solves differ by up to 1e-9 relative.
+    """
+    G = asm.element_gram_batch(mesh, prob, els)
+    Bm = asm.element_b_batch(mesh, prob, k, els)
+    l = asm.element_load_batch(mesh, prob, els)
+    out = []
+    for g, b, f in zip(G, Bm, l):
+        s = 1.0 / np.sqrt(np.diag(g))
+        fac = scipy.linalg.cho_factor(s[:, None] * g * s[None, :])
+        X = s[:, None] * scipy.linalg.cho_solve(fac, s[:, None] * np.c_[b, f])
+        A = b.T @ X[:, :-1]
+        out.append((0.5 * (A + A.T), b.T @ X[:, -1], f @ X[:, -1]))
+    return [np.array(x) for x in zip(*out)]
+
+
+@pytest.mark.parametrize("kind, k, d, bound", [
+    ("cyl_clamped", 0, 1e-2, 1e-10),
+    ("scordelis_lo", 1, 0.25, 1e-10),
+    # the bound follows kappa(S G S), which is 3e10-3e11 for scordelis_lo
+    # at d = 1e-2 and about 7e9 for cyl_free at d = 1e-3; there both the
+    # class path and the direct solve are ~1e-9 from a solve refined in
+    # long double, and LU and Cholesky solves differ by ~6e-10
+    ("scordelis_lo", 1, 1e-2, 2e-8),
+    ("cyl_free", 0, 1e-3, 1e-8),
+])
+def test_class_systems_match_direct_oracle(kind, k, d, bound):
+    prob = make_benchmark(kind, d=d)
+    mesh = initial_rectangle_mesh(prob.rect)
+    rng = np.random.default_rng(17)
+    for _ in range(2):
+        mesh = refine(mesh, rng.choice(mesh.ntriangles, 4, replace=False))
+    el = asm.assemble_normal_equations(mesh, prob, k).elements
+    # the mesh exercises the signed column map: some class has members
+    # whose edge signs differ, which swaps twist columns (s = -1)
+    signs = mesh.tri_edge_sign
+    assert any(len(np.unique(signs[el.cls == c], axis=0)) > 1
+               for c in range(len(el.W)))
+    ident = np.arange(el.perm.shape[1])
+    assert np.any(el.perm != ident) and np.any(el.sign < 0)
+
+    A, rhs, c = direct_element_systems(mesh, prob, k, np.arange(mesh.ntriangles))
+    rel = lambda x, ref: np.abs(x - ref).max() / np.abs(ref).max()
+    for t in range(mesh.ntriangles):
+        assert rel(el.A[t], A[t]) <= bound, (t, rel(el.A[t], A[t]))
+        assert rel(el.rhs[t], rhs[t]) <= bound, (t, rel(el.rhs[t], rhs[t]))
+    assert rel(el.c, c) <= bound
 
 
 def test_global_spd_clamped():

@@ -7,7 +7,7 @@ import scipy.sparse
 from shelldpg.assembly import assemble_normal_equations
 from shelldpg.mesh import initial_rectangle_mesh, refine
 from shelldpg.model import make_benchmark
-from shelldpg.solver import SolverError, nested_dissection, solve_spd
+from shelldpg.solver import SolverError, backward_error, nested_dissection, solve_spd
 
 
 def test_identity():
@@ -42,6 +42,32 @@ def test_residual_tolerance_enforced():
     rhs = rng.standard_normal(200)
     x = solve_spd(A, rhs, tol=1e-12)
     assert np.linalg.norm(A @ x - rhs) / np.linalg.norm(rhs) <= 1e-12
+
+
+def test_backward_error_is_taken_on_the_equilibrated_system():
+    # A = D C D with C well conditioned and D from 1e-8 to 1e8; the
+    # candidate solution is 10% wrong in every unknown of small scale
+    rng = np.random.default_rng(6)
+    n = 40
+    M = rng.standard_normal((n, n))
+    C = M @ M.T / n + np.eye(n)
+    dscale = 10.0 ** np.linspace(-8.0, 8.0, n)
+    A = scipy.sparse.csr_matrix(C * dscale[:, None] * dscale[None, :])
+    x_true = rng.standard_normal(n) / dscale
+    rhs = A @ x_true
+    x_bad = x_true.copy()
+    x_bad[: n // 2] *= 1.1
+
+    # the raw normwise test, with ||A||_F of the unscaled A, accepts it
+    raw = np.linalg.norm(A @ x_bad - rhs) / (
+        np.linalg.norm(rhs) + scipy.sparse.linalg.norm(A) * np.linalg.norm(x_bad))
+    assert raw <= 1e-10
+    s = 1.0 / np.sqrt(A.diagonal())
+    As = scipy.sparse.diags(s) @ A @ scipy.sparse.diags(s)
+    assert backward_error(As, s * rhs, x_bad / s) > 1e-3
+    x = solve_spd(A, rhs)
+    assert backward_error(As, s * rhs, x / s) <= 1e-10
+    assert np.abs(x * dscale - x_true * dscale).max() < 1e-8
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
