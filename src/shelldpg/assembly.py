@@ -1,11 +1,15 @@
 """Element systems and global DPG normal equations.
 
 Per element the method computes the scaled test-space Gram matrix G
-(111 x 111), the trial-to-test matrix Bmat, and the load vector l, then
-condenses the optimal test functions into the normal equations
-A_T = Bmat' G^-1 Bmat, rhs_T = Bmat' G^-1 l.  Scatter-adding the element
-contributions over the global dof numbering yields a sparse SPD system
-on the free dofs.
+(111 x 111), the trial-to-test matrix Bmat, and the load vector l; the
+optimal test functions give the element normal equations
+Bmat' G^-1 Bmat u = Bmat' G^-1 l.  The 10 field dofs of an element
+couple only within it, so they are eliminated per element (static
+condensation) and only the skeleton traces are solved for globally:
+scatter-adding the condensed element contributions over the global
+trace numbering yields a sparse SPD system on the free trace dofs, and
+the fields are recovered per element after the solve
+(`NormalEquations.fields`).
 
 G and Bmat depend on the element only through its Jacobian J and its
 edge signs s_{T,E}: the element tensors of an affine map are those of
@@ -13,9 +17,9 @@ its shape (Kirby and Logg, ACM TOMS 2006), and a sign flip is a signed
 permutation of the trace columns (`traces.flipped_edge_columns`).
 Newest-vertex bisection keeps the number of distinct Jacobians small
 (Stevenson, Math. Comp. 2008), so the elements are grouped into
-Jacobian classes (`jacobian_classes`), and G, Bmat and the Cholesky
-factor of G are built once per class; only the load is per element.
-`ElementSystems` documents the algebra.
+Jacobian classes (`jacobian_classes`), and G, Bmat, the Cholesky
+factor of G and the field elimination are built once per class; only
+the load is per element.  `ElementSystems` documents the algebra.
 
 Test space per element (broken): v in [P3]^2, z in P3, T in sym P3,
 S in sym P4, Q in skew P2; 111 dofs with the block offsets below.
@@ -27,12 +31,12 @@ Trial space per element: piecewise constant fields
 `TraceDofMap.ncols` local trace dofs in the order of
 `TraceDofMap.element_columns`; the moment trace contributes the normal
 moment and effective shear of each edge and the twists at its two
-endpoints, which pair with z through the corner forces.  Global dofs:
-traces first, then 10 field dofs per element.  The free dofs are those
-that neither a boundary condition (`apply_bc`) nor the twist gauge
-(`TraceDofMap.gauge`, one twist per vertex) fixes at zero.
+endpoints, which pair with z through the corner forces.  The global
+system holds the free trace dofs only: those that neither a boundary
+condition (`apply_bc`) nor the twist gauge (`TraceDofMap.gauge`, one
+twist per vertex) fixes at zero.  `NormalEquations.ndof` still counts
+the free traces plus the 10 field dofs per element.
 """
-
 from dataclasses import dataclass
 
 import numpy as np
@@ -369,38 +373,64 @@ def gram_factor(G):
 
 @dataclass
 class ElementSystems:
-    """Per-element normal equations from Jacobian-class factors.
+    """Field-condensed element normal equations from Jacobian-class factors.
 
     The elements of class J (`jacobian_classes`) share G_J, B_J and the
-    factor L_J of `gram_factor`; the class keeps W_J = L_J^-1 S_J B_J,
-    built on its lowest-index element.  Element T keeps
-    y_T = L_J^-1 S_J l_T and the signed column map P_T (`perm`, `sign`)
-    of its edge signs relative to that element:
-    B_T[:, j] = sign[T, j] * B_J[:, perm[T, j]].  Then
+    factor L_J of `gram_factor`, built on the class's lowest-index
+    element; W_J = L_J^-1 S_J B_J splits into its field and trace
+    columns [W_f | W_t].  With the full QR W_f = [Q_1 Q_2] [R; 0] the
+    class keeps
 
-        A_T = P_T' W_J' W_J P_T,  rhs_T = P_T' W_J' y_T,  c_T = |y_T|^2,
+        W^c_J = Q_2' W_t,  K_J = R^-1 Q_1' W_t,
 
-    and the residual of a local solution u_T in the dual test norm is
-    |y_T - W_J P_T u_T| (`residual_norms`).
+    and element T keeps, from its whitened load y_T = L_J^-1 S_J l_T,
+
+        y^c_T = Q_2' y_T,  f_T = R^-1 Q_1' y_T,
+
+    and the signed column map P_T (`perm`, `sign`) of its edge signs
+    relative to the class element: B_T[:, j] = sign[T, j] * B_J[:, perm[T, j]]
+    on the trace columns (the field columns are never permuted).  Then
+
+        A_T = P_T' W^c' W^c P_T,  rhs_T = P_T' W^c' y^c_T,  c_T = |y^c_T|^2
+
+    are the Schur complements on the field block of the uncondensed
+    element system, formed without inverting it.  For trace values u_T
+    the locally optimal fields are f_T - K_J P_T u_T (`fields`), and the
+    residual in the dual test norm at those fields is
+    |y^c_T - W^c P_T u_T| (`residual_norms`).
     """
 
-    A: np.ndarray  # (nel, nc, nc)
+    A: np.ndarray  # (nel, nc, nc) over the local trace columns
     rhs: np.ndarray  # (nel, nc)
-    c: np.ndarray  # (nel,)   l' G^-1 l
-    cols: np.ndarray  # (nel, nc) global dof indices
+    c: np.ndarray  # (nel,)   |y^c_T|^2
+    cols: np.ndarray  # (nel, nc) global trace dof indices
     cls: np.ndarray  # (nel,) Jacobian class
-    W: list  # per class (111, nc)
-    y: np.ndarray  # (nel, 111)
+    W: list  # per class (111 - 10, nc): W^c_J
+    K: list  # per class (10, nc): field recovery
+    y: np.ndarray  # (nel, 111 - 10): y^c_T
+    f: np.ndarray  # (nel, 10): fields at zero traces
     perm: np.ndarray  # (nel, nc)
     sign: np.ndarray  # (nel, nc)
 
-    def residual_norms(self, uloc):
-        """|y_T - W_J P_T u_T| per element for local solutions (nel, nc)."""
-        out = np.empty(len(uloc))
-        for W, mem in zip(self.W, _class_members(self.cls, len(self.W))):
-            v = np.zeros((len(mem), W.shape[1]))
+    def _class_frames(self, uloc):
+        """(class, members, P_T u_T) for local trace values (nel, nc)."""
+        for j, mem in enumerate(_class_members(self.cls, len(self.W))):
+            v = np.zeros((len(mem), self.W[j].shape[1]))
             np.put_along_axis(v, self.perm[mem], self.sign[mem] * uloc[mem], axis=1)
-            out[mem] = np.linalg.norm(self.y[mem] - v @ W.T, axis=1)
+            yield j, mem, v
+
+    def residual_norms(self, uloc):
+        """|y^c_T - W^c_J P_T u_T| per element for local trace values."""
+        out = np.empty(len(uloc))
+        for j, mem, v in self._class_frames(uloc):
+            out[mem] = np.linalg.norm(self.y[mem] - v @ self.W[j].T, axis=1)
+        return out
+
+    def fields(self, uloc):
+        """Locally optimal fields (nel, 10) f_T - K_J P_T u_T."""
+        out = np.empty((len(uloc), N_FIELD))
+        for j, mem, v in self._class_frames(uloc):
+            out[mem] = self.f[mem] - v @ self.K[j].T
         return out
 
 
@@ -411,21 +441,20 @@ def _class_members(cls, ncls):
 
 
 def _element_systems(mesh, problem, k, cols):
-    """Class-factored `ElementSystems` of all elements.
+    """Class-factored, field-condensed `ElementSystems` of all elements.
 
-    `cols` (nel, nc) are the global dof indices of the local columns.
+    `cols` (nel, nc) are the global indices of the local trace columns.
     """
     nt, nc = cols.shape
     cls, reps = jacobian_classes(mesh)
     signs = mesh.tri_edge_sign
-    tperm, tsign = flipped_edge_columns(k, signs != signs[reps[cls]])
-    perm = np.hstack([np.tile(np.arange(N_FIELD), (nt, 1)), N_FIELD + tperm])
-    sign = np.hstack([np.ones((nt, N_FIELD)), tsign])
+    perm, sign = flipped_edge_columns(k, signs != signs[reps[cls]])
     l = element_load_batch(mesh, problem, np.arange(nt))
 
     members = _class_members(cls, len(reps))
-    Ws = []
-    y = np.empty((nt, N_TEST))
+    Ws, Ks = [], []
+    y = np.empty((nt, N_TEST - N_FIELD))
+    f = np.empty((nt, N_FIELD))
     A = np.empty((nt, nc, nc))
     rhs = np.empty((nt, nc))
     for lo in range(0, len(reps), CLASS_BATCH):
@@ -438,93 +467,91 @@ def _element_systems(mesh, problem, k, cols):
             except AssemblyError as err:
                 raise AssemblyError(
                     f"{err} in element {reps[j]} (Jacobian class {j})") from None
-            W = solve_triangular(L, s[:, None] * Bm[j - lo], lower=True)
+            Wfull = solve_triangular(L, s[:, None] * Bm[j - lo], lower=True)
+            Q, R = np.linalg.qr(Wfull[:, :N_FIELD], mode="complete")
+            R = R[:N_FIELD]
+            QW = Q.T @ Wfull[:, N_FIELD:]
+            W = QW[N_FIELD:]
             Ws.append(W)
+            Ks.append(solve_triangular(R, QW[:N_FIELD]))
             mem = members[j]
-            y[mem] = solve_triangular(L, (s * l[mem]).T, lower=True).T
+            Qy = solve_triangular(L, (s * l[mem]).T, lower=True).T @ Q
+            y[mem] = Qy[:, N_FIELD:]
+            f[mem] = solve_triangular(R, Qy[:, :N_FIELD].T).T
             WtW = W.T @ W
             WtW = 0.5 * (WtW + WtW.T)
             P, S = perm[mem], sign[mem]
             A[mem] = WtW[P[:, :, None], P[:, None, :]] * (S[:, :, None] * S[:, None, :])
             rhs[mem] = S * np.take_along_axis(y[mem] @ W, P, axis=1)
     c = np.einsum("ei,ei->e", y, y)
-    return ElementSystems(A, rhs, c, cols, cls, Ws, y, perm, sign)
+    return ElementSystems(A, rhs, c, cols, cls, Ws, Ks, y, f, perm, sign)
 
 
 @dataclass
 class NormalEquations:
-    A: scipy.sparse.csr_matrix
+    A: scipy.sparse.csr_matrix  # over the free trace dofs
     rhs: np.ndarray
     dofmap: TraceDofMap
     constrained: np.ndarray
-    index_map: np.ndarray
-    ndof: int
+    index_map: np.ndarray  # trace dof -> row of A, -1 if constrained
+    ndof: int  # free traces + 10 field dofs per element
     elements: ElementSystems
     dof_xy: np.ndarray = None
     problem: object = None
 
     def expand(self, x):
-        """Free-dof solution -> full coefficient vector (zeros on BCs)."""
+        """Free-dof solution -> full trace vector (zeros on constrained dofs)."""
         full = np.zeros(self.index_map.size)
         free = self.index_map >= 0
         full[free] = x[self.index_map[free]]
         return full
 
     def fields(self, x):
-        """Per-element constant fields (nel, 10) from a free-dof solution."""
-        full = self.expand(x)
-        nt = self.dofmap.mesh.ntriangles
-        return full[self.dofmap.ntrace :].reshape(nt, N_FIELD)
+        """Per-element constant fields (nel, 10) recovered from a solution."""
+        return self.elements.fields(self.expand(x)[self.elements.cols])
 
 
 def assemble_normal_equations(mesh, problem, k):
-    """Assemble the global DPG normal equations on the free dofs."""
+    """Assemble the field-condensed DPG normal equations on the free traces."""
     dofmap = TraceDofMap(mesh, k)
     constrained = apply_bc(dofmap, problem)
     constrained[dofmap.gauge] = True
     nt = mesh.ntriangles
-    ntrace = dofmap.ntrace
-    ntotal = ntrace + N_FIELD * nt
+    free = np.nonzero(~constrained)[0]
+    n = free.size
+    index_map = np.full(dofmap.ntrace, -1, dtype=int)
+    index_map[free] = np.arange(n)
 
-    index_map = np.full(ntotal, -1, dtype=int)
-    free_trace = np.nonzero(~constrained)[0]
-    index_map[free_trace] = np.arange(free_trace.size)
-    index_map[ntrace:] = free_trace.size + np.arange(N_FIELD * nt)
-    ndof = free_trace.size + N_FIELD * nt
-
-    nc = N_FIELD + dofmap.ncols
-    cols = np.empty((nt, nc), dtype=int)
-    cols[:, :N_FIELD] = ntrace + N_FIELD * np.arange(nt)[:, None] + np.arange(N_FIELD)
-    cols[:, N_FIELD:] = dofmap.element_columns
+    cols = dofmap.element_columns
     elements = _element_systems(mesh, problem, k, cols)
 
+    nc = cols.shape[1]
     gcols = index_map[cols]  # (nt, nc), -1 on constrained
     rows = np.broadcast_to(gcols[:, :, None], (nt, nc, nc))
     colsm = np.broadcast_to(gcols[:, None, :], (nt, nc, nc))
     keep = (rows >= 0) & (colsm >= 0)
     A = scipy.sparse.coo_matrix(
         (elements.A[keep], (rows[keep].astype(np.int32), colsm[keep].astype(np.int32))),
-        shape=(ndof, ndof),
+        shape=(n, n),
     ).tocsr()
-    rhs = np.zeros(ndof)
+    rhs = np.zeros(n)
     keep_r = gcols >= 0
     np.add.at(rhs, gcols[keep_r], elements.rhs[keep_r])
 
-    dof_xy = _dof_coordinates(mesh, dofmap)[index_map >= 0]
-    return NormalEquations(A, rhs, dofmap, constrained, index_map, ndof,
-                           elements, dof_xy, problem)
+    dof_xy = _dof_coordinates(mesh, dofmap)[free]
+    return NormalEquations(A, rhs, dofmap, constrained, index_map,
+                           n + N_FIELD * nt, elements, dof_xy, problem)
 
 
 def _dof_coordinates(mesh, dofmap):
-    """Location of every dof (vertex, edge midpoint, or centroid).
+    """Location of every trace dof (vertex or edge midpoint).
 
     Twist dofs sit at the edge endpoint they belong to.  Feeds the
     nested-dissection ordering in the solver.
     """
     verts = mesh.vertices
     emid = verts[mesh.edges].mean(axis=1)
-    cent = mesh.triangle_coords().mean(axis=1)
-    xy = np.empty((dofmap.ntrace + N_FIELD * mesh.ntriangles, 2))
+    xy = np.empty((dofmap.ntrace, 2))
     xy[dofmap.off_uhat:dofmap.off_what] = np.repeat(verts, 2, axis=0)
     xy[dofmap.off_what:dofmap.off_ubub] = np.repeat(verts, 3, axis=0)
     for lo, hi in ((dofmap.off_ubub, dofmap.off_Nhat),
@@ -533,7 +560,6 @@ def _dof_coordinates(mesh, dofmap):
         if hi > lo:
             xy[lo:hi] = np.repeat(emid, (hi - lo) // mesh.nedges, axis=0)
     xy[dofmap.off_twist:dofmap.ntrace] = verts[mesh.edges.ravel()]
-    xy[dofmap.ntrace:] = np.repeat(cent, N_FIELD, axis=0)
     return xy
 
 

@@ -1,15 +1,13 @@
 """Built-in residual estimator and the adaptive refinement loop.
 
 The element estimator is the discrete dual norm of the element
-residual, eta(T)^2 = r' G^-1 r with r = l - B u_T.  The assembly keeps
-the Gram factor of each Jacobian class, so the estimator forms the
-residual explicitly in the factored frame, eta(T) = |y_T - W_J P_T u_T|
+residual, eta(T)^2 = r' G^-1 r with r = l - B u_T, where u_T holds the
+element's trace values and its fields recovered from them.  The
+assembly keeps the Gram factor and the field elimination of each
+Jacobian class, so the estimator forms the residual explicitly in the
+condensed frame, eta(T) = |y^c_T - W^c_J P_T u_T|
 (`ElementSystems.residual_norms`), without building any element matrix
-again.  The condensed algebra c_T - 2 u_T . rhs_T + u_T . A_T u_T
-(`element_estimator`) is the same quantity on paper but subtracts
-numbers of size c_T; once the residual is a few orders below sqrt(c_T)
-the difference is pure roundoff (the scaled norms make c_T large for
-thin shells).
+again; at the recovered fields the field part of the residual vanishes.
 """
 
 from dataclasses import dataclass, field
@@ -19,26 +17,6 @@ import numpy as np
 from .assembly import assemble_normal_equations
 from .mesh import dorfler_mark, initial_rectangle_mesh, refine
 from .solver import solve_spd
-
-
-def _clamped(eta2, scale, tol=1e-14):
-    """Round tiny negative squares to zero, refuse real negatives."""
-    floor = -tol * np.maximum(scale, 1.0)
-    assert np.all(eta2 >= floor), (
-        f"negative estimator square {eta2.min():.3e} beyond rounding floor"
-    )
-    return np.sqrt(np.maximum(eta2, 0.0))
-
-
-def element_estimator(element_system, local_solution):
-    """Estimator of a single element from its condensed system."""
-    A, rhs, c = element_system
-    u = np.asarray(local_solution, dtype=float)
-    quad = float(u @ A @ u)
-    lin = 2.0 * float(u @ rhs)
-    eta2 = np.array([c - lin + quad])
-    scale = np.array([abs(c) + abs(lin) + abs(quad)])
-    return float(_clamped(eta2, scale)[0])
 
 
 def element_estimators(neq, x):

@@ -109,11 +109,6 @@ class FourierReference:
         return {"w": w, "u": u, "M": Mt, "N": Nt}
 
 
-def fourier_fields(ref, x, y):
-    """Reference fields of a FourierReference at the given points."""
-    return ref.evaluate(x, y)
-
-
 class InextensionalReference:
     """Closed-form free-cylinder solution with vanishing membrane strain."""
 
@@ -136,10 +131,6 @@ class InextensionalReference:
         Mt[..., 1, 1] = 0.25 * c
         Nt = np.zeros(shape + (2, 2))
         return {"w": w, "u": u, "M": Mt, "N": Nt}
-
-
-def inextensional_exact(d):
-    return InextensionalReference(d)
 
 
 def make_reference(problem):

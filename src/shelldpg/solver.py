@@ -8,8 +8,8 @@ forces live on very different scales, so the equilibration is not
 optional at small thickness.
 
 When dof coordinates are available the matrix is pre-ordered by
-geometric nested dissection; on the skeleton-plus-field graphs produced
-by the assembly this cuts the LU fill (and factorization time) by an
+geometric nested dissection; on the skeleton trace graphs produced by
+the assembly this cuts the LU fill (and factorization time) by an
 order of magnitude compared to SuperLU's built-in orderings.
 """
 
@@ -106,9 +106,10 @@ def _refined_solve(As, b, lu_solve):
     """LU solve of As y = b, refined with extended-precision residuals.
 
     The equilibrated normal equations have condition numbers that grow
-    like h^-4 (1.5e8 at 256 elements of `cyl_clamped`, about 17x per
-    uniform refinement), so one LU solve in double precision is accurate
-    to kappa * eps only, and refinement with double-precision residuals
+    like h^-4 (1.5e8 at 256 elements of `cyl_clamped`, 2,816 trace dofs,
+    about 17x per uniform refinement; condensing the fields out left it
+    unchanged), so one LU solve in double precision is accurate to
+    kappa * eps only, and refinement with double-precision residuals
     cannot improve on that.  Residuals in long
     double (64-bit mantissa on x86-64) gain a factor of about
     kappa * eps per step, down to the rounding of y; where long double is

@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 
 from shelldpg import assembly as asm
+from shelldpg.estimator import AdaptiveConfig, adaptive_loop
 from shelldpg.mesh import Mesh, initial_rectangle_mesh, refine
 from shelldpg.model import (
     BENCHMARKS,
@@ -21,7 +22,8 @@ from shelldpg.polyquad import (
     triangle_geometry,
     triangle_rule,
 )
-from shelldpg.traces import TraceDofMap
+from shelldpg.solver import solve_spd
+from shelldpg.traces import TraceDofMap, apply_bc
 
 RECT = (0.0, 1.3, 0.0, 1.0)
 
@@ -336,6 +338,9 @@ def test_point_load_entry():
 
 
 def test_normal_equations_dense_oracle():
+    # the uncondensed system over the free traces and the fields, built
+    # densely from each element's G, B and l; eliminating its field
+    # block must give the assembled trace system
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     tris = np.array([[0, 1, 2], [0, 2, 3]])
     mesh = Mesh(verts, tris, rect=(0.0, 1.0, 0.0, 1.0))
@@ -346,8 +351,8 @@ def test_normal_equations_dense_oracle():
     )
     neq = asm.assemble_normal_equations(mesh, prob, 1)
 
-    dm = neq.dofmap
     nt = mesh.ntriangles
+    n = neq.A.shape[0]
     dense = np.zeros((neq.ndof, neq.ndof))
     rhs = np.zeros(neq.ndof)
     for t in range(nt):
@@ -358,14 +363,19 @@ def test_normal_equations_dense_oracle():
         Gil = np.linalg.solve(G, l)
         At = Bm.T @ GiB
         rt = Bm.T @ Gil
-        gc = neq.index_map[neq.elements.cols[t]]
+        gc = np.r_[n + 10 * t + np.arange(10), neq.index_map[neq.elements.cols[t]]]
         keep = gc >= 0
         dense[np.ix_(gc[keep], gc[keep])] += At[np.ix_(keep, keep)]
         rhs[gc[keep]] += rt[keep]
-        assert np.isclose(neq.elements.c[t], l @ Gil, rtol=1e-10, atol=1e-14)
+        c = l @ Gil - rt[:10] @ np.linalg.solve(At[:10, :10], rt[:10])
+        assert np.isclose(neq.elements.c[t], c, rtol=1e-10, atol=1e-14)
+    tr, fl = slice(0, n), slice(n, None)
+    X = np.linalg.solve(dense[fl, fl], np.c_[dense[fl, tr], rhs[fl]])
+    schur = dense[tr, tr] - dense[tr, fl] @ X[:, :-1]
+    srhs = rhs[tr] - dense[tr, fl] @ X[:, -1]
     A = neq.A.toarray()
-    assert np.abs(A - dense).max() < 1e-10 * np.abs(dense).max()
-    assert np.abs(neq.rhs - rhs).max() < 1e-10 * max(np.abs(rhs).max(), 1e-30)
+    assert np.abs(A - schur).max() < 1e-10 * np.abs(schur).max()
+    assert np.abs(neq.rhs - srhs).max() < 1e-10 * max(np.abs(srhs).max(), 1e-30)
 
 
 def test_assembled_system_shape_and_symmetry():
@@ -374,8 +384,10 @@ def test_assembled_system_shape_and_symmetry():
     neq = asm.assemble_normal_equations(mesh, prob, 0)
     dm = neq.dofmap
     nfree_trace = int((~neq.constrained).sum())
+    # the fields are condensed out of A but still count as dofs
+    assert neq.A.shape == (nfree_trace, nfree_trace)
+    assert neq.rhs.shape == (nfree_trace,) and neq.dof_xy.shape == (nfree_trace, 2)
     assert neq.ndof == nfree_trace + 10 * mesh.ntriangles
-    assert neq.A.shape == (neq.ndof, neq.ndof)
     asym = np.abs(neq.A - neq.A.T).max()
     assert asym <= 1e-12 * np.abs(neq.A.data).max()
 
@@ -392,9 +404,11 @@ def test_element_order_invariance():
     a = asm.assemble_normal_equations(mesh, prob, 0)
     b = asm.assemble_normal_equations(renum, prob, 0)
     assert len(a.elements.W) == len(b.elements.W)
-    for name in ("A", "rhs", "c"):
+    A, rhs, c, _, _ = direct_condensed_systems(mesh, prob, 0, np.arange(mesh.ntriangles))
+    for name, ref in (("A", A), ("rhs", rhs), ("c", c)):
         x, y = getattr(a.elements, name)[perm], getattr(b.elements, name)
         assert np.abs(x - y).max() <= 1e-10 * np.abs(x).max(), name
+        assert np.abs(x - ref[perm]).max() <= 1e-10 * np.abs(ref).max(), name
 
     # global dofs of b -> global dofs of a, through the element columns
     to_a = np.empty(b.index_map.size, dtype=int)
@@ -403,12 +417,16 @@ def test_element_order_invariance():
     # the twist gauge follows the edge numbering: compare the dofs free
     # in both numberings
     both = (ia >= 0) & (ib >= 0)
-    assert both.sum() >= a.ndof - mesh.nvertices
+    assert both.sum() >= a.A.shape[0] - mesh.nvertices
     Aa = a.A.toarray()[np.ix_(ia[both], ia[both])]
     Ab = b.A.toarray()[np.ix_(ib[both], ib[both])]
     assert np.abs(Aa - Ab).max() <= 1e-10 * np.abs(Aa).max()
     ra, rb = a.rhs[ia[both]], b.rhs[ib[both]]
     assert np.abs(ra - rb).max() <= 1e-10 * np.abs(ra).max()
+    # the gauge does not reach the fields recovered from a solution
+    fa = a.fields(solve_spd(a.A, a.rhs))[perm]
+    fb = b.fields(solve_spd(b.A, b.rhs))
+    assert np.abs(fa - fb).max() <= 1e-8 * np.abs(fa).max()
 
 
 def test_jacobian_class_keys():
@@ -452,6 +470,24 @@ def direct_element_systems(mesh, prob, k, els):
     return [np.array(x) for x in zip(*out)]
 
 
+def direct_condensed_systems(mesh, prob, k, els):
+    """Each element's own static condensation of its direct system.
+
+    Returns the Schur complements A_T, rhs_T, c_T on the field block and
+    the field recovery u_f = f_T - K_T u_t, all in the element's own
+    trace column order.
+    """
+    A, rhs, c = direct_element_systems(mesh, prob, k, els)
+    fl, tr = slice(0, asm.N_FIELD), slice(asm.N_FIELD, None)
+    X = np.linalg.solve(A[:, fl, fl], np.concatenate(
+        [A[:, fl, tr], rhs[:, fl, None]], axis=2))
+    K, f = X[..., :-1], X[..., -1]
+    Ac = A[:, tr, tr] - A[:, tr, fl] @ K
+    rc = rhs[:, tr] - np.einsum("etf,ef->et", A[:, tr, fl], f)
+    cc = c - np.einsum("ef,ef->e", rhs[:, fl], f)
+    return 0.5 * (Ac + Ac.transpose(0, 2, 1)), rc, cc, f, K
+
+
 @pytest.mark.parametrize("kind, k, d, bound", [
     ("cyl_clamped", 0, 1e-2, 1e-10),
     ("scordelis_lo", 1, 0.25, 1e-10),
@@ -477,7 +513,8 @@ def test_class_systems_match_direct_oracle(kind, k, d, bound):
     ident = np.arange(el.perm.shape[1])
     assert np.any(el.perm != ident) and np.any(el.sign < 0)
 
-    A, rhs, c = direct_element_systems(mesh, prob, k, np.arange(mesh.ntriangles))
+    A, rhs, c, _, _ = direct_condensed_systems(mesh, prob, k,
+                                               np.arange(mesh.ntriangles))
     rel = lambda x, ref: np.abs(x - ref).max() / np.abs(ref).max()
     for t in range(mesh.ntriangles):
         assert rel(el.A[t], A[t]) <= bound, (t, rel(el.A[t], A[t]))
@@ -513,35 +550,106 @@ def test_zero_load_zero_rhs():
 
 
 def test_flat_plate_membrane_bending_decoupling():
-    # B = 0 splits the assembled system into independent membrane
-    # (u, N, and their traces) and bending (w, M, traces) problems
+    # B = 0 splits the system into independent membrane (u, N, and their
+    # traces) and bending (w, M, traces) problems: the condensed trace
+    # system has no cross block, and the fields recovered from membrane
+    # traces are membrane fields only
     mesh = small_mesh(rounds=0)
     bc = {s: ("u1", "u2", "w", "dnw") for s in ("xmin", "xmax", "ymin", "ymax")}
     prob = plain_problem(d=0.3, bc=bc)
     neq = asm.assemble_normal_equations(mesh, prob, 0)
     dm = neq.dofmap
-    ntr = dm.ntrace
-    memb = np.zeros(ntr + 10 * mesh.ntriangles, bool)
+    memb = np.zeros(dm.ntrace, bool)
     memb[dm.off_uhat : dm.off_what] = True
     memb[dm.off_Nhat : dm.off_Mhat] = True
-    for j in (0, 1, 3, 4, 5, 6):
-        memb[ntr + 10 * np.arange(mesh.ntriangles) + j] = True
-    gm = np.zeros(neq.ndof, bool)
+    gm = np.zeros(neq.A.shape[0], bool)
     free = neq.index_map >= 0
     gm[neq.index_map[free]] = memb[free]
     A = neq.A.toarray()
     cross = A[np.ix_(gm, ~gm)]
     assert np.abs(cross).max() <= 1e-14 * np.abs(A).max()
 
+    memb_fields = np.isin(np.arange(10), (0, 1, 3, 4, 5, 6))
+    memb_cols = memb[dm.element_columns[0]]  # the same layout on every element
+    for K in neq.elements.K:
+        scale = np.abs(K).max()
+        assert np.abs(K[np.ix_(memb_fields, ~memb_cols)]).max() <= 1e-14 * scale
+        assert np.abs(K[np.ix_(~memb_fields, memb_cols)]).max() <= 1e-14 * scale
+
 
 def test_expand_and_fields():
     mesh = small_mesh(rounds=0)
     prob = make_benchmark("cyl_clamped")
     neq = asm.assemble_normal_equations(mesh, prob, 0)
-    x = np.arange(neq.ndof, dtype=float)
+    x = np.arange(neq.A.shape[0], dtype=float)
     full = neq.expand(x)
-    assert full.size == neq.dofmap.ntrace + 10 * mesh.ntriangles
-    assert np.abs(full[: neq.dofmap.ntrace][neq.constrained]).max() == 0.0
-    f = neq.fields(x)
-    assert f.shape == (mesh.ntriangles, 10)
-    assert np.array_equal(f.ravel(), full[neq.dofmap.ntrace :])
+    assert full.size == neq.dofmap.ntrace
+    assert np.abs(full[neq.constrained]).max() == 0.0
+    assert np.array_equal(full[~neq.constrained], x)
+    # the fields are each element's own locally optimal fields
+    got = neq.fields(x)
+    _, _, _, f, K = direct_condensed_systems(mesh, prob, 0, np.arange(mesh.ntriangles))
+    want = f - np.einsum("eft,et->ef", K, full[neq.elements.cols])
+    assert got.shape == (mesh.ntriangles, 10)
+    assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("kind, k, d", [
+    ("cyl_clamped", 0, 1e-2),
+    ("scordelis_lo", 1, 0.25),
+    ("cyl_free", 0, 1e-3),
+])
+def test_fields_match_uncondensed_solve(kind, k, d):
+    # the uncondensed system over the free traces and all fields, built
+    # densely from each element's own G, B and l and solved with
+    # refinement in long double: its fields must be the ones recovered
+    # from the condensed solve.  The element systems are formed as W'W
+    # with W = L^-1 S B from each element's own Cholesky factor; the
+    # form B' (G^-1 B) rounds differently, and at kappa(S G S) ~ 7e9
+    # (cyl_free, d = 1e-3) that alone moves the global fields by 3e-8
+    prob = make_benchmark(kind, d=d)
+    mesh = initial_rectangle_mesh(prob.rect)
+    rng = np.random.default_rng(17)
+    for _ in range(2):
+        mesh = refine(mesh, rng.choice(mesh.ntriangles, 4, replace=False))
+    neq = asm.assemble_normal_equations(mesh, prob, k)
+    got = neq.fields(solve_spd(neq.A, neq.rhs))
+
+    nt, n = mesh.ntriangles, neq.A.shape[0]
+    els = np.arange(nt)
+    G = asm.element_gram_batch(mesh, prob, els)
+    Bl = np.concatenate([asm.element_b_batch(mesh, prob, k, els),
+                         asm.element_load_batch(mesh, prob, els)[:, :, None]], axis=2)
+    gc = np.hstack([n + 10 * np.arange(nt)[:, None] + np.arange(10),
+                    neq.index_map[neq.elements.cols]])
+    dense = np.zeros((neq.ndof, neq.ndof))
+    b = np.zeros(neq.ndof)
+    for t in range(nt):
+        s = 1.0 / np.sqrt(np.diag(G[t]))
+        L = np.linalg.cholesky(s[:, None] * G[t] * s[None, :])
+        W = scipy.linalg.solve_triangular(L, s[:, None] * Bl[t], lower=True)
+        At, rt = W[:, :-1].T @ W[:, :-1], W[:, :-1].T @ W[:, -1]
+        keep = gc[t] >= 0
+        dense[np.ix_(gc[t, keep], gc[t, keep])] += At[np.ix_(keep, keep)]
+        b[gc[t, keep]] += rt[keep]
+    s = 1.0 / np.sqrt(np.diag(dense))
+    As = dense * s[:, None] * s[None, :]
+    lu = scipy.linalg.lu_factor(As)
+    y = scipy.linalg.lu_solve(lu, s * b)
+    for _ in range(3):
+        r = (s * b).astype(np.longdouble) - As.astype(np.longdouble) @ y
+        y = y + scipy.linalg.lu_solve(lu, r.astype(float))
+    want = (s * y)[n:].reshape(nt, 10)
+    # measured: 4e-11 to 1e-10
+    assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
+
+
+def test_adaptive_ndof_counts_free_traces_and_fields():
+    prob = make_benchmark("cyl_free", d=1e-3)
+    run = adaptive_loop(prob, AdaptiveConfig(max_levels=2))
+    assert len(run.levels) == 3
+    for rec in run.levels:
+        dm = TraceDofMap(rec.mesh, 0)
+        constrained = apply_bc(dm, prob)
+        constrained[dm.gauge] = True
+        assert rec.ndof == int((~constrained).sum()) + 10 * rec.nelems

@@ -8,7 +8,6 @@ from shelldpg import assembly as asm
 from shelldpg.estimator import (
     AdaptiveConfig,
     adaptive_loop,
-    element_estimator,
     element_estimators,
 )
 from shelldpg.mesh import Mesh, initial_rectangle_mesh, refine
@@ -52,36 +51,37 @@ def test_rayleigh_quotient_oracle():
     x = solve_spd(neq.A, neq.rhs)
     etas = element_estimators(neq, x)
     full = neq.expand(x)
+    fields = neq.fields(x)
     for t in range(2):
         G = asm.element_gram(mesh, prob, t)
         Bm = asm.element_b(mesh, prob, 0, t)
         l = asm.element_load(mesh, prob, t)
-        r = l - Bm @ full[neq.elements.cols[t]]
+        # the trial vector holds the recovered fields and the traces
+        r = l - Bm @ np.r_[fields[t], full[neq.elements.cols[t]]]
         lam = scipy.linalg.eigh(np.outer(r, r), G, eigvals_only=True)
         assert lam.max() >= 0.0
         assert np.isclose(etas[t] ** 2, lam.max(), rtol=1e-8, atol=1e-16)
-        sys_t = (neq.elements.A[t], neq.elements.rhs[t], neq.elements.c[t])
-        assert np.isclose(element_estimator(sys_t, full[neq.elements.cols[t]]),
-                          etas[t], rtol=1e-12)
 
 
 def test_perturbation_parabola():
-    # minimum-residual property: eta^2 is a parabola in any single dof
-    # with curvature A_T[j, j] > 0
+    # Schur-complement property: with the fields re-optimized locally,
+    # eta^2 is a parabola in any single trace dof with curvature
+    # A_T[j, j] > 0 of the condensed element matrix
     mesh = two_element_mesh()
     prob = loaded_problem()
     neq = asm.assemble_normal_equations(mesh, prob, 0)
     x = solve_spd(neq.A, neq.rhs)
-    full = neq.expand(x)
-    t, j = 1, 3  # N11 field dof of element 1
-    u0 = full[neq.elements.cols[t]]
-    sys_t = (neq.elements.A[t], neq.elements.rhs[t], neq.elements.c[t])
+    u0 = neq.expand(x)[neq.elements.cols]
+    t = 1
+    free = np.nonzero(neq.index_map[neq.elements.cols[t]] >= 0)[0]
+    j = free[len(free) // 2]
+    assert neq.elements.A[t, j, j] > 0.0
     eps = np.linspace(-0.5, 0.5, 7)
     vals = []
     for e in eps:
         u = u0.copy()
-        u[j] += e
-        vals.append(element_estimator(sys_t, u) ** 2)
+        u[t, j] += e
+        vals.append(neq.elements.residual_norms(u)[t] ** 2)
     coef = np.polyfit(eps, vals, 2)
     assert coef[0] > 0.0
     assert np.isclose(coef[0], neq.elements.A[t, j, j], rtol=1e-6)
@@ -98,7 +98,7 @@ def test_galerkin_orthogonality():
     full = neq.expand(x)
     uloc = full[neq.elements.cols]
     g_el = neq.elements.rhs - np.einsum("ecd,ed->ec", neq.elements.A, uloc)
-    g = np.zeros(neq.ndof)
+    g = np.zeros(neq.A.shape[0])
     gcols = neq.index_map[neq.elements.cols]
     keep = gcols >= 0
     np.add.at(g, gcols[keep], g_el[keep])
