@@ -11,6 +11,9 @@ the direction from its lower-index to its higher-index vertex rotated by
 
 import numpy as np
 
+# estimators whose squares agree to this relative tolerance tie in marking
+TIE_RTOL = 1e-10
+
 
 class Mesh:
     """Conforming triangular mesh.
@@ -201,9 +204,11 @@ def refine(mesh, marked):
 def dorfler_mark(etas, theta):
     """Bulk marking: minimal set M with theta * sum(eta^2) <= sum_M eta^2.
 
-    Greedy selection in descending eta^2 order; ties broken by lower
-    triangle index.  Returns a sorted index array (empty for an all-zero
-    estimator).
+    Greedy selection in descending eta^2 order.  Consecutive eta^2 that
+    agree to `TIE_RTOL` form one group, taken in triangle-index order:
+    mirror-image elements of a symmetric problem carry the same eta up to
+    rounding, and which of them get marked must not depend on its last
+    bits.  Returns a sorted index array (empty for an all-zero estimator).
     """
     etas = np.asarray(etas, dtype=float)
     if not np.all(np.isfinite(etas)) or np.any(etas < 0.0):
@@ -214,7 +219,10 @@ def dorfler_mark(etas, theta):
     total = eta2.sum()
     if total == 0.0:
         return np.empty(0, dtype=int)
-    order = np.lexsort((np.arange(etas.size), -eta2))
+    order = np.argsort(-eta2, kind="stable")
+    desc = eta2[order]
+    group = np.cumsum(np.r_[False, desc[1:] < desc[:-1] * (1.0 - TIE_RTOL)])
+    order = order[np.lexsort((order, group))]
     csum = np.cumsum(eta2[order])
     nsel = int(np.searchsorted(csum, theta * total * (1.0 - 1e-12))) + 1
     return np.sort(order[:nsel])

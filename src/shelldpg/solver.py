@@ -1,21 +1,28 @@
 """Sparse SPD solve for the assembled normal equations.
 
-Direct sparse LU on the symmetrically equilibrated matrix, with
-iterative refinement that reuses the factorization and forms residuals
-in extended precision, and a CG fallback on the equilibrated matrix
-(Jacobi-preconditioned CG on the raw one).  Moments and
-forces live on very different scales, so the equilibration is not
-optional at small thickness.
+One symmetric, diagonally pivoted SuperLU factorization of the
+symmetrically equilibrated matrix, with iterative refinement that
+reuses the factorization and forms residuals in extended precision.
+Moments and forces live on very different scales, so the equilibration
+is not optional at small thickness.
 
-When dof coordinates are available the matrix is pre-ordered by
-geometric nested dissection; on the skeleton trace graphs produced by
-the assembly this cuts the LU fill (and factorization time) by an
-order of magnitude compared to SuperLU's built-in orderings.
+The fill-reducing ordering is SuperLU's multiple minimum degree on the
+pattern of A + A' (Liu, ACM TOMS 1985), run inside the factorization.
+Above `ND_CROSSOVER` unknowns, when dof coordinates are given, the
+matrix is pre-ordered by geometric nested dissection instead: on the
+skeleton trace graphs of the assembly that takes less fill and time
+there, while minimum degree wins below (`bench/orderings.py` measures
+both and writes `BENCH_orderings.json`).
 """
 
 import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
+
+
+# unknowns above which nested dissection orders the trace systems for a
+# faster factorization than minimum degree (BENCH_orderings.json)
+ND_CROSSOVER = 20000
 
 
 class SolverError(Exception):
@@ -83,23 +90,26 @@ def nested_dissection(A, xy, leaf=200):
     return np.concatenate(order)
 
 
+def _splu(M, permc_spec):
+    """Symmetric-mode SuperLU of an SPD matrix: diagonal pivots only."""
+    return scipy.sparse.linalg.splu(
+        M, permc_spec=permc_spec, diag_pivot_thresh=0.0,
+        options={"SymmetricMode": True})
+
+
 def _factor(As, xy):
     """LU of the equilibrated matrix; returns a solve(r) -> dx closure."""
-    # ordering only pays off once the matrix clears a few leaf blocks
-    if xy is not None and As.shape[0] > 800:
-        perm = nested_dissection(As, xy)
-        lu = scipy.sparse.linalg.splu(
-            As[perm][:, perm].tocsc(), permc_spec="NATURAL",
-            diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    if xy is None or As.shape[0] <= ND_CROSSOVER:
+        return _splu(As.tocsc(), "MMD_AT_PLUS_A").solve
+    perm = nested_dissection(As, xy)
+    lu = _splu(As[perm][:, perm].tocsc(), "NATURAL")
 
-        def solve(r):
-            out = np.empty_like(r)
-            out[perm] = lu.solve(r[perm])
-            return out
+    def solve(r):
+        out = np.empty_like(r)
+        out[perm] = lu.solve(r[perm])
+        return out
 
-        return solve
-    lu = scipy.sparse.linalg.splu(As.tocsc(), permc_spec="COLAMD")
-    return lu.solve
+    return solve
 
 
 def _refined_solve(As, b, lu_solve):
@@ -141,8 +151,8 @@ def solve_spd(A, rhs, tol=1e-10, coords=None):
     solution is much larger than the data it remains attainable in
     double precision.
 
-    `coords` are optional dof locations, shape (n, 2), used for the
-    nested-dissection ordering.
+    `coords` are optional dof locations, shape (n, 2); above
+    `ND_CROSSOVER` unknowns they select the nested-dissection ordering.
     """
     A = scipy.sparse.csr_matrix(A)
     rhs = np.asarray(rhs, dtype=float)
@@ -159,26 +169,17 @@ def solve_spd(A, rhs, tol=1e-10, coords=None):
         bad = int(np.argmin(diag))
         raise SolverError(f"diagonal entry {diag[bad]:.3e} at dof {bad}: not SPD")
     s = 1.0 / np.sqrt(diag)
-    S = scipy.sparse.diags(s)
-    As = (S @ A @ S).tocsr()
+    rows = np.repeat(np.arange(n), np.diff(A.indptr))
+    As = scipy.sparse.csr_matrix(
+        (A.data * s[rows] * s[A.indices], A.indices, A.indptr), shape=A.shape)
     b = s * rhs
 
     try:
-        y = _refined_solve(As, b, _factor(As, coords))
-    except RuntimeError:
-        y = None
-
-    if y is None or not np.all(np.isfinite(y)) or backward_error(As, b, y) > tol:
-        y_cg, info = scipy.sparse.linalg.cg(
-            As, b, x0=None, rtol=0.1 * tol, atol=0.0,
-            maxiter=min(50 * n, 10000),
-        )
-        if info == 0 and np.all(np.isfinite(y_cg)):
-            y = y_cg
-
-    if y is None or not np.all(np.isfinite(y)):
-        raise SolverError("factorization and CG fallback both broke down")
-    err = backward_error(As, b, y)
+        lu_solve = _factor(As, coords)
+    except RuntimeError as exc:
+        raise SolverError(f"LU factorization broke down: {exc} (n={n})") from None
+    y = _refined_solve(As, b, lu_solve)
+    err = backward_error(As, b, y) if np.all(np.isfinite(y)) else np.inf
     if err > tol:
         raise SolverError(
             f"equilibrated backward error {err:.3e} exceeds tol {tol:.1e} (n={n})"

@@ -196,6 +196,33 @@ def test_dorfler_matches_brute_force_minimality():
         assert len(marked) == len(best)
 
 
+def test_dorfler_near_ties_do_not_depend_on_last_bits():
+    # an estimator symmetric under y -> -y on a mirror-symmetric mesh:
+    # mirror-image elements carry the same eta up to rounding.  theta
+    # is chosen so that exactly one element of a mirror pair is needed
+    mesh = initial_rectangle_mesh((-1.0, 1.0, -1.0, 1.0))
+    for _ in range(3):
+        mesh = refine(mesh, np.arange(mesh.ntriangles))
+    cen = mesh.vertices[mesh.triangles].mean(axis=1)
+    etas = 1.0 / (0.1 + (cen[:, 0] - 0.3) ** 2 + cen[:, 1] ** 2)
+    where = {(round(x, 9), round(y, 9)): t for t, (x, y) in enumerate(cen)}
+    mirror = np.array([where[round(x, 9), round(-y, 9)] for x, y in cen])
+    eta2 = etas**2
+    near = np.abs(eta2[:, None] - eta2[None, :]) <= 1e-12 * eta2[:, None]
+    pairs = [t for t in range(mesh.ntriangles)
+             if mirror[t] > t and near[t].sum() == 2 and near[t, mirror[t]]]
+    t = sorted(pairs, key=lambda t: -eta2[t])[4]
+    above = eta2[eta2 > eta2[t] * (1.0 + 1e-12)].sum()
+    theta = (above + 0.5 * eta2[t]) / eta2.sum()
+
+    marked = dorfler_mark(etas, theta)
+    assert t in marked and mirror[t] not in marked  # the lower index
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        wiggle = 1.0 + 1e-14 * rng.choice([-1.0, 1.0], size=etas.size)
+        assert np.array_equal(dorfler_mark(etas * wiggle, theta), marked)
+
+
 def test_dorfler_rejects_bad_input():
     with pytest.raises(ValueError):
         dorfler_mark(np.array([1.0, -0.5]), 0.5)

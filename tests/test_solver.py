@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse
 
+from shelldpg import solver
 from shelldpg.assembly import assemble_normal_equations
 from shelldpg.mesh import initial_rectangle_mesh, refine
 from shelldpg.model import make_benchmark
@@ -77,7 +78,7 @@ def test_non_spd_detected():
         solve_spd(A, np.ones(3))
     # positive diagonal but singular: rank-1 matrix
     sing = scipy.sparse.csr_matrix(np.outer([1.0, 1.0, 1.0], [1.0, 1.0, 1.0]))
-    with pytest.raises(SolverError):
+    with pytest.raises(SolverError, match=r"factorization broke down.*\(n=3\)"):
         solve_spd(sing, np.array([1.0, -1.0, 0.5]))
 
 
@@ -120,17 +121,58 @@ def test_nested_dissection_is_permutation():
     assert np.array_equal(perm, nested_dissection(neq.A, neq.dof_xy))
 
 
-def test_coords_path_matches_default_path():
+def ordered_and_default_solves(monkeypatch, A, rhs, xy):
+    """solve_spd with coords in the nested-dissection and the default branch.
+
+    The nested-dissection branch is forced by lowering `ND_CROSSOVER`
+    below n; a counting wrapper records which branch each solve took.
+    """
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return nested_dissection(*args)
+
+    monkeypatch.setattr(solver, "nested_dissection", counted)
+    assert A.shape[0] <= solver.ND_CROSSOVER  # so the default takes MMD
+    x = solve_spd(A, rhs, coords=xy)
+    assert not calls
+    with monkeypatch.context() as m:
+        m.setattr(solver, "ND_CROSSOVER", A.shape[0] - 1)
+        x_nd = solve_spd(A, rhs, coords=xy)
+    assert len(calls) == 1
+    return x_nd, x
+
+
+def test_coords_path_matches_default_path(monkeypatch):
     mesh = initial_rectangle_mesh((-1.0, 1.0, 0.0, np.pi / 4.0))
     for _ in range(4):
         mesh = refine(mesh, np.arange(mesh.ntriangles))
     prob = make_benchmark("cyl_clamped")
     neq = assemble_normal_equations(mesh, prob, 0)
-    assert neq.A.shape[0] > 800  # large enough to take the ordered branch
-    x_nd = solve_spd(neq.A, neq.rhs, coords=neq.dof_xy)
-    x = solve_spd(neq.A, neq.rhs)
+    x_nd, x = ordered_and_default_solves(monkeypatch, neq.A, neq.rhs, neq.dof_xy)
     ref = np.abs(x).max()
     assert np.abs(x_nd - x).max() < 1e-8 * ref
+
+
+def test_orderings_agree_on_thin_free_cylinder(monkeypatch):
+    # the conditioning of the thin free cylinder (d = 1e-3) on an
+    # NVB-adapted mesh, as in the benchmark: both orderings of the
+    # diagonally pivoted factorization give the same fields and meet tol
+    prob = make_benchmark("cyl_free", d=1e-3)
+    mesh = initial_rectangle_mesh(prob.rect)
+    rng = np.random.default_rng(17)
+    for _ in range(2):
+        mesh = refine(mesh, rng.choice(mesh.ntriangles, 4, replace=False))
+    neq = assemble_normal_equations(mesh, prob, 0)
+    tol = 1e-10
+    x_nd, x = ordered_and_default_solves(monkeypatch, neq.A, neq.rhs, neq.dof_xy)
+    got, want = neq.fields(x_nd), neq.fields(x)
+    assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
+    s = 1.0 / np.sqrt(neq.A.diagonal())
+    As = scipy.sparse.diags(s) @ neq.A @ scipy.sparse.diags(s)
+    for xi in (x_nd, x):
+        assert backward_error(As, s * neq.rhs, xi / s) <= tol
 
 
 def test_coords_shape_checked():
