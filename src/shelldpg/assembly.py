@@ -17,9 +17,13 @@ its shape (Kirby and Logg, ACM TOMS 2006), and a sign flip is a signed
 permutation of the trace columns (`traces.flipped_edge_columns`).
 Newest-vertex bisection keeps the number of distinct Jacobians small
 (Stevenson, Math. Comp. 2008), so the elements are grouped into
-Jacobian classes (`jacobian_classes`), and G, Bmat, the Cholesky
-factor of G and the field elimination are built once per class; only
-the load is per element.  `ElementSystems` documents the algebra.
+Jacobian classes (`jacobian_classes`).  G, Bmat, the Cholesky factor of
+G, the field elimination and a load map are built on one element per
+class; per element only the load and a signed column map remain.  Most
+shapes survive a refinement step, so an assembly given the previous
+level's `NormalEquations` builds the class kernels only for the shapes
+new to its mesh and takes the others over.  `ElementSystems` documents
+the algebra.
 
 Test space per element (broken): v in [P3]^2, z in P3, T in sym P3,
 S in sym P4, Q in skew P2; 111 dofs with the block offsets below.
@@ -338,20 +342,21 @@ def element_load_batch(mesh, problem, els):
 def jacobian_classes(mesh):
     """Group the elements of a mesh by their Jacobian up to translation.
 
-    Returns (cls, reps): the class index of every element and the
-    lowest-index element of each class.  A Jacobian is keyed by the
-    binary exponent of its largest entry and its entries rounded to
-    `CLASS_RTOL` times that power of two, so J and 2 J never share a
-    class.  A shape whose entries straddle a grid point may get two
-    classes, which costs one more kernel call and nothing else.
+    Returns (cls, reps, keys): the class index of every element, the
+    lowest-index element of each class and the key of each class.  A
+    Jacobian is keyed by the binary exponent of its largest entry and its
+    entries rounded to `CLASS_RTOL` times that power of two, so J and 2 J
+    never share a class.  A shape whose entries straddle a grid point may
+    get two classes, which costs one more kernel call and nothing else.
+    Keys are absolute, so equal keys on two meshes mean the same shape.
     """
     J, _, _ = triangle_geometry(mesh.triangle_coords())
     J = J.reshape(len(J), 4)
     _, expo = np.frexp(np.abs(J).max(axis=1))
     grid = np.rint(np.ldexp(J, -expo[:, None]) / CLASS_RTOL).astype(np.int64)
     key = np.column_stack([expo, grid])
-    _, reps, cls = np.unique(key, axis=0, return_index=True, return_inverse=True)
-    return cls.ravel(), reps
+    keys, reps, cls = np.unique(key, axis=0, return_index=True, return_inverse=True)
+    return cls.ravel(), reps, keys
 
 
 def gram_factor(G):
@@ -373,23 +378,28 @@ def gram_factor(G):
 
 @dataclass
 class ElementSystems:
-    """Field-condensed element normal equations from Jacobian-class factors.
+    """Field-condensed element normal equations from Jacobian-class kernels.
 
-    The elements of class J (`jacobian_classes`) share G_J, B_J and the
-    factor L_J of `gram_factor`, built on the class's lowest-index
-    element; W_J = L_J^-1 S_J B_J splits into its field and trace
+    The elements of class J (`jacobian_classes`) share G_J and B_J,
+    built on one element of the class, and the factor L_J of
+    `gram_factor`; W_J = L_J^-1 S_J B_J splits into its field and trace
     columns [W_f | W_t].  With the full QR W_f = [Q_1 Q_2] [R; 0] the
-    class keeps
+    class keeps the kernels
 
         W^c_J = Q_2' W_t,  K_J = R^-1 Q_1' W_t,
+        E_J = [R^-1 Q_1'; Q_2'] L_J^-1 S_J[:, :OFF_T],
 
-    and element T keeps, from its whitened load y_T = L_J^-1 S_J l_T,
+    E_J being the load map on the v and z test rows, the only ones a
+    load fills (`element_load_batch`).  Element T keeps
 
-        y^c_T = Q_2' y_T,  f_T = R^-1 Q_1' y_T,
+        [f_T; y^c_T] = E_J l_T[:OFF_T],
 
-    and the signed column map P_T (`perm`, `sign`) of its edge signs
-    relative to the class element: B_T[:, j] = sign[T, j] * B_J[:, perm[T, j]]
-    on the trace columns (the field columns are never permuted).  Then
+    the fields at zero traces f_T = R^-1 Q_1' y_T and the condensed load
+    y^c_T = Q_2' y_T of the whitened load y_T = L_J^-1 S_J l_T, and the
+    signed column map P_T (`perm`, `sign`) of its edge signs relative to
+    `ref_sign[J]`, the edge signs of the element the kernels were built
+    on: B_T[:, j] = sign[T, j] * B_J[:, perm[T, j]] on the trace columns
+    (the field columns are never permuted).  Then
 
         A_T = P_T' W^c' W^c P_T,  rhs_T = P_T' W^c' y^c_T,  c_T = |y^c_T|^2
 
@@ -398,6 +408,12 @@ class ElementSystems:
     the locally optimal fields are f_T - K_J P_T u_T (`fields`), and the
     residual in the dual test norm at those fields is
     |y^c_T - W^c P_T u_T| (`residual_norms`).
+
+    Reuse: W^c_J, K_J, E_J and `ref_sign[J]` depend on the mesh only
+    through the class key (`keys`), so the systems of the same problem
+    and k on another mesh (`assemble_normal_equations(previous=...)`)
+    lend them to every class whose key they hold, and only the other
+    classes are built.
     """
 
     A: np.ndarray  # (nel, nc, nc) over the local trace columns
@@ -405,8 +421,11 @@ class ElementSystems:
     c: np.ndarray  # (nel,)   |y^c_T|^2
     cols: np.ndarray  # (nel, nc) global trace dof indices
     cls: np.ndarray  # (nel,) Jacobian class
+    keys: np.ndarray  # (ncls, 5) class keys of `jacobian_classes`
+    ref_sign: np.ndarray  # (ncls, 3) edge signs the kernels were built with
     W: list  # per class (111 - 10, nc): W^c_J
     K: list  # per class (10, nc): field recovery
+    E: list  # per class (111, OFF_T): load map to [f_T; y^c_T]
     y: np.ndarray  # (nel, 111 - 10): y^c_T
     f: np.ndarray  # (nel, 10): fields at zero traces
     perm: np.ndarray  # (nel, nc)
@@ -440,51 +459,71 @@ def _class_members(cls, ncls):
     return np.split(order, np.cumsum(np.bincount(cls, minlength=ncls))[:-1])
 
 
-def _element_systems(mesh, problem, k, cols):
+def _class_kernels(G, Bm, element, j):
+    """W^c_J, K_J and E_J (`ElementSystems`) from one element's G and B."""
+    try:
+        L, s = gram_factor(G)
+    except AssemblyError as err:
+        raise AssemblyError(
+            f"{err} in element {element} (Jacobian class {j})") from None
+    nc = Bm.shape[1] - N_FIELD
+    X = solve_triangular(L, s[:, None] * np.hstack([Bm, np.eye(N_TEST, OFF_T)]),
+                         lower=True)
+    Q, R = np.linalg.qr(X[:, :N_FIELD], mode="complete")
+    QX = Q.T @ X[:, N_FIELD:]
+    QX[:N_FIELD] = solve_triangular(R[:N_FIELD], QX[:N_FIELD])
+    return QX[N_FIELD:, :nc], QX[:N_FIELD, :nc], QX[:, nc:]
+
+
+def _element_systems(mesh, problem, k, cols, previous=None):
     """Class-factored, field-condensed `ElementSystems` of all elements.
 
     `cols` (nel, nc) are the global indices of the local trace columns.
+    The kernels of a class whose key `previous` (the `ElementSystems` of
+    the same problem and k on another mesh) holds are taken from it; the
+    others are built on the class's lowest-index element.
     """
     nt, nc = cols.shape
-    cls, reps = jacobian_classes(mesh)
+    cls, reps, keys = jacobian_classes(mesh)
+    ncls = len(reps)
     signs = mesh.tri_edge_sign
-    perm, sign = flipped_edge_columns(k, signs != signs[reps[cls]])
-    l = element_load_batch(mesh, problem, np.arange(nt))
+    ref_sign = signs[reps]
+    Ws, Ks, Es = [None] * ncls, [None] * ncls, [None] * ncls
+    known = {} if previous is None else {
+        key.tobytes(): i for i, key in enumerate(previous.keys)}
+    new = []
+    for j, key in enumerate(keys):
+        i = known.get(key.tobytes())
+        if i is None:
+            new.append(j)
+        else:
+            Ws[j], Ks[j], Es[j] = previous.W[i], previous.K[i], previous.E[i]
+            ref_sign[j] = previous.ref_sign[i]
+    new = np.array(new, dtype=int)
+    for lo in range(0, len(new), CLASS_BATCH):
+        batch = new[lo:lo + CLASS_BATCH]
+        G = element_gram_batch(mesh, problem, reps[batch])
+        Bm = element_b_batch(mesh, problem, k, reps[batch])
+        for j, g, b in zip(batch, G, Bm):
+            Ws[j], Ks[j], Es[j] = _class_kernels(g, b, reps[j], j)
+    perm, sign = flipped_edge_columns(k, signs != ref_sign[cls])
+    l = element_load_batch(mesh, problem, np.arange(nt))[:, :OFF_T]
 
-    members = _class_members(cls, len(reps))
-    Ws, Ks = [], []
     y = np.empty((nt, N_TEST - N_FIELD))
     f = np.empty((nt, N_FIELD))
     A = np.empty((nt, nc, nc))
     rhs = np.empty((nt, nc))
-    for lo in range(0, len(reps), CLASS_BATCH):
-        batch = reps[lo:lo + CLASS_BATCH]
-        G = element_gram_batch(mesh, problem, batch)
-        Bm = element_b_batch(mesh, problem, k, batch)
-        for j in range(lo, lo + len(batch)):
-            try:
-                L, s = gram_factor(G[j - lo])
-            except AssemblyError as err:
-                raise AssemblyError(
-                    f"{err} in element {reps[j]} (Jacobian class {j})") from None
-            Wfull = solve_triangular(L, s[:, None] * Bm[j - lo], lower=True)
-            Q, R = np.linalg.qr(Wfull[:, :N_FIELD], mode="complete")
-            R = R[:N_FIELD]
-            QW = Q.T @ Wfull[:, N_FIELD:]
-            W = QW[N_FIELD:]
-            Ws.append(W)
-            Ks.append(solve_triangular(R, QW[:N_FIELD]))
-            mem = members[j]
-            Qy = solve_triangular(L, (s * l[mem]).T, lower=True).T @ Q
-            y[mem] = Qy[:, N_FIELD:]
-            f[mem] = solve_triangular(R, Qy[:, :N_FIELD].T).T
-            WtW = W.T @ W
-            WtW = 0.5 * (WtW + WtW.T)
-            P, S = perm[mem], sign[mem]
-            A[mem] = WtW[P[:, :, None], P[:, None, :]] * (S[:, :, None] * S[:, None, :])
-            rhs[mem] = S * np.take_along_axis(y[mem] @ W, P, axis=1)
+    for j, mem in enumerate(_class_members(cls, ncls)):
+        fy = l[mem] @ Es[j].T
+        f[mem], y[mem] = fy[:, :N_FIELD], fy[:, N_FIELD:]
+        WtW = Ws[j].T @ Ws[j]
+        WtW = 0.5 * (WtW + WtW.T)
+        P, S = perm[mem], sign[mem]
+        A[mem] = WtW[P[:, :, None], P[:, None, :]] * (S[:, :, None] * S[:, None, :])
+        rhs[mem] = S * np.take_along_axis(y[mem] @ Ws[j], P, axis=1)
     c = np.einsum("ei,ei->e", y, y)
-    return ElementSystems(A, rhs, c, cols, cls, Ws, Ks, y, f, perm, sign)
+    return ElementSystems(A, rhs, c, cols, cls, keys, ref_sign, Ws, Ks, Es,
+                          y, f, perm, sign)
 
 
 @dataclass
@@ -511,8 +550,19 @@ class NormalEquations:
         return self.elements.fields(self.expand(x)[self.elements.cols])
 
 
-def assemble_normal_equations(mesh, problem, k):
-    """Assemble the field-condensed DPG normal equations on the free traces."""
+def assemble_normal_equations(mesh, problem, k, previous=None):
+    """Assemble the field-condensed DPG normal equations on the free traces.
+
+    `previous`, the `NormalEquations` of the same problem object and k
+    on another mesh (the last adaptive level), lends its Jacobian-class
+    kernels: only the classes new to `mesh` are built.  The result
+    agrees with a fresh assembly up to the rounding between the members
+    of a class.
+    """
+    if previous is not None and (previous.problem is not problem
+                                 or previous.dofmap.k != k):
+        raise ValueError("previous normal equations belong to another "
+                         "problem or polynomial degree")
     dofmap = TraceDofMap(mesh, k)
     constrained = apply_bc(dofmap, problem)
     constrained[dofmap.gauge] = True
@@ -523,7 +573,8 @@ def assemble_normal_equations(mesh, problem, k):
     index_map[free] = np.arange(n)
 
     cols = dofmap.element_columns
-    elements = _element_systems(mesh, problem, k, cols)
+    elements = _element_systems(
+        mesh, problem, k, cols, None if previous is None else previous.elements)
 
     nc = cols.shape[1]
     gcols = index_map[cols]  # (nt, nc), -1 on constrained

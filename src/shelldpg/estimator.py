@@ -3,11 +3,17 @@
 The element estimator is the discrete dual norm of the element
 residual, eta(T)^2 = r' G^-1 r with r = l - B u_T, where u_T holds the
 element's trace values and its fields recovered from them.  The
-assembly keeps the Gram factor and the field elimination of each
-Jacobian class, so the estimator forms the residual explicitly in the
-condensed frame, eta(T) = |y^c_T - W^c_J P_T u_T|
+assembly keeps the condensed kernels of each Jacobian class and the
+condensed load of each element, so the estimator forms the residual
+explicitly in the condensed frame, eta(T) = |y^c_T - W^c_J P_T u_T|
 (`ElementSystems.residual_norms`), without building any element matrix
 again; at the recovered fields the field part of the residual vanishes.
+
+`adaptive_loop` hands each level's normal equations to the next
+assembly, which builds class kernels only for the shapes the
+refinement created (`assemble_normal_equations(previous=...)`).  The
+previous level is alive during that call anyway, so nothing is kept
+longer than one level.
 """
 
 from dataclasses import dataclass, field
@@ -80,8 +86,9 @@ def adaptive_loop(problem, config=None, evaluator=None, initial_mesh=None):
 
     levels = []
     level = 0
+    neq = None
     while True:
-        neq = assemble_normal_equations(mesh, problem, cfg.k)
+        neq = assemble_normal_equations(mesh, problem, cfg.k, previous=neq)
         x = solve_spd(neq.A, neq.rhs, cfg.tol, coords=neq.dof_xy)
         etas = element_estimators(neq, x)
         rec = LevelRecord(

@@ -246,16 +246,3 @@ def map_hessians(hess_ref, Jinv):
     xx, xy, yy = entry(0, 0), entry(0, 1), entry(1, 1)
     return np.stack([np.stack([xx, xy], -1), np.stack([xy, yy], -1)], -2)
 
-
-def eval_basis(basis, coords, ref_points):
-    """Values, gradients and Hessians of `basis` on a physical triangle.
-
-    Returns (values, gradients, hessians) with shapes (npts, dim),
-    (npts, dim, 2) and (npts, dim, 2, 2).  Values are unchanged by the
-    affine map; derivatives are pulled back through the inverse Jacobian.
-    """
-    _, _, Jinv = triangle_geometry(coords)
-    vals = basis.eval(ref_points)
-    grads = map_gradients(basis.grad(ref_points), Jinv)
-    hess = map_hessians(basis.hess(ref_points), Jinv)
-    return vals, grads, hess

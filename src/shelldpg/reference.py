@@ -4,9 +4,11 @@ Point-load shells: Fourier series with modes cos/sin((m-1/2) pi x) and
 half-integer frequencies chosen so the kinematic boundary conditions
 hold mode by mode; bending moments and membrane forces follow from
 termwise differentiation and the constitutive relations (nu = 0, so the
-material operator drops out).  Free cylinder: the closed-form
-inextensional solution.  Series evaluation is separable, one small GEMM
-per trig signature and point chunk.
+material operator drops out).  Per mode, N = e(u) + w B,
+M = -(d^2/12) grad grad w, div N = 0 and -div div M + B:N = 1, the mode
+coefficient of the unit point load.  Free cylinder: the closed-form
+inextensional solution.  Series evaluation is separable: per point chunk,
+one small GEMM for each of the nine scalar series.
 """
 
 import numpy as np
@@ -44,7 +46,7 @@ class FourierReference:
             den = d2 * K**4 + 12.0 * Mc**4
             W = 12.0 * K**2 / den
             alpha = 12.0 * Mc * Nr**2 / den
-            beta = (-24.0 * Mc**2 * Nr + 12.0 * Nr**3) / den
+            beta = (-24.0 * Mc**2 * Nr - 12.0 * Nr**3) / den
         else:
             den = d2 * K**4 + 48.0 * Mc**2 * Nr**2
             W = 12.0 * K**2 / den

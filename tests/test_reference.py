@@ -55,6 +55,71 @@ def test_series_against_brute_force():
             assert np.isclose(got["u"][i, 1], u2, rtol=1e-10, atol=1e-12)
 
 
+def trig_derivative(fn, axis, freq):
+    """d/dx (axis 0) or d/dy (axis 1) of {signature: amplitude}.
+
+    A signature names the x and y factors of cos/sin(freq * coordinate),
+    C or S, so the derivative changes one letter and scales by -freq
+    (cos) or +freq (sin).
+    """
+    out = {}
+    for sig, amp in fn.items():
+        cos = sig[axis] == "C"
+        new = sig[:axis] + ("S" if cos else "C") + sig[axis + 1:]
+        out[new] = out.get(new, 0.0) + (-freq if cos else freq) * amp
+    return out
+
+
+def trig_sum(*terms):
+    """Sum of c * fn over (c, fn) terms, and the sum of |c * fn| per signature."""
+    val, scale = {}, {}
+    for c, fn in terms:
+        for sig, amp in fn.items():
+            val[sig] = val.get(sig, 0.0) + c * amp
+            scale[sig] = scale.get(sig, 0.0) + abs(c * amp)
+    return val, scale
+
+
+@pytest.mark.parametrize("d", [1.0, 1e-2, 1e-3])
+@pytest.mark.parametrize("kind", KINDS)
+def test_modes_solve_the_shell_equations(kind, d):
+    # closed form, mode by mode, in the convention of the element
+    # matrices: N = e(u) + w B (nu = 0), M = -(d^2/12) grad grad w,
+    # div N = 0 and -div div M + B:N = f, where the unit point load at
+    # the origin has coefficient 1 on each mode cos(M x) cos(N y).  The
+    # displacement signatures follow from the boundary conditions: u1
+    # and u2 vanish on the sides x = +-1 and y = +-1 where the benchmark
+    # constrains them
+    B = {"elliptic": np.eye(2), "parabolic": np.diag([0.0, 1.0]),
+         "hyperbolic": np.array([[0.0, 1.0], [1.0, 0.0]])}[kind]
+    sig_u = ("CS", "SC") if kind == "hyperbolic" else ("SC", "CS")
+    ref = FourierReference(kind, d, bound=4)
+    fac = d * d / 12.0
+    for i in range(4):
+        for j in range(4):
+            M, N = ref.M[i], ref.N[j]
+            dx = lambda fn: trig_derivative(fn, 0, M)
+            dy = lambda fn: trig_derivative(fn, 1, N)
+            u1 = {sig_u[0]: ref.alpha[i, j]}
+            u2 = {sig_u[1]: ref.beta[i, j]}
+            w = {"CC": ref.W[i, j]}
+            N11, _ = trig_sum((1.0, dx(u1)), (B[0, 0], w))
+            N12, _ = trig_sum((0.5, dy(u1)), (0.5, dx(u2)), (B[0, 1], w))
+            N22, _ = trig_sum((1.0, dy(u2)), (B[1, 1], w))
+            divdivM, _ = trig_sum((-fac, dx(dx(dx(dx(w))))),
+                                  (-2.0 * fac, dx(dx(dy(dy(w))))),
+                                  (-fac, dy(dy(dy(dy(w))))))
+            residuals = [
+                trig_sum((1.0, dx(N11)), (1.0, dy(N12))),
+                trig_sum((1.0, dx(N12)), (1.0, dy(N22))),
+                trig_sum((-1.0, divdivM), (B[0, 0], N11), (2.0 * B[0, 1], N12),
+                         (B[1, 1], N22), (-1.0, {"CC": 1.0})),
+            ]
+            for eq, (val, scale) in enumerate(residuals):
+                for sig, r in val.items():
+                    assert abs(r) <= 1e-12 * scale[sig], (i, j, eq, sig, r)
+
+
 def test_derived_fields_match_finite_differences():
     # M and N series come from termwise differentiation; check against
     # finite differences of the base series away from the load point
