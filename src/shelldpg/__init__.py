@@ -1,13 +1,6 @@
 """DPG solver with optimal test functions for shallow shell problems."""
 
-from .assembly import (
-    AssemblyError,
-    NormalEquations,
-    assemble_normal_equations,
-    element_b,
-    element_gram,
-    element_load,
-)
+from .assembly import AssemblyError, NormalEquations, assemble_normal_equations
 from .cli import ConfigError, RunConfig, parse_config, run
 from .estimator import (
     AdaptiveConfig,
@@ -65,10 +58,7 @@ __all__ = [
     "dorfler_mark",
     "edge_pairings",
     "edge_rule",
-    "element_b",
     "element_estimators",
-    "element_gram",
-    "element_load",
     "error_norms",
     "initial_rectangle_mesh",
     "locate_points",

@@ -50,6 +50,7 @@ from scipy.linalg import solve_triangular
 from .model import apply_Cinv, eval_loads
 from .polyquad import (
     FRAMES_SYM,
+    REF_VERTICES,
     SQ2,
     map_gradients,
     map_hessians,
@@ -57,6 +58,7 @@ from .polyquad import (
     triangle_basis,
     triangle_geometry,
     triangle_rule,
+    triangle_table,
 )
 from .traces import (
     TraceDofMap,
@@ -74,11 +76,14 @@ N_FIELD = 10
 # of their largest entry: rounding noise of a repeated shape stays on one
 # grid point, distinct shapes do not merge
 CLASS_RTOL = 1e-10
-# Jacobian classes per call of the element kernels: each call holds a few
-# (batch, 111, 111) Gram-sized temporaries, so this bounds the peak
-# memory on meshes with many distinct shapes
+# Jacobian classes per call of the element kernels.  At 128 classes a
+# call of `element_gram_batch` peaks at 2.4 times its (batch, 111, 111)
+# result (31 of 12.6 MB, tracemalloc) and one of `element_b_batch` at
+# 8 MB, so this bounds the peak memory on meshes with many distinct shapes
 CLASS_BATCH = 128
 
+# test dofs of |grad v - B z + Q|^2
+VZQ = np.r_[OFF_V:OFF_T, OFF_Q:N_TEST]
 FRAME_SKEW = np.array([[0.0, 1.0 / SQ2], [-1.0 / SQ2, 0.0]])
 # M field directions M11, M12, M22
 DIR_M = np.array(
@@ -117,123 +122,102 @@ def _b_coeffs(B):
     return np.array([B[0, 0], SQ2 * B[0, 1], B[1, 1]])
 
 
+def _gram_block(X):
+    """X' X over the quadrature rows of a table (nel, rows, cols), made
+    exactly symmetric: the batched product is symmetric only up to
+    rounding."""
+    P = X.transpose(0, 2, 1) @ X
+    P += P.transpose(0, 2, 1).copy()
+    P *= 0.5
+    return P
+
+
 def element_gram_batch(mesh, problem, els):
-    """Gram matrices (nel, 111, 111) of the scaled test inner product."""
+    """Gram matrices (nel, 111, 111) of the scaled test inner product.
+
+    The squared test norm of tau = (v, z, T, S, Q) on an element is
+
+        D^-2 |C_disp v|^2 + d^2 D^-4 z^2 + |T|^2 + d^-2 |S|^2 + c_Q |Q|^2
+        + |grad v - B z + Q|^2 + |d grad grad z|^2 + |D C_disp^-1 div T|^2
+        + |(D^2 / d) (divdiv S - B : T)|^2
+
+    integrated over it.  The mass terms are analytic: the reference
+    basis is orthonormal, so each element mass matrix is detJ I.  Each of
+    the four operator terms is tabulated at the `QUAD_DEGREE` rule,
+    weighted by sqrt(w_q detJ), as a table X with one row per point and
+    operator component and one column per test dof it acts on; its Gram
+    block is X' X, one batched product with the points as the
+    contracted axis.  The rule is exact: no integrand has degree above 6.
+    """
     if problem.d <= 0.0 or problem.D <= 0.0:
         raise ValueError("thickness and scaling length must be positive")
     coords = mesh.triangle_coords(els)
     _, detJ, Jinv = triangle_geometry(coords)
     rule = triangle_rule(QUAD_DEGREE)
-    b2, b3, b4 = triangle_basis(2), triangle_basis(3), triangle_basis(4)
-    nel = len(detJ)
-    wd = rule.weights[None, :] * detJ[:, None]
+    t2, t3, t4 = (triangle_table(p, QUAD_DEGREE) for p in (2, 3, 4))
+    nel, nq = len(detJ), len(rule.weights)
+    d, D, B = problem.d, problem.D, problem.B
 
-    v3 = b3.eval(rule.points)
-    g3 = map_gradients(b3.grad(rule.points), Jinv)
-    h3 = map_hessians(b3.hess(rule.points), Jinv)
-    h4 = map_hessians(b4.hess(rule.points), Jinv)
-
-    d, D, cQ = problem.d, problem.D, problem.c_Q
-    Cd = problem.C_disp
-    B = problem.B
-    bf = _b_coeffs(B)
+    sw = np.sqrt(rule.weights[None, :] * detJ[:, None])[:, :, None]  # (nel, nq, 1)
+    v2, v3 = sw * t2.val, sw * t3.val
+    g3 = sw[..., None] * map_gradients(t3.grad, Jinv)  # (nel, nq, 10, 2)
+    h3 = _divdiv_from_hess(map_hessians(t3.hess, Jinv))  # (nel, nq, 10, 3)
+    h4 = _divdiv_from_hess(map_hessians(t4.hess, Jinv))  # (nel, nq, 15, 3)
 
     G = np.zeros((nel, N_TEST, N_TEST))
-
-    # value terms: the reference basis is orthonormal, element mass = detJ I
+    C2 = problem.C_disp @ problem.C_disp.T / D**2
     i10 = np.arange(10)
-    C2 = Cd @ Cd
     for c in range(2):
         for cc in range(2):
-            G[:, OFF_V + 2 * i10 + c, OFF_V + 2 * i10 + cc] += (
-                C2[c, cc] / D**2
-            ) * detJ[:, None]
-    zidx = OFF_Z + i10
-    G[:, zidx, zidx] += (d * d / D**4 + np.sum(B * B)) * detJ[:, None]
-    tidx = OFF_T + np.arange(30)
-    G[:, tidx, tidx] += detJ[:, None]
-    sidx = OFF_S + np.arange(45)
-    G[:, sidx, sidx] += detJ[:, None] / d**2
-    # |grad v - B z + Q|^2 contributes |Q|^2 on top of the weighted term
-    qidx = OFF_Q + np.arange(6)
-    G[:, qidx, qidx] += (1.0 + cQ) * detJ[:, None]
+            G[:, OFF_V + 2 * i10 + c, OFF_V + 2 * i10 + cc] = C2[c, cc] * detJ[:, None]
+    for off, n, mass in ((OFF_Z, 10, d * d / D**4), (OFF_T, 30, 1.0),
+                         (OFF_S, 45, 1.0 / d**2), (OFF_Q, 6, problem.c_Q)):
+        idx = off + np.arange(n)
+        G[:, idx, idx] = mass * detJ[:, None]
 
-    # |grad v - B z + Q|^2, gradient parts
-    K3 = np.einsum("eq,eqia,eqja->eij", wd, g3, g3)
+    # grad v - B z + Q, component (a, b), over the v, z and Q columns
+    X = np.zeros((nel, nq, 2, 2, 36))
     for c in range(2):
-        G[:, (OFF_V + 2 * i10 + c)[:, None], OFF_V + 2 * i10[None, :] + c] += K3
-    Bg = np.einsum("ab,eqib->eqia", B, g3)
-    M_vz = np.einsum("eq,eqic,qj->eicj", wd, Bg, v3)
-    for c in range(2):
-        blk = M_vz[:, :, c, :]
-        G[:, (OFF_V + 2 * i10 + c)[:, None], OFF_Z + i10[None, :]] -= blk
-        G[:, (OFF_Z + i10)[:, None], OFF_V + 2 * i10[None, :] + c] -= blk.transpose(
-            0, 2, 1
-        )
-    v2 = b2.eval(rule.points)
-    Wg = np.stack([g3[..., 1], -g3[..., 0]], axis=-1) / SQ2
-    M_vq = np.einsum("eq,eqic,qm->eicm", wd, Wg, v2)
-    for c in range(2):
-        blk = M_vq[:, :, c, :]
-        G[:, (OFF_V + 2 * i10 + c)[:, None], OFF_Q + np.arange(6)[None, :]] += blk
-        G[
-            :, (OFF_Q + np.arange(6))[:, None], OFF_V + 2 * i10[None, :] + c
-        ] += blk.transpose(0, 2, 1)
+        X[:, :, c, :, c:20:2] = g3.transpose(0, 1, 3, 2)
+    X[..., 20:30] = -B[:, :, None] * v3[:, :, None, None, :]
+    X[..., 30:] = FRAME_SKEW[:, :, None] * v2[:, :, None, None, :]
+    G[:, VZQ[:, None], VZQ] += _gram_block(X.reshape(nel, 4 * nq, 36))
 
-    # d^2 |eps grad z|^2
-    G[:, (OFF_Z + i10)[:, None], OFF_Z + i10[None, :]] += (d * d) * np.einsum(
-        "eq,eqiab,eqjab->eij", wd, h3, h3
-    )
+    # d grad grad z, entries (xx, sqrt2 xy, yy)
+    X = d * sw[..., None] * h3
+    G[:, OFF_Z:OFF_T, OFF_Z:OFF_T] += _gram_block(
+        X.transpose(0, 1, 3, 2).reshape(nel, 3 * nq, 10))
 
-    # D^2 |C_disp^-1 div T|^2
-    divT = _div_from_grads(g3).reshape(nel, len(rule.weights), 30, 2)
-    Cinv = np.linalg.inv(Cd)
-    CdivT = np.einsum("ab,eqRb->eqRa", Cinv, divT)
-    G[:, OFF_T : OFF_T + 30, OFF_T : OFF_T + 30] += (D * D) * np.einsum(
-        "eq,eqRa,eqPa->eRP", wd, CdivT, CdivT
-    )
+    # D C_disp^-1 div T
+    divT = _div_from_grads(g3).reshape(nel, nq, 30, 2)
+    X = divT @ (D * np.linalg.inv(problem.C_disp).T)
+    G[:, OFF_T:OFF_S, OFF_T:OFF_S] += _gram_block(
+        X.transpose(0, 1, 3, 2).reshape(nel, 2 * nq, 30))
 
-    # d^-2 D^4 |divdiv S - B:T|^2
-    ddS = _divdiv_from_hess(h4).reshape(nel, len(rule.weights), 45)
-    fac = D**4 / d**2
-    G[:, OFF_S : OFF_S + 45, OFF_S : OFF_S + 45] += fac * np.einsum(
-        "eq,eqR,eqP->eRP", wd, ddS, ddS
-    )
-    cross = np.einsum("eq,eqR,qi->eRi", wd, ddS, v3)
-    ST = fac * np.einsum("eRi,f->eRif", cross, bf).reshape(nel, 45, 30)
-    G[:, OFF_S : OFF_S + 45, OFF_T : OFF_T + 30] -= ST
-    G[:, OFF_T : OFF_T + 30, OFF_S : OFF_S + 45] -= ST.transpose(0, 2, 1)
-    bb = np.outer(bf, bf)
-    for f in range(3):
-        for ff in range(3):
-            G[:, OFF_T + 3 * i10 + f, OFF_T + 3 * i10 + ff] += (
-                fac * bb[f, ff]
-            ) * detJ[:, None]
-
-    # the quadrature einsums are symmetric only up to rounding; scaled in
-    # place so that no third Gram-sized array is alive at once
-    Gsym = G + G.transpose(0, 2, 1)
-    Gsym *= 0.5
-    return Gsym
+    # (D^2 / d) (divdiv S - B : T) over the T and S columns
+    X = np.empty((nel, nq, 75))
+    X[..., :30] = -(v3[..., None] * _b_coeffs(B)).reshape(nel, nq, 30)
+    X[..., 30:] = sw * h4.reshape(nel, nq, 45)
+    X *= D * D / d
+    G[:, OFF_T:OFF_Q, OFF_T:OFF_Q] += _gram_block(X)
+    return G
 
 
 def element_b_batch(mesh, problem, k, els, pairings=None):
-    """Trial-to-test matrices (nel, 111, 10 + TraceDofMap.ncols)."""
+    """Trial-to-test matrices (nel, 111, 10 + TraceDofMap.ncols).
+
+    The trial fields are constant on an element, so each field column
+    integrates a test function, its gradient or its Hessian over the
+    element: detJ times a reference integral, the derivatives mapped by
+    Jinv after integrating.
+    """
     coords = mesh.triangle_coords(els)
     _, detJ, Jinv = triangle_geometry(coords)
-    rule = triangle_rule(QUAD_DEGREE)
-    b2, b3, b4 = triangle_basis(2), triangle_basis(3), triangle_basis(4)
+    w = triangle_rule(QUAD_DEGREE).weights
+    t2, t3, t4 = (triangle_table(p, QUAD_DEGREE) for p in (2, 3, 4))
     nel = len(detJ)
-    wd = rule.weights[None, :] * detJ[:, None]
     nu_cols = 6 + 6 * k
     ncols = N_FIELD + local_trace_columns(k)
-
-    v2 = b2.eval(rule.points)
-    v3 = b3.eval(rule.points)
-    v4 = b4.eval(rule.points)
-    g3 = map_gradients(b3.grad(rule.points), Jinv)
-    h3 = map_hessians(b3.hess(rule.points), Jinv)
-    h4 = map_hessians(b4.hess(rule.points), Jinv)
 
     B = problem.B
     bf = _b_coeffs(B)
@@ -242,21 +226,19 @@ def element_b_batch(mesh, problem, k, els, pairings=None):
 
     Bmat = np.zeros((nel, N_TEST, ncols))
 
-    IT2 = np.einsum("eq,qm->em", wd, v2)
-    IT3 = np.einsum("eq,qi->ei", wd, v3)
-    IT4 = np.einsum("eq,qi->ei", wd, v4)
-    Ig3 = np.einsum("eq,eqib->eib", wd, g3)
-    Ih3 = np.einsum("eq,eqjab->ejab", wd, h3)
+    dJ = detJ[:, None]
+    IT2, IT3, IT4 = (dJ * (w @ t.val) for t in (t2, t3, t4))
+    Ig3 = dJ[..., None] * map_gradients(np.tensordot(w, t3.grad, 1)[None], Jinv)[:, 0]
+    Ih3, Ih4 = (dJ[..., None, None] * map_hessians(np.tensordot(w, t.hess, 1)[None],
+                                                   Jinv)[:, 0] for t in (t3, t4))
 
     # (u, div T)
-    divT = _div_from_grads(g3).reshape(nel, -1, 30, 2)
-    IdivT = np.einsum("eq,eqRc->eRc", wd, divT)
+    IdivT = _div_from_grads(Ig3).reshape(nel, 30, 2)
     for c in range(2):
         Bmat[:, OFF_T : OFF_T + 30, c] = IdivT[:, :, c]
 
     # (w, divdiv S - B:T)
-    ddS = _divdiv_from_hess(h4).reshape(nel, -1, 45)
-    Bmat[:, OFF_S : OFF_S + 45, 2] = np.einsum("eq,eqR->eR", wd, ddS)
+    Bmat[:, OFF_S : OFF_S + 45, 2] = _divdiv_from_hess(Ih4).reshape(nel, 45)
     for f in range(3):
         Bmat[:, OFF_T + 3 * np.arange(10) + f, 2] -= bf[f] * IT3
 
@@ -312,7 +294,6 @@ def element_load_batch(mesh, problem, els):
     coords = mesh.triangle_coords(els)
     _, detJ, _ = triangle_geometry(coords)
     rule = triangle_rule(QUAD_DEGREE)
-    b3 = triangle_basis(3)
     nel = len(detJ)
     l = np.zeros((nel, N_TEST))
 
@@ -322,20 +303,17 @@ def element_load_batch(mesh, problem, els):
         sel = np.nonzero(np.asarray(els) == t0)[0]
         if sel.size:
             m = int(np.nonzero(mesh.triangles[t0] == v)[0][0])
-            ref = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])[m]
-            zvals = b3.eval(ref[None, :])[0]
+            zvals = triangle_basis(3).eval(REF_VERTICES[m][None, :])[0]
             l[sel[0], OFF_Z : OFF_Z + 10] = -load.weight * zvals
         return l
 
     wd = rule.weights[None, :] * detJ[:, None]
-    v3 = b3.eval(rule.points)
+    v3 = triangle_table(3, QUAD_DEGREE).val
     phys = map_points(coords, rule.points)
     f, p = eval_loads(problem, phys[..., 0], phys[..., 1])
     for c in range(2):
-        l[:, OFF_V + 2 * np.arange(10) + c] = np.einsum(
-            "eq,qi->ei", wd * p[..., c], v3
-        )
-    l[:, OFF_Z : OFF_Z + 10] = -np.einsum("eq,qi->ei", wd * f, v3)
+        l[:, OFF_V + 2 * np.arange(10) + c] = (wd * p[..., c]) @ v3
+    l[:, OFF_Z : OFF_Z + 10] = -(wd * f) @ v3
     return l
 
 
@@ -613,14 +591,3 @@ def _dof_coordinates(mesh, dofmap):
     xy[dofmap.off_twist:dofmap.ntrace] = verts[mesh.edges.ravel()]
     return xy
 
-
-def element_gram(mesh, problem, element=0):
-    return element_gram_batch(mesh, problem, np.array([element]))[0]
-
-
-def element_b(mesh, problem, k, element=0):
-    return element_b_batch(mesh, problem, k, np.array([element]))[0]
-
-
-def element_load(mesh, problem, element=0):
-    return element_load_batch(mesh, problem, np.array([element]))[0]

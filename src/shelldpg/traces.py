@@ -76,9 +76,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh import Mesh
-from .polyquad import SQ2, edge_rule, triangle_basis, triangle_geometry
+from .polyquad import (
+    REF_VERTICES,
+    SQ2,
+    edge_rule,
+    edge_table,
+    triangle_basis,
+    triangle_geometry,
+)
 
-REF_VERTICES = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+EDGE_RULE_DEGREE = 7  # `edge_pairings` integrands have degree <= 6
 
 
 def local_trace_columns(k):
@@ -260,10 +267,9 @@ def edge_pairings(mesh: Mesh, k: int, elements=None) -> TracePairings:
     nt = len(els)
     _, _, Jinv = triangle_geometry(coords)
 
-    rule = edge_rule(7)
+    rule = edge_rule(EDGE_RULE_DEGREE)
     sq, wq = rule.points, rule.weights
-    b3, b4 = triangle_basis(3), triangle_basis(4)
-    z_at_vertex = b3.eval(REF_VERTICES)  # (3, 10)
+    z_at_vertex = triangle_basis(3).eval(REF_VERTICES)  # (3, 10)
 
     # Hermite value shapes and derivatives on the local edge parameter
     h00 = 2 * sq**3 - 3 * sq**2 + 1
@@ -274,6 +280,9 @@ def edge_pairings(mesh: Mesh, k: int, elements=None) -> TracePairings:
     d10 = 3 * sq**2 - 4 * sq + 1
     d01 = -d00
     d11 = 3 * sq**2 - 2 * sq
+    # endpoint hat functions and, for k = 1, the edge bubble
+    hats = np.stack([1 - sq, sq], axis=0)
+    bub = 4 * sq * (1 - sq)
 
     nu = 6 + 6 * k
     pu = np.zeros((nt, 30, nu))
@@ -281,15 +290,16 @@ def edge_pairings(mesh: Mesh, k: int, elements=None) -> TracePairings:
     pn = np.zeros((nt, 20, 6))
     pm = np.zeros((nt, 10, 12))
 
+    # every edge integral is L times one over the reference edge; the
+    # basis tables are weighted by the rule once, and each product below
+    # contracts two operands
     for j in range(3):
         a, b = (j + 1) % 3, (j + 2) % 3
-        pts = (1 - sq)[:, None] * REF_VERTICES[a] + sq[:, None] * REF_VERTICES[b]
-        v3 = b3.eval(pts)
-        g3 = b3.grad(pts)
-        v4 = b4.eval(pts)
-        g4 = b4.grad(pts)
-        g3p = np.einsum("tba,qib->tqia", Jinv, g3)
-        g4p = np.einsum("tba,qib->tqia", Jinv, g4)
+        t3 = edge_table(3, EDGE_RULE_DEGREE, j)
+        t4 = edge_table(4, EDGE_RULE_DEGREE, j)
+        wv3 = wq[:, None] * t3.val  # (Q, 10)
+        wv4 = wq[:, None] * t4.val  # (Q, 15)
+        wg4 = (wq[:, None, None] * t4.grad).reshape(len(wq), 30)  # (Q, 15 * 2)
 
         Pa, Pb = coords[:, a], coords[:, b]
         ed = Pb - Pa
@@ -297,30 +307,21 @@ def edge_pairings(mesh: Mesh, k: int, elements=None) -> TracePairings:
         tau = ed / L[:, None]
         nrm = np.stack([tau[:, 1], -tau[:, 0]], axis=1)  # outward for CCW
         sign = mesh.tri_edge_sign[els, j].astype(float)
-        wphys = wq[None, :] * L[:, None]  # (nt, Q)
 
-        fn3 = _frame_times_normal(nrm)  # (nt, 3, 2)
+        Lfn3 = L[:, None, None] * _frame_times_normal(nrm)  # (nt, 3, 2)
 
         # --- u_hat columns: integral (T n) . phi over the edge
-        hats = np.stack([1 - sq, sq], axis=0)  # endpoint hat functions
         # rows 3i+f, columns 2m+c
-        base = np.einsum("tq,qi,tfc,pq->tifpc", wphys, v3, fn3, hats)
         for p, m in enumerate((a, b)):
-            pu[:, :, 2 * m : 2 * m + 2] += base[:, :, :, p, :].reshape(nt, 30, 2)
+            Iv = hats[p] @ wv3  # (10,)
+            pu[:, :, 2 * m : 2 * m + 2] += (
+                Iv[None, :, None, None] * Lfn3[:, None]).reshape(nt, 30, 2)
         if k == 1:
-            bub = 4 * sq * (1 - sq)
-            bb = np.einsum("tq,qi,tfc,q->tifc", wphys, v3, fn3, bub)
-            pu[:, :, 6 + 2 * j : 8 + 2 * j] += bb.reshape(nt, 30, 2)
+            pu[:, :, 6 + 2 * j : 8 + 2 * j] += (
+                (bub @ wv3)[None, :, None, None] * Lfn3[:, None]).reshape(nt, 30, 2)
 
         # --- w_hat columns: integral [ w (n . div S) - (S n) . grad w ]
-        # n . div S per frame, using physical gradients of the P4 scalars
-        gx, gy = g4p[..., 0], g4p[..., 1]
-        n1, n2 = nrm[:, 0, None, None], nrm[:, 1, None, None]
-        ndivS = np.stack(
-            [n1 * gx, (n1 * gy + n2 * gx) / SQ2, n2 * gy], axis=-1
-        )  # (nt, Q, 15, 3)
-        Sn = v4[None, :, :, None, None] * fn3[:, None, None, :, :]  # (nt,Q,15,3,2)
-
+        # n . div(psi F) = grad psi . (F n) and S n = psi F n per frame F
         nq = len(sq)
         wcol = np.zeros((nt, nq, 6))
         gcol = np.zeros((nt, nq, 6, 2))
@@ -340,23 +341,28 @@ def edge_pairings(mesh: Mesh, k: int, elements=None) -> TracePairings:
                     dgrad[None, :, None] * tau[:, c, None, None] * tau[:, None, :]
                     + nlin[None, :, None] * nrm[:, c, None, None] * nrm[:, None, :]
                 )
-        contrib = np.einsum("tq,tqif,tqk->tifk", wphys, ndivS, wcol) - np.einsum(
-            "tq,tqifc,tqkc->tifk", wphys, Sn, gcol
-        )
+        # reference gradients against w: (nt, 15, 2, 6); mapped by Jinv
+        # and paired with F n
+        Iw = (wg4.T @ wcol).reshape(nt, 15, 2, 6)
+        JFn = (Jinv @ Lfn3.transpose(0, 2, 1)).transpose(0, 2, 1)  # (nt, 3, 2)
+        # psi against grad w: (nt, 15, 2, 6), paired with F n
+        Ig = (wv4.T @ gcol.reshape(nt, nq, 12)).reshape(nt, 15, 6, 2)
+        contrib = JFn[:, None] @ Iw - Lfn3[:, None] @ Ig.transpose(0, 1, 3, 2)
         for p, m in enumerate((a, b)):
             pw[:, :, 3 * m : 3 * m + 3] += contrib[:, :, :, 3 * p : 3 * p + 3].reshape(
                 nt, 45, 3
             )
 
         # --- N_hat columns: s_{T,E} integral sigma_hat . v
-        I3 = np.einsum("tq,qi->ti", wphys, v3)  # edge integrals of P3 scalars
+        I3 = L[:, None] * (wq @ t3.val)  # edge integrals of P3 scalars
         for c in range(2):
             pn[:, 2 * np.arange(10) + c, 2 * j + c] = sign[:, None] * I3
 
         # --- M_hat columns: -m_n integral dz/dn, s_{T,E} q integral z,
         #     and the twists' endpoint terms -[t z]_a^b; a is the
         #     lower-index endpoint iff s_{T,E} = +1
-        pm[:, :, 2 * j] = -np.einsum("tq,tqia,ta->ti", wphys, g3p, nrm)
+        Jn = (Jinv @ (L[:, None] * nrm)[:, :, None])[:, :, 0]  # (nt, 2)
+        pm[:, :, 2 * j] = -Jn @ np.tensordot(wq, t3.grad, 1).T
         pm[:, :, 2 * j + 1] = sign[:, None] * I3
         lo_is_a = (sign > 0)[:, None]
         za, zb = z_at_vertex[a][None, :], z_at_vertex[b][None, :]

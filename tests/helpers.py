@@ -1,7 +1,9 @@
-"""Shared oracle helpers: projections onto element test blocks."""
+"""Shared oracle helpers: projections onto element test blocks and the
+element kernels of a single element."""
 
 import numpy as np
 
+from shelldpg.assembly import element_b_batch, element_gram_batch, element_load_batch
 from shelldpg.polyquad import map_points, triangle_basis, triangle_rule
 
 SQ2 = np.sqrt(2.0)
@@ -48,3 +50,18 @@ def project_sym_tensor(coords, fn, degree, fn_degree=4):
     fr = np.einsum("qab,fab->qf", f, FRAMES_SYM)
     coef = (vals * rule.weights[:, None]).T @ fr  # (dim, 3)
     return coef.reshape(-1)
+
+
+def element_gram(mesh, problem, element=0):
+    """Gram matrix (111, 111) of one element."""
+    return element_gram_batch(mesh, problem, np.array([element]))[0]
+
+
+def element_b(mesh, problem, k, element=0):
+    """Trial-to-test matrix of one element."""
+    return element_b_batch(mesh, problem, k, np.array([element]))[0]
+
+
+def element_load(mesh, problem, element=0):
+    """Load vector (111,) of one element."""
+    return element_load_batch(mesh, problem, np.array([element]))[0]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from helpers import FRAME_SKEW, FRAMES_SYM, element_b, element_gram, element_load
 from shelldpg import assembly as asm
 from shelldpg.estimator import AdaptiveConfig, adaptive_loop
 from shelldpg.mesh import Mesh, initial_rectangle_mesh, refine
@@ -68,6 +69,82 @@ def test_gram_spd_random_triangles():
         assert np.abs(G - G.transpose(0, 2, 1)).max() == 0.0
 
 
+def gram_oracle(coords, prob):
+    """G of one element assembled point by point at triangle_rule(10).
+
+    At each point every test dof's fields (v, z, T, S, Q) and their
+    derivatives are built from fresh basis evaluations; each term of the
+    test norm, the mass terms included, adds its weighted outer product.
+    """
+    _, detJ, Jinv = triangle_geometry(coords)
+    b2, b3, b4 = triangle_basis(2), triangle_basis(3), triangle_basis(4)
+    d, D, B, C = prob.d, prob.D, prob.B, prob.C_disp
+    n = asm.N_TEST
+    G = np.zeros((n, n))
+    rule = triangle_rule(10)
+    for x, w in zip(rule.points, rule.weights):
+        p = x[None]
+        phi2, phi3, phi4 = b2.eval(p)[0], b3.eval(p)[0], b4.eval(p)[0]
+        grad3 = b3.grad(p)[0] @ Jinv
+        hess3 = [Jinv.T @ h @ Jinv for h in b3.hess(p)[0]]
+        hess4 = [Jinv.T @ h @ Jinv for h in b4.hess(p)[0]]
+        v, gv, z, hz = (np.zeros((n, 2)), np.zeros((n, 2, 2)), np.zeros(n),
+                        np.zeros((n, 2, 2)))
+        T, divT, S, ddS, Q = (np.zeros((n, 2, 2)), np.zeros((n, 2)),
+                              np.zeros((n, 2, 2)), np.zeros(n), np.zeros((n, 2, 2)))
+        for i in range(10):
+            for c in range(2):
+                v[asm.OFF_V + 2 * i + c, c] = phi3[i]
+                gv[asm.OFF_V + 2 * i + c, c] = grad3[i]
+            z[asm.OFF_Z + i] = phi3[i]
+            hz[asm.OFF_Z + i] = hess3[i]
+            for f in range(3):
+                T[asm.OFF_T + 3 * i + f] = phi3[i] * FRAMES_SYM[f]
+                divT[asm.OFF_T + 3 * i + f] = FRAMES_SYM[f] @ grad3[i]
+        for i in range(15):
+            for f in range(3):
+                S[asm.OFF_S + 3 * i + f] = phi4[i] * FRAMES_SYM[f]
+                ddS[asm.OFF_S + 3 * i + f] = np.sum(FRAMES_SYM[f] * hess4[i])
+        for m in range(6):
+            Q[asm.OFF_Q + m] = phi2[m] * FRAME_SKEW
+        BT = np.array([np.sum(B * t) for t in T])
+        terms = [
+            (1.0 / D**2, v @ C.T),
+            (d**2 / D**4, z[:, None]),
+            (1.0, T.reshape(n, 4)),
+            (1.0 / d**2, S.reshape(n, 4)),
+            (prob.c_Q, Q.reshape(n, 4)),
+            (1.0, (gv - B * z[:, None, None] + Q).reshape(n, 4)),
+            (d**2, hz.reshape(n, 4)),
+            (D**2, divT @ np.linalg.inv(C).T),
+            (D**4 / d**2, (ddS - BT)[:, None]),
+        ]
+        for scale, op in terms:
+            G += (w * detJ * scale) * (op @ op.T)
+    return G
+
+
+@pytest.mark.parametrize("kind, d", [
+    ("cyl_clamped", None),
+    ("scordelis_lo", None),
+    ("point_hyperbolic", None),  # off-diagonal B
+    ("cyl_free", 1e-3),
+])
+def test_gram_matches_pointwise_oracle(kind, d):
+    prob = make_benchmark(kind, d=d)
+    coords = random_ccw_triangles(np.random.default_rng(23), 6)
+    mesh = Mesh(coords.reshape(-1, 2), np.arange(18).reshape(6, 3))
+    G = asm.element_gram_batch(mesh, prob, np.arange(6))
+    assert np.array_equal(G, G.transpose(0, 2, 1))
+    for g, c in zip(G, coords):
+        want = gram_oracle(c, prob)
+        # entry ij scaled by sqrt(G_ii G_jj) <= max|G|: every block is
+        # checked on its own scale, the small B cross terms included
+        # (measured: 3.5e-14)
+        s = 1.0 / np.sqrt(np.diag(want))
+        assert np.abs(s[:, None] * (g - want) * s[None, :]).max() <= 1e-12
+
+
 def test_gram_constant_tensor_energy():
     mesh = small_mesh()
     prob = plain_problem()
@@ -86,7 +163,7 @@ def test_gram_value_blocks():
     Cd = np.array([[2.0, 0.0], [0.0, 0.5]])
     prob = plain_problem(d=0.3, D=2.0, C_disp=Cd, c_Q=0.7)
     e = 2
-    G = asm.element_gram(mesh, prob, e)
+    G = element_gram(mesh, prob, e)
     _, detJ, _ = triangle_geometry(mesh.triangle_coords())
     dJ = detJ[e]
     i10 = np.arange(10)
@@ -147,7 +224,7 @@ def test_gram_membrane_bending_decoupling():
     # flat geometry: no coupling between (v, T, Q) and (z, S) test blocks
     mesh = small_mesh(rounds=0)
     prob = plain_problem(d=0.2)
-    G = asm.element_gram(mesh, prob, 0)
+    G = element_gram(mesh, prob, 0)
     memb = np.r_[asm.OFF_V : asm.OFF_V + 20, asm.OFF_T : asm.OFF_T + 30,
                  asm.OFF_Q : asm.OFF_Q + 6]
     bend = np.r_[asm.OFF_Z : asm.OFF_Z + 10, asm.OFF_S : asm.OFF_S + 45]
@@ -208,7 +285,7 @@ def test_b_field_columns_against_quadrature():
     B = np.array([[0.4, -0.3], [-0.3, 0.1]])
     nu, d = 0.2, 0.37
     prob = plain_problem(B=B, nu=nu, d=d)
-    Bm = asm.element_b(mesh, prob, 0, e)
+    Bm = element_b(mesh, prob, 0, e)
 
     coords = mesh.triangle_coords(np.array([e]))
     _, detJ, Jinv = triangle_geometry(coords)
@@ -356,9 +433,9 @@ def test_normal_equations_dense_oracle():
     dense = np.zeros((neq.ndof, neq.ndof))
     rhs = np.zeros(neq.ndof)
     for t in range(nt):
-        G = asm.element_gram(mesh, prob, t)
-        Bm = asm.element_b(mesh, prob, 1, t)
-        l = asm.element_load(mesh, prob, t)
+        G = element_gram(mesh, prob, t)
+        Bm = element_b(mesh, prob, 1, t)
+        l = element_load(mesh, prob, t)
         GiB = np.linalg.solve(G, Bm)
         Gil = np.linalg.solve(G, l)
         At = Bm.T @ GiB

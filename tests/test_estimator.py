@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from helpers import element_b, element_gram, element_load
 from shelldpg import assembly as asm
 from shelldpg.estimator import (
     AdaptiveConfig,
@@ -53,9 +54,9 @@ def test_rayleigh_quotient_oracle():
     full = neq.expand(x)
     fields = neq.fields(x)
     for t in range(2):
-        G = asm.element_gram(mesh, prob, t)
-        Bm = asm.element_b(mesh, prob, 0, t)
-        l = asm.element_load(mesh, prob, t)
+        G = element_gram(mesh, prob, t)
+        Bm = element_b(mesh, prob, 0, t)
+        l = element_load(mesh, prob, t)
         # the trial vector holds the recovered fields and the traces
         r = l - Bm @ np.r_[fields[t], full[neq.elements.cols[t]]]
         lam = scipy.linalg.eigh(np.outer(r, r), G, eigvals_only=True)

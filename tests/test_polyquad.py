@@ -7,14 +7,17 @@ import pytest
 
 from shelldpg.polyquad import (
     MAX_TRIANGLE_DEGREE,
+    REF_VERTICES,
     TriangleBasis,
     edge_rule,
+    edge_table,
     map_gradients,
     map_hessians,
     monomial_integral,
     triangle_basis,
     triangle_geometry,
     triangle_rule,
+    triangle_table,
 )
 
 
@@ -237,3 +240,49 @@ def test_map_hessians_matches_einsum_reference():
     tol = 8 * np.finfo(float).eps * np.abs(expect).max()
     assert np.abs(got - expect).max() < tol
     assert np.abs(map_hessians(hess_ref, Jinv[3]) - expect[3]).max() < tol
+
+
+def fresh_tables(basis, points):
+    """Values, gradients and Hessians straight from the monomials."""
+    mono = lambda dx, dy: basis._monomials(points, dx, dy) @ basis.coeff.T
+    grad = np.stack([mono(1, 0), mono(0, 1)], axis=-1)
+    hess = np.stack([np.stack([mono(2, 0), mono(1, 1)], -1),
+                     np.stack([mono(1, 1), mono(0, 2)], -1)], -2)
+    return mono(0, 0), grad, hess
+
+
+@pytest.mark.parametrize("degree", range(5))
+def test_tables_are_fresh_evaluations_and_read_only(degree):
+    basis = triangle_basis(degree)
+    s = edge_rule(7).points[:, None]
+    cases = [(triangle_table(degree, 8), triangle_rule(8).points)]
+    for j in range(3):
+        a, b = REF_VERTICES[(j + 1) % 3], REF_VERTICES[(j + 2) % 3]
+        cases.append((edge_table(degree, 7, j), (1.0 - s) * a + s * b))
+    for table, points in cases:
+        for got, want in zip((table.val, table.grad, table.hess),
+                             fresh_tables(basis, points)):
+            assert np.array_equal(got, want)
+            with pytest.raises(ValueError, match="read-only"):
+                got[0] = 1.0
+    # tabulated once per degree and rule
+    assert triangle_table(degree, 8) is cases[0][0]
+    assert edge_table(degree, 7, 2) is cases[3][0]
+    with pytest.raises(ValueError):
+        edge_table(degree, 7, 3)
+
+
+def test_eval_at_other_points_is_a_fresh_evaluation():
+    rng = np.random.default_rng(4)
+    for degree in (2, 3, 4):
+        triangle_table(degree, 8)
+        for j in range(3):
+            edge_table(degree, 7, j)
+        basis = triangle_basis(degree)
+        for points in (REF_VERTICES, rng.random((9, 2)) * 0.5,
+                       triangle_rule(8).points.copy()):
+            want = fresh_tables(basis, points)
+            got = (basis.eval(points), basis.grad(points), basis.hess(points))
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w)
+                assert g.flags.writeable
