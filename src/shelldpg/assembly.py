@@ -556,13 +556,12 @@ def assemble_normal_equations(mesh, problem, k, previous=None):
 
     nc = cols.shape[1]
     gcols = index_map[cols]  # (nt, nc), -1 on constrained
-    rows = np.broadcast_to(gcols[:, :, None], (nt, nc, nc))
-    colsm = np.broadcast_to(gcols[:, None, :], (nt, nc, nc))
+    g32 = gcols.astype(np.int32)
+    rows = np.broadcast_to(g32[:, :, None], (nt, nc, nc))
+    colsm = np.broadcast_to(g32[:, None, :], (nt, nc, nc))
     keep = (rows >= 0) & (colsm >= 0)
     A = scipy.sparse.coo_matrix(
-        (elements.A[keep], (rows[keep].astype(np.int32), colsm[keep].astype(np.int32))),
-        shape=(n, n),
-    ).tocsr()
+        (elements.A[keep], (rows[keep], colsm[keep])), shape=(n, n)).tocsr()
     rhs = np.zeros(n)
     keep_r = gcols >= 0
     np.add.at(rhs, gcols[keep_r], elements.rhs[keep_r])

@@ -7,15 +7,26 @@ termwise differentiation and the constitutive relations (nu = 0, so the
 material operator drops out).  Per mode, N = e(u) + w B,
 M = -(d^2/12) grad grad w, div N = 0 and -div div M + B:N = 1, the mode
 coefficient of the unit point load.  Free cylinder: the closed-form
-inextensional solution.  Series evaluation is separable: per point chunk,
-one small GEMM for each of the nine scalar series.
+inextensional solution.
+
+Series evaluation is separable: each of the nine scalar series is
+fx(x)' A gy(y), with fx and gy the cos or sin tables of the modes.  Per
+block of a few hundred points, the tables come from about 2 sqrt(bound)
+complex exponentials per point by angle addition, and the coefficient
+matrices of all series that share an x factor are stacked into one
+matrix, so each block takes one GEMM per x factor (cos, sin); the block
+keeps the tables and products in cache.
 """
 
 import numpy as np
 
 from .polyquad import triangle_geometry, triangle_rule, map_points
 
-_CHUNK = 8192
+# points per series block: its trig tables and GEMM products stay in
+# cache (256-512 measured best, 8192 worst)
+_CHUNK = 384
+# degree of the triangle rule of the error norms (25 points)
+ERROR_RULE_DEGREE = 8
 
 
 class FourierReference:
@@ -79,7 +90,28 @@ class FourierReference:
             else:
                 coef["N11"] = ("CC", alpha * Mc)
             coef["N22"] = ("CC", beta * Nr + W)
-        self._coef = coef
+        # per x factor: the names of its series, cos y factors first, the
+        # number of those, and their coefficient matrices side by side
+        self._stacks = []
+        for fx in "CS":
+            names = [n for fy in "CS" for n, (sig, _) in coef.items()
+                     if sig == fx + fy]
+            ncos = sum(coef[n][0][1] == "C" for n in names)
+            self._stacks.append(
+                (fx, names, ncos, np.hstack([coef[n][1] for n in names])))
+        # angle addition: m - 1 = a b + j with j < b, so that
+        # (m - 1/2) pi = (j + 1/2) pi + a b pi
+        b = int(np.ceil(np.sqrt(self.bound)))
+        self._fine = (np.arange(b) + 0.5) * np.pi
+        self._coarse = np.arange(-(-self.bound // b)) * (b * np.pi)
+
+    def _trig(self, t):
+        """cos and sin of (m - 1/2) pi t, m = 1..bound: (len(t), bound) each."""
+        e = (np.exp(1j * np.outer(t, self._coarse))[:, :, None]
+             * np.exp(1j * np.outer(t, self._fine))[:, None, :])
+        e = e.reshape(len(t), -1)[:, :self.bound]
+        return {"C": np.ascontiguousarray(e.real),
+                "S": np.ascontiguousarray(e.imag)}
 
     def evaluate(self, x, y):
         """Series values at points: dict with w, u, M, N arrays."""
@@ -88,27 +120,29 @@ class FourierReference:
         shape = np.broadcast(x, y).shape
         xf = np.broadcast_to(x, shape).ravel()
         yf = np.broadcast_to(y, shape).ravel()
-        out = {name: np.empty(xf.size) for name in self._coef}
+        vals = [np.empty((xf.size, len(names))) for _, names, _, _ in self._stacks]
         for lo in range(0, xf.size, _CHUNK):
             sl = slice(lo, min(lo + _CHUNK, xf.size))
-            xs, ys = xf[sl], yf[sl]
-            fx = {"C": np.cos(np.outer(xs, self.M)),
-                  "S": np.sin(np.outer(xs, self.M))}
-            gy = {"C": np.cos(np.outer(ys, self.N)),
-                  "S": np.sin(np.outer(ys, self.N))}
-            for name, (sig, A) in self._coef.items():
-                out[name][sl] = ((fx[sig[0]] @ A) * gy[sig[1]]).sum(axis=1)
-        w = out["w"].reshape(shape)
-        u = np.stack([out["u1"], out["u2"]], axis=-1).reshape(shape + (2,))
+            c = sl.stop - lo
+            tab = self._trig(np.concatenate([xf[sl], yf[sl]]))
+            gc, gs = tab["C"][c:], tab["S"][c:]
+            for (fx, names, ncos, A), out in zip(self._stacks, vals):
+                P = (tab[fx][:c] @ A).reshape(c, len(names), self.bound)
+                out[sl, :ncos] = np.einsum("pkn,pn->pk", P[:, :ncos], gc)
+                out[sl, ncos:] = np.einsum("pkn,pn->pk", P[:, ncos:], gs)
+        out = {name: v[:, i].reshape(shape)
+               for (_, names, _, _), v in zip(self._stacks, vals)
+               for i, name in enumerate(names)}
+        u = np.stack([out["u1"], out["u2"]], axis=-1)
         Mt = np.empty(shape + (2, 2))
-        Mt[..., 0, 0] = out["M11"].reshape(shape)
-        Mt[..., 0, 1] = Mt[..., 1, 0] = out["M12"].reshape(shape)
-        Mt[..., 1, 1] = out["M22"].reshape(shape)
+        Mt[..., 0, 0] = out["M11"]
+        Mt[..., 0, 1] = Mt[..., 1, 0] = out["M12"]
+        Mt[..., 1, 1] = out["M22"]
         Nt = np.empty(shape + (2, 2))
-        Nt[..., 0, 0] = out["N11"].reshape(shape)
-        Nt[..., 0, 1] = Nt[..., 1, 0] = out["N12"].reshape(shape)
-        Nt[..., 1, 1] = out["N22"].reshape(shape)
-        return {"w": w, "u": u, "M": Mt, "N": Nt}
+        Nt[..., 0, 0] = out["N11"]
+        Nt[..., 0, 1] = Nt[..., 1, 0] = out["N12"]
+        Nt[..., 1, 1] = out["N22"]
+        return {"w": out["w"], "u": u, "M": Mt, "N": Nt}
 
 
 class InextensionalReference:
@@ -145,19 +179,39 @@ def make_reference(problem):
     return None
 
 
-def error_norms(mesh, problem, fields, reference, quad_degree=8):
-    """Scaled L2 errors of the piecewise constant fields.
+def _rule_values(reference, coords, previous=None):
+    """Reference values at the error rule's points of each element.
 
-    err(w) = d ||w - w_h||, err(u) = ||C_disp (u - u_h)||,
-    err(M) = (1/d) ||M - M_h||_F, err(N) = ||N - N_h||_F.
+    Returns `(rows, values)`: `values` maps w, u, M, N to arrays with
+    one leading row per element of `coords`, and `rows` maps the bytes of
+    each element's vertex coordinates to its row.  `previous`, such a
+    pair for another mesh, lends its rows to every element whose vertex
+    coordinates it holds exactly and in the same order; the series is
+    evaluated only at the points of the other elements.
     """
-    rule = triangle_rule(quad_degree)
-    coords = mesh.triangle_coords()
-    _, detJ, _ = triangle_geometry(coords)
-    wd = rule.weights[None, :] * detJ[:, None]
-    phys = map_points(coords, rule.points)
-    ref = reference.evaluate(phys[..., 0], phys[..., 1])
+    keys = coords.reshape(len(coords), -1).view(
+        np.dtype((np.void, 6 * coords.itemsize))).ravel().tolist()
+    rows = dict(zip(keys, range(len(keys))))
+    known, values = previous if previous is not None else ({}, None)
+    src = np.array([known.get(key, -1) for key in keys], dtype=int)
+    old = np.nonzero(src >= 0)[0]
+    new = np.nonzero(src < 0)[0]
+    phys = map_points(coords[new], triangle_rule(ERROR_RULE_DEGREE).points)
+    fresh = reference.evaluate(phys[..., 0], phys[..., 1])
+    out = {}
+    for name, v in fresh.items():
+        out[name] = np.empty((len(coords),) + v.shape[1:])
+        out[name][new] = v
+        if len(old):
+            out[name][old] = values[name][src[old]]
+    return rows, out
 
+
+def _field_errors(coords, problem, fields, ref):
+    """`error_norms` from the reference values `ref` of `_rule_values`
+    on the elements with vertex coordinates `coords`."""
+    _, detJ, _ = triangle_geometry(coords)
+    wd = triangle_rule(ERROR_RULE_DEGREE).weights[None, :] * detJ[:, None]
     dw = ref["w"] - fields[:, None, 2]
     du = ref["u"] - fields[:, None, 0:2]
     Nh = fields[:, 3:7].reshape(-1, 2, 2)
@@ -176,6 +230,18 @@ def error_norms(mesh, problem, fields, reference, quad_degree=8):
         "err_M": np.sqrt(np.sum(wd * np.sum(dM**2, axis=(-2, -1)))) / d,
         "err_N": np.sqrt(np.sum(wd * np.sum(dN**2, axis=(-2, -1)))),
     }
+
+
+def error_norms(mesh, problem, fields, reference):
+    """Scaled L2 errors of the piecewise constant fields.
+
+    err(w) = d ||w - w_h||, err(u) = ||C_disp (u - u_h)||,
+    err(M) = (1/d) ||M - M_h||_F, err(N) = ||N - N_h||_F, by the
+    `ERROR_RULE_DEGREE` rule on each element.
+    """
+    coords = mesh.triangle_coords()
+    _, ref = _rule_values(reference, coords)
+    return _field_errors(coords, problem, fields, ref)
 
 
 def scordelis_lo_functional(mesh, problem, fields):
@@ -226,13 +292,25 @@ def sample_fields_on_line(mesh, fields, points):
 
 
 def make_evaluator(problem):
-    """Per-level extras hook: reference errors and benchmark functional."""
+    """Per-level extras hook: reference errors and benchmark functional.
+
+    The hook keeps the reference values of the last mesh it was called
+    on (`_rule_values`), and only those: on the next call, an element
+    with the same vertex coordinates, exact and in the same order, takes
+    its values from there, and the series is evaluated only on the
+    elements new to the mesh.  In an adaptive run these are the elements
+    the last refinement created.  The first call has nothing to carry.
+    """
     reference = make_reference(problem)
+    last = None
 
     def evaluator(prob, mesh, fields):
+        nonlocal last
         extras = {}
         if reference is not None:
-            extras.update(error_norms(mesh, prob, fields, reference))
+            coords = mesh.triangle_coords()
+            last = _rule_values(reference, coords, last)
+            extras.update(_field_errors(coords, prob, fields, last[1]))
         if prob.kind == "scordelis_lo":
             extras["functional"] = scordelis_lo_functional(mesh, prob, fields)
         return extras

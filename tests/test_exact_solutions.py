@@ -1,11 +1,14 @@
 """Convergence of the discrete solution to exact solutions of the model."""
 
 import numpy as np
+import pytest
 
 from shelldpg.assembly import assemble_normal_equations
+from shelldpg.estimator import element_estimators
 from shelldpg.mesh import initial_rectangle_mesh, refine
-from shelldpg.model import ShellProblem
+from shelldpg.model import ShellProblem, make_benchmark
 from shelldpg.polyquad import map_points, triangle_geometry, triangle_rule
+from shelldpg.reference import FourierReference, error_norms
 from shelldpg.solver import solve_spd
 
 
@@ -49,3 +52,42 @@ def test_free_strip_deflection_rate():
     rate = np.log2(defects[64] / defects[256])  # per halving of h
     assert rate > 1.5, defects
     assert 0.0 < defects[256] < 0.1, defects
+
+
+def first_mode(x, y):
+    return np.cos(0.5 * np.pi * x) * np.cos(0.5 * np.pi * y)
+
+
+# eta/err at 1024 elements, measured over the three kinds and d = 1,
+# 1e-2, 1e-3 with k = 1: 0.92-1.06.  k = 0 (measured 0.99-1.71, rates
+# 0.50-0.66) is left out of tier-1 for its run time
+EFFECTIVITY_BAND = (0.88, 1.1)
+
+
+@pytest.mark.parametrize("d", [1.0, 1e-2, 1e-3])
+@pytest.mark.parametrize("kind", ["elliptic", "parabolic", "hyperbolic"])
+def test_first_mode_rate_and_effectivity(kind, d):
+    # the load cos(pi x/2) cos(pi y/2) is the first mode of the point-load
+    # series with coefficient 1, so the one-mode series solves the model
+    # exactly, for every d.  The fields are piecewise constant: order 1/2
+    # in ndof on uniform meshes (measured 0.50-0.61 from 256 to 1024
+    # elements); eta/err in one band for every d is the robustness in d
+    prob = make_benchmark("point_" + kind, d, f=first_mode)
+    exact = FourierReference(kind, d, bound=1)
+    mesh = initial_rectangle_mesh(prob.rect)
+    ndof, err, eta = {}, {}, {}
+    while mesh.ntriangles < 1024:
+        mesh = refine(mesh, np.arange(mesh.ntriangles))
+        if mesh.ntriangles not in (256, 1024):
+            continue
+        neq = assemble_normal_equations(mesh, prob, 1)
+        x = solve_spd(neq.A, neq.rhs, coords=neq.dof_xy)
+        errs = error_norms(mesh, prob, neq.fields(x), exact)
+        n = mesh.ntriangles
+        ndof[n] = neq.ndof
+        err[n] = np.sqrt(sum(v**2 for v in errs.values()))
+        eta[n] = np.linalg.norm(element_estimators(neq, x))
+    rate = np.log(err[256] / err[1024]) / np.log(ndof[1024] / ndof[256])
+    assert rate >= 0.45, (rate, err)
+    lo, hi = EFFECTIVITY_BAND
+    assert lo <= eta[1024] / err[1024] <= hi, (eta, err)

@@ -6,7 +6,10 @@ import pytest
 from shelldpg.estimator import AdaptiveConfig, adaptive_loop
 from shelldpg.mesh import Mesh, initial_rectangle_mesh, refine
 from shelldpg.model import ShellProblem, make_benchmark
+from shelldpg.polyquad import triangle_rule
 from shelldpg.reference import (
+    _CHUNK,
+    ERROR_RULE_DEGREE,
     FourierReference,
     InextensionalReference,
     error_norms,
@@ -53,6 +56,52 @@ def test_series_against_brute_force():
             assert np.isclose(got["w"][i], w, rtol=1e-10, atol=1e-12)
             assert np.isclose(got["u"][i, 0], u1, rtol=1e-10, atol=1e-12)
             assert np.isclose(got["u"][i, 1], u2, rtol=1e-10, atol=1e-12)
+
+
+def plain_series(ref, x, y):
+    """The nine scalar series of `ref` at points, one GEMM each on the
+    cos/sin tables of np.cos(np.outer(...)) and np.sin(np.outer(...))."""
+    Mc, Nr = ref.M[:, None], ref.N[None, :]
+    W, a, b = ref.W, ref.alpha, ref.beta
+    fac = ref.d**2 / 12.0
+    coef = {"w": ("CC", W), "M11": ("CC", fac * W * Mc**2),
+            "M12": ("SS", -fac * W * Mc * Nr), "M22": ("CC", fac * W * Nr**2)}
+    if ref.kind == "hyperbolic":
+        coef.update(u1=("CS", a), u2=("SC", b), N11=("SS", -a * Mc),
+                    N22=("SS", -b * Nr), N12=("CC", 0.5 * (a * Nr + b * Mc) + W))
+    else:
+        coef.update(u1=("SC", a), u2=("CS", b),
+                    N12=("SS", -0.5 * (a * Nr + b * Mc)),
+                    N11=("CC", a * Mc + (W if ref.kind == "elliptic" else 0.0)),
+                    N22=("CC", b * Nr + W))
+    fx = {"C": np.cos(np.outer(x, ref.M)), "S": np.sin(np.outer(x, ref.M))}
+    gy = {"C": np.cos(np.outer(y, ref.N)), "S": np.sin(np.outer(y, ref.N))}
+    return {name: ((fx[sig[0]] @ A) * gy[sig[1]]).sum(axis=1)
+            for name, (sig, A) in coef.items()}
+
+
+@pytest.mark.parametrize("bound", [1, 4, 37, 150])
+@pytest.mark.parametrize("kind", KINDS)
+def test_series_kernel_against_plain_trig_tables(kind, bound):
+    # angle-addition tables, stacked GEMMs and point blocks against one
+    # plain GEMM per series; 37 is no multiple of the table split, and
+    # the point count is above the block size and no multiple of it
+    rng = np.random.default_rng(5)
+    grid = np.array([-1.0, 0.0, 1.0])
+    x = np.concatenate([np.repeat(grid, 3), rng.uniform(-1.0, 1.0, 1000)])
+    y = np.concatenate([np.tile(grid, 3), rng.uniform(-1.0, 1.0, 1000)])
+    assert x.size > _CHUNK and x.size % _CHUNK
+    ref = FourierReference(kind, 1e-2, bound)
+    got = ref.evaluate(x, y)
+    want = plain_series(ref, x, y)
+    pairs = [(got["w"], want["w"])]
+    pairs += [(got["u"][:, i], want[f"u{i + 1}"]) for i in range(2)]
+    for t in "MN":
+        pairs += [(got[t][:, i, j], want[f"{t}{i + 1}{j + 1}"])
+                  for i, j in ((0, 0), (0, 1), (1, 1))]
+        assert np.array_equal(got[t][:, 0, 1], got[t][:, 1, 0])
+    for g, w in pairs:
+        assert np.abs(g - w).max() <= 1e-13 * np.abs(w).max()
 
 
 def trig_derivative(fn, axis, freq):
@@ -354,3 +403,41 @@ def test_free_cylinder_errors_decrease():
     errM = [rec.extras["err_M"] for rec in run.levels]
     assert errw[-1] < errw[0]
     assert errM[-1] < errM[0]
+
+
+def test_evaluator_carries_values_of_unchanged_elements(monkeypatch):
+    # the hook evaluates the series only on the elements whose vertex
+    # coordinates are new to the level, and its errors equal fresh ones
+    calls = []
+    evaluate = FourierReference.evaluate
+
+    def counting(self, x, y):
+        calls.append(np.size(x))
+        return evaluate(self, x, y)
+
+    monkeypatch.setattr(FourierReference, "evaluate", counting)
+    prob = make_benchmark("point_parabolic", d=1e-2)
+    ev = make_evaluator(prob)
+    run = adaptive_loop(prob, AdaptiveConfig(k=1, max_levels=4), evaluator=ev)
+    assert len(run.levels) == 5
+    npts = list(calls)
+    nq = len(triangle_rule(ERROR_RULE_DEGREE).weights)
+    fresh = FourierReference("parabolic", prob.d)
+    before, new = set(), []
+    for rec in run.levels:
+        keys = [c.tobytes() for c in rec.mesh.triangle_coords()]
+        new.append(sum(key not in before for key in keys))
+        before = set(keys)
+        want = error_norms(rec.mesh, prob, rec.fields, fresh)
+        for name, v in want.items():
+            assert abs(rec.extras[name] - v) <= 1e-13 * v
+    assert npts == [nq * n for n in new]
+    assert sum(new) < sum(rec.nelems for rec in run.levels)
+
+    # afterwards, on an unrelated mesh: the fresh answer
+    mesh = refine(initial_rectangle_mesh((-0.5, 1.0, -1.0, 0.7)), np.arange(4))
+    fields = np.random.default_rng(6).normal(size=(mesh.ntriangles, 10))
+    got = ev(prob, mesh, fields)
+    want = error_norms(mesh, prob, fields, fresh)
+    for name, v in want.items():
+        assert abs(got[name] - v) <= 1e-13 * v
