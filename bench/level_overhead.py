@@ -1,0 +1,261 @@
+"""Fixed cost per adaptive level: phase shares, small-level floor, mesh code.
+
+    python3 bench/level_overhead.py [--out BENCH_level_overhead.json]
+                                    [--rounds 3] [--parent-src DIR]
+
+Records, for each workload of `perfbench/workloads.py`:
+
+* `phases`: one `adaptive_loop` from each of the workload's 16 start
+  meshes (`workloads.start_mesh`, seed 1), with the `make_evaluator`
+  hook as `perfbench/worker.py` runs it, and `time.perf_counter` spans
+  around the SuperLU factorization (`scipy.sparse.linalg.splu`), the
+  class kernels (`assembly._class_kernels`), the scatter of the element
+  matrices (`scipy.sparse.coo_matrix.tocsr`), the refined solve
+  (`solver._refined_solve`), the Gram and B matrices
+  (`assembly.element_gram_batch`, `assembly.element_b_batch`), the rest
+  of `assembly._element_systems`, mesh refinement (`refine`, which
+  builds the new `Mesh`) and the reference hook.  Seconds per run and
+  the share of the run's `adaptive_loop` time;
+* `level_floor_s`: one level on each start mesh (24 or 25 elements)
+  with every Jacobian class carried over from an assembly on the same
+  mesh: assemble, solve, estimate, recover the fields, mark and refine.
+
+and, once, `mesh`: the time of the `refine` call that makes a mesh of
+16,384, 65,536 and 262,144 elements (uniform marks) and about 480,000
+elements (10% of the 262,144 marked at random), and of `Mesh(...)` on
+the vertices and triangles of each.
+
+Each figure is the median, on one BLAS thread, over `--rounds` child
+processes.  A child imports `shelldpg` from a given `src` directory:
+this checkout's, and with `--parent-src` also that of another checkout
+(say, one made with `git clone` or `git archive` at the parent commit).
+The two sides alternate round by round, so that a drift in host speed
+reaches both.
+"""
+
+import os
+
+if __name__ == "__main__":
+    # pinned before numpy loads OpenBLAS, here and in the child processes
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import importlib  # noqa: E402
+import json  # noqa: E402
+import platform  # noqa: E402
+import statistics  # noqa: E402
+import subprocess  # noqa: E402
+import sys  # noqa: E402
+import time  # noqa: E402
+from collections import defaultdict  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from workloads import DEFAULT_SEED, WORKLOADS, start_mesh  # noqa: E402
+
+START_MESHES = 16
+FLOOR_REPEAT = 5
+# (module or class, attribute, phase); nested phases are subtracted from
+# `element_systems` below
+SPANS = (
+    ("scipy.sparse.linalg", "splu", "factor"),
+    ("shelldpg.assembly", "_class_kernels", "class_kernels"),
+    ("scipy.sparse.coo_matrix", "tocsr", "scatter"),
+    ("shelldpg.solver", "_refined_solve", "refined_solve"),
+    ("shelldpg.assembly", "element_gram_batch", "gram_b"),
+    ("shelldpg.assembly", "element_b_batch", "gram_b"),
+    ("shelldpg.assembly", "_element_systems", "element_systems"),
+    ("shelldpg.estimator", "refine", "refine"),
+)
+MESH_SIZES = (16384, 65536, 262144, "random")
+
+
+def owner(dotted):
+    """Module or class named by a dotted path."""
+    mod, _, attr = dotted.rpartition(".")
+    try:
+        return importlib.import_module(dotted)
+    except ImportError:
+        return getattr(importlib.import_module(mod), attr)
+
+
+def install_spans(acc):
+    """Wrap every SPANS target so that its calls add to acc[phase]."""
+    for where, attr, phase in SPANS:
+        obj = owner(where)
+        fn = getattr(obj, attr)
+
+        def timed(*args, _fn=fn, _phase=phase, **kwargs):
+            t = time.perf_counter()
+            try:
+                return _fn(*args, **kwargs)
+            finally:
+                acc[_phase] += time.perf_counter() - t
+
+        setattr(obj, attr, timed)
+
+
+def level_floor(w, problem, meshes):
+    """Median seconds of one level with every class carried over."""
+    from shelldpg import assemble_normal_equations, dorfler_mark, refine, solve_spd
+    from shelldpg.estimator import element_estimators
+
+    times = []
+    for mesh in meshes:
+        carried = assemble_normal_equations(mesh, problem, w.k)
+        for _ in range(FLOOR_REPEAT):
+            t = time.perf_counter()
+            neq = assemble_normal_equations(mesh, problem, w.k, previous=carried)
+            x = solve_spd(neq.A, neq.rhs, w.tol, coords=neq.dof_xy)
+            etas = element_estimators(neq, x)
+            neq.fields(x)
+            marked = (range(mesh.ntriangles) if w.mode == "uniform"
+                      else dorfler_mark(etas, w.theta))
+            refine(mesh, marked)
+            times.append(time.perf_counter() - t)
+    return statistics.median(times)
+
+
+def mesh_times():
+    """`refine` into and `Mesh(...)` on meshes of growing size."""
+    import numpy as np
+
+    from shelldpg.mesh import Mesh, initial_rectangle_mesh, refine
+
+    mesh = initial_rectangle_mesh((0.0, 2.0, 0.0, 1.0))
+    rng = np.random.default_rng(0)
+    out = {}
+    for size in MESH_SIZES:
+        if size == "random":
+            marked = rng.choice(mesh.ntriangles, int(0.1 * mesh.ntriangles),
+                                replace=False)
+        else:
+            while 4 * mesh.ntriangles < size:
+                mesh = refine(mesh, np.arange(mesh.ntriangles))
+            marked = np.arange(mesh.ntriangles)
+        t = time.perf_counter()
+        mesh = refine(mesh, marked)
+        refine_s = time.perf_counter() - t
+        t = time.perf_counter()
+        Mesh(mesh.vertices, mesh.triangles, rect=mesh.rect)
+        out[str(mesh.ntriangles)] = {"refine_s": refine_s,
+                                     "mesh_s": time.perf_counter() - t}
+    return out
+
+
+def measure():
+    """All figures of one round, with shelldpg on sys.path."""
+    import shelldpg
+
+    out = {"workloads": {}}
+    for name, w in WORKLOADS.items():
+        problem = shelldpg.make_benchmark(w.benchmark, d=w.d)
+        meshes = [start_mesh(problem, DEFAULT_SEED, j) for j in range(START_MESHES)]
+        out["workloads"][name] = {"level_floor_s": level_floor(w, problem, meshes)}
+    out["mesh"] = mesh_times()
+
+    acc = defaultdict(float)
+    install_spans(acc)
+    for name, w in WORKLOADS.items():
+        problem = shelldpg.make_benchmark(w.benchmark, d=w.d)
+        cfg = shelldpg.AdaptiveConfig(k=w.k, theta=w.theta, mode=w.mode,
+                                      max_dofs=w.max_dofs,
+                                      max_levels=w.max_levels, tol=w.tol)
+        acc.clear()
+        solve_s = 0.0
+        for j in range(START_MESHES):
+            mesh = start_mesh(problem, DEFAULT_SEED, j)
+            evaluator = shelldpg.make_evaluator(problem)
+
+            def hook(prob, level_mesh, fields, _ev=evaluator):
+                t = time.perf_counter()
+                try:
+                    return _ev(prob, level_mesh, fields)
+                finally:
+                    acc["reference"] += time.perf_counter() - t
+
+            t = time.perf_counter()
+            shelldpg.adaptive_loop(problem, cfg, evaluator=hook, initial_mesh=mesh)
+            solve_s += time.perf_counter() - t
+        acc["element_systems"] -= acc["class_kernels"] + acc["gram_b"]
+        acc["other"] = solve_s - sum(acc.values())
+        out["workloads"][name]["solve_s"] = solve_s / START_MESHES
+        out["workloads"][name]["phases_s"] = {
+            k: v / START_MESHES for k, v in sorted(acc.items())}
+        out["workloads"][name]["shares"] = {
+            k: v / solve_s for k, v in sorted(acc.items())}
+    return out
+
+
+def run_child(src):
+    """`measure` in a fresh process importing shelldpg from `src`."""
+    proc = subprocess.run([sys.executable, __file__, "--child", str(src)],
+                          check=True, stdout=subprocess.PIPE, text=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def median_tree(trees):
+    """Element-wise median of equally shaped nested dicts of numbers."""
+    first = trees[0]
+    if isinstance(first, dict):
+        return {k: median_tree([t[k] for t in trees]) for k in first}
+    return statistics.median(trees)
+
+
+def print_summary(label, res):
+    for name, case in res["workloads"].items():
+        shares = "  ".join(f"{k} {v:5.1%}" for k, v in case["shares"].items())
+        print(f"{label:7s} {name:26s} solve {case['solve_s'] * 1e3:7.1f} ms  "
+              f"floor {case['level_floor_s'] * 1e3:5.2f} ms", flush=True)
+        print(f"{'':7s} {shares}", flush=True)
+    for n, row in res["mesh"].items():
+        print(f"{label:7s} {n:>7s} elements  refine {row['refine_s']:7.3f} s  "
+              f"Mesh {row['mesh_s']:7.3f} s", flush=True)
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--out", default=str(ROOT / "BENCH_level_overhead.json"))
+    ap.add_argument("--rounds", type=int, default=3)
+    ap.add_argument("--parent-src", help="src directory of another checkout "
+                    "to measure next to this one")
+    ap.add_argument("--child", help=argparse.SUPPRESS)
+    args = ap.parse_args(argv)
+
+    if args.child:
+        sys.path.insert(0, args.child)
+        print(json.dumps(measure()))
+        return 0
+
+    import numpy as np
+    import scipy
+
+    sides = {"change": ROOT / "src"}
+    if args.parent_src:
+        sides["parent"] = Path(args.parent_src).resolve()
+    runs = {side: [] for side in sides}
+    for r in range(args.rounds):
+        for side in (sides if r % 2 == 0 else reversed(sides)):
+            runs[side].append(run_child(sides[side]))
+    out = {
+        "env": {"OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+                "nproc": os.cpu_count(), "python": platform.python_version(),
+                "numpy": np.__version__, "scipy": scipy.__version__},
+        "seed": DEFAULT_SEED,
+        "start_meshes": START_MESHES,
+        "rounds": args.rounds,
+        "unit": "s (per run for phases_s and solve_s), median over rounds",
+    }
+    for side in sides:
+        out[side] = median_tree(runs[side])
+        print_summary(side, out[side])
+    Path(args.out).write_text(json.dumps(out, indent=1) + "\n")
+    print(f"wrote {args.out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -45,8 +45,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtrs
 
+from .mesh import match_rows
 from .model import apply_Cinv, eval_loads
 from .polyquad import (
     FRAMES_SYM,
@@ -338,17 +339,18 @@ def jacobian_classes(mesh):
 
 
 def gram_factor(G):
-    """Cholesky factor of one symmetrically equilibrated Gram matrix.
+    """Cholesky factors of symmetrically equilibrated Gram matrices.
 
-    Returns (L, s) with L L' = S G S for S = diag(s), s = diag(G)^-1/2,
-    so that G^-1 = S L^-T L^-1 S.
+    G is one matrix or a stack (..., 111, 111).  Returns (L, s) with
+    L L' = S G S for S = diag(s), s = diag(G)^-1/2, so that
+    G^-1 = S L^-T L^-1 S.
     """
-    diag = np.diag(G)
+    diag = np.diagonal(G, axis1=-2, axis2=-1)
     if not np.all(diag > 0.0):
         raise AssemblyError("Gram matrix not positive")
     s = 1.0 / np.sqrt(diag)
     try:
-        L = np.linalg.cholesky(s[:, None] * G * s[None, :])
+        L = np.linalg.cholesky(s[..., :, None] * G * s[..., None, :])
     except np.linalg.LinAlgError:
         raise AssemblyError("Cholesky factorization of the Gram matrix failed") from None
     return L, s
@@ -382,16 +384,18 @@ class ElementSystems:
         A_T = P_T' W^c' W^c P_T,  rhs_T = P_T' W^c' y^c_T,  c_T = |y^c_T|^2
 
     are the Schur complements on the field block of the uncondensed
-    element system, formed without inverting it.  For trace values u_T
-    the locally optimal fields are f_T - K_J P_T u_T (`fields`), and the
-    residual in the dual test norm at those fields is
-    |y^c_T - W^c P_T u_T| (`residual_norms`).
+    element system, formed without inverting it.  P_T is one of the 8
+    patterns of flipped local edges (`FLIP_CODES`), so each class keeps
+    W^c' W^c under all 8 (`A_flips`) and A_T is a row of that table.
+    For trace values u_T the locally optimal fields are
+    f_T - K_J P_T u_T (`fields`), and the residual in the dual test norm
+    at those fields is |y^c_T - W^c P_T u_T| (`residual_norms`).
 
-    Reuse: W^c_J, K_J, E_J and `ref_sign[J]` depend on the mesh only
-    through the class key (`keys`), so the systems of the same problem
-    and k on another mesh (`assemble_normal_equations(previous=...)`)
-    lend them to every class whose key they hold, and only the other
-    classes are built.
+    Reuse: W^c_J, K_J, E_J, their flip table and `ref_sign[J]` depend on
+    the mesh only through the class key (`keys`), so the systems of the
+    same problem and k on another mesh
+    (`assemble_normal_equations(previous=...)`) lend them to every class
+    whose key they hold, and only the other classes are built.
     """
 
     A: np.ndarray  # (nel, nc, nc) over the local trace columns
@@ -401,20 +405,22 @@ class ElementSystems:
     cls: np.ndarray  # (nel,) Jacobian class
     keys: np.ndarray  # (ncls, 5) class keys of `jacobian_classes`
     ref_sign: np.ndarray  # (ncls, 3) edge signs the kernels were built with
-    W: list  # per class (111 - 10, nc): W^c_J
-    K: list  # per class (10, nc): field recovery
-    E: list  # per class (111, OFF_T): load map to [f_T; y^c_T]
+    W: np.ndarray  # (ncls, 111 - 10, nc): W^c_J
+    K: np.ndarray  # (ncls, 10, nc): field recovery
+    E: np.ndarray  # (ncls, 111, OFF_T): load map to [f_T; y^c_T]
+    A_flips: np.ndarray  # (ncls, 8, nc, nc): P' W^c' W^c P per flip code
     y: np.ndarray  # (nel, 111 - 10): y^c_T
     f: np.ndarray  # (nel, 10): fields at zero traces
     perm: np.ndarray  # (nel, nc)
     sign: np.ndarray  # (nel, nc)
 
     def _class_frames(self, uloc):
-        """(class, members, P_T u_T) for local trace values (nel, nc)."""
+        """(class, members, P_T u_T of the members) for local trace
+        values (nel, nc)."""
+        v = np.zeros(uloc.shape)
+        np.put_along_axis(v, self.perm, self.sign * uloc, axis=1)
         for j, mem in enumerate(_class_members(self.cls, len(self.W))):
-            v = np.zeros((len(mem), self.W[j].shape[1]))
-            np.put_along_axis(v, self.perm[mem], self.sign[mem] * uloc[mem], axis=1)
-            yield j, mem, v
+            yield j, mem, v[mem]
 
     def residual_norms(self, uloc):
         """|y^c_T - W^c_J P_T u_T| per element for local trace values."""
@@ -431,26 +437,65 @@ class ElementSystems:
         return out
 
 
+# the 8 patterns of flipped local edges; code = flip_0 + 2 flip_1 + 4 flip_2
+FLIP_CODES = ((np.arange(8)[:, None] >> np.arange(3)) & 1) == 1
+
+
 def _class_members(cls, ncls):
     """Element indices of each class, in class order."""
     order = np.argsort(cls, kind="stable")
     return np.split(order, np.cumsum(np.bincount(cls, minlength=ncls))[:-1])
 
 
-def _class_kernels(G, Bm, element, j):
-    """W^c_J, K_J and E_J (`ElementSystems`) from one element's G and B."""
+def _triangular_solve(T, b, lower, element, j):
+    """T^-1 b for a C-ordered triangular T, by the LAPACK call that
+    `scipy.linalg.solve_triangular` makes for it."""
+    x, info = dtrtrs(T.T, b, lower=not lower, trans=1)
+    if info != 0:
+        raise AssemblyError(f"singular triangular factor in element {element} "
+                            f"(Jacobian class {j})")
+    return x
+
+
+def _class_kernels(G, Bm, elements, classes):
+    """W^c_J, K_J and E_J (`ElementSystems`) of a batch of classes, stacked.
+
+    G (nb, 111, 111) and Bm are those of one member element of each
+    class, `elements`, and `classes` are the class indices; an error
+    names the first member whose Gram matrix fails.
+    """
     try:
         L, s = gram_factor(G)
-    except AssemblyError as err:
-        raise AssemblyError(
-            f"{err} in element {element} (Jacobian class {j})") from None
-    nc = Bm.shape[1] - N_FIELD
-    X = solve_triangular(L, s[:, None] * np.hstack([Bm, np.eye(N_TEST, OFF_T)]),
-                         lower=True)
-    Q, R = np.linalg.qr(X[:, :N_FIELD], mode="complete")
-    QX = Q.T @ X[:, N_FIELD:]
-    QX[:N_FIELD] = solve_triangular(R[:N_FIELD], QX[:N_FIELD])
-    return QX[N_FIELD:, :nc], QX[:N_FIELD, :nc], QX[:, nc:]
+    except AssemblyError:
+        for g, element, j in zip(G, elements, classes):
+            try:
+                gram_factor(g)
+            except AssemblyError as err:
+                raise AssemblyError(
+                    f"{err} in element {element} (Jacobian class {j})") from None
+        raise
+    nb, _, ncols = Bm.shape
+    nc = ncols - N_FIELD
+    rhs = np.concatenate(
+        [Bm, np.broadcast_to(np.eye(N_TEST, OFF_T), (nb, N_TEST, OFF_T))], axis=2)
+    rhs *= s[:, :, None]
+    X = np.empty_like(rhs)
+    for i in range(nb):
+        X[i] = _triangular_solve(L[i], rhs[i], True, elements[i], classes[i])
+    Q, R = np.linalg.qr(X[:, :, :N_FIELD], mode="complete")
+    QX = Q.transpose(0, 2, 1) @ X[:, :, N_FIELD:]
+    for i in range(nb):
+        QX[i, :N_FIELD] = _triangular_solve(R[i, :N_FIELD], QX[i, :N_FIELD], False,
+                                            elements[i], classes[i])
+    return QX[:, N_FIELD:, :nc], QX[:, :N_FIELD, :nc], QX[:, :, nc:]
+
+
+def _flip_table(W, k):
+    """P' W' W P (nb, 8, nc, nc) of stacked W^c for each of the `FLIP_CODES`."""
+    WtW = W.transpose(0, 2, 1) @ W
+    WtW = 0.5 * (WtW + WtW.transpose(0, 2, 1))
+    P, S = flipped_edge_columns(k, FLIP_CODES)
+    return WtW[:, P[:, :, None], P[:, None, :]] * (S[:, :, None] * S[:, None, :])
 
 
 def _element_systems(mesh, problem, k, cols, previous=None):
@@ -466,41 +511,39 @@ def _element_systems(mesh, problem, k, cols, previous=None):
     ncls = len(reps)
     signs = mesh.tri_edge_sign
     ref_sign = signs[reps]
-    Ws, Ks, Es = [None] * ncls, [None] * ncls, [None] * ncls
-    known = {} if previous is None else {
-        key.tobytes(): i for i, key in enumerate(previous.keys)}
-    new = []
-    for j, key in enumerate(keys):
-        i = known.get(key.tobytes())
-        if i is None:
-            new.append(j)
-        else:
-            Ws[j], Ks[j], Es[j] = previous.W[i], previous.K[i], previous.E[i]
-            ref_sign[j] = previous.ref_sign[i]
-    new = np.array(new, dtype=int)
+    W = np.empty((ncls, N_TEST - N_FIELD, nc))
+    K = np.empty((ncls, N_FIELD, nc))
+    E = np.empty((ncls, N_TEST, OFF_T))
+    A_flips = np.empty((ncls, 8, nc, nc))
+    new = np.arange(ncls)
+    if previous is not None:
+        src = match_rows(keys, previous.keys)
+        old, new = np.nonzero(src >= 0)[0], np.nonzero(src < 0)[0]
+        for mine, theirs in ((W, previous.W), (K, previous.K), (E, previous.E),
+                             (A_flips, previous.A_flips),
+                             (ref_sign, previous.ref_sign)):
+            mine[old] = theirs[src[old]]
     for lo in range(0, len(new), CLASS_BATCH):
         batch = new[lo:lo + CLASS_BATCH]
         G = element_gram_batch(mesh, problem, reps[batch])
         Bm = element_b_batch(mesh, problem, k, reps[batch])
-        for j, g, b in zip(batch, G, Bm):
-            Ws[j], Ks[j], Es[j] = _class_kernels(g, b, reps[j], j)
-    perm, sign = flipped_edge_columns(k, signs != ref_sign[cls])
+        W[batch], K[batch], E[batch] = _class_kernels(G, Bm, reps[batch], batch)
+        A_flips[batch] = _flip_table(W[batch], k)
+    flip = signs != ref_sign[cls]
+    perm, sign = flipped_edge_columns(k, flip)
+    A = A_flips[cls, flip @ (1 << np.arange(3))]
     l = element_load_batch(mesh, problem, np.arange(nt))[:, :OFF_T]
 
     y = np.empty((nt, N_TEST - N_FIELD))
     f = np.empty((nt, N_FIELD))
-    A = np.empty((nt, nc, nc))
     rhs = np.empty((nt, nc))
     for j, mem in enumerate(_class_members(cls, ncls)):
-        fy = l[mem] @ Es[j].T
+        fy = l[mem] @ E[j].T
         f[mem], y[mem] = fy[:, :N_FIELD], fy[:, N_FIELD:]
-        WtW = Ws[j].T @ Ws[j]
-        WtW = 0.5 * (WtW + WtW.T)
-        P, S = perm[mem], sign[mem]
-        A[mem] = WtW[P[:, :, None], P[:, None, :]] * (S[:, :, None] * S[:, None, :])
-        rhs[mem] = S * np.take_along_axis(y[mem] @ Ws[j], P, axis=1)
+        rhs[mem] = y[mem] @ W[j]
+    rhs = sign * np.take_along_axis(rhs, perm, axis=1)
     c = np.einsum("ei,ei->e", y, y)
-    return ElementSystems(A, rhs, c, cols, cls, keys, ref_sign, Ws, Ks, Es,
+    return ElementSystems(A, rhs, c, cols, cls, keys, ref_sign, W, K, E, A_flips,
                           y, f, perm, sign)
 
 

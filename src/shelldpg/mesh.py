@@ -50,33 +50,37 @@ class Mesh:
             bad = int(np.argmin(self.areas))
             raise ValueError(f"triangle {bad} has nonpositive area")
 
-        edge_of = {}
-        edges = []
-        tri_edges = np.empty_like(self.triangles)
-        # edge j of a triangle is opposite local vertex j
-        for it, (a, b, c) in enumerate(self.triangles):
-            for j, (p, q) in enumerate(((b, c), (c, a), (a, b))):
-                key = (p, q) if p < q else (q, p)
-                idx = edge_of.get(key)
-                if idx is None:
-                    idx = len(edges)
-                    edge_of[key] = idx
-                    edges.append(key)
-                tri_edges[it, j] = idx
-        self.edges = np.array(edges, dtype=int)
-        self.tri_edges = tri_edges
+        # edge j of a triangle is opposite local vertex j; edges are
+        # numbered in order of first appearance over (triangle, local edge)
+        nt = t.shape[0]
+        ends = np.stack([t[:, [1, 2]], t[:, [2, 0]], t[:, [0, 1]]], axis=1)
+        lo, hi = ends.min(axis=2).ravel(), ends.max(axis=2).ravel()
+        _, first, inv = np.unique(lo * v.shape[0] + hi,
+                                  return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        number = np.empty_like(order)
+        number[order] = np.arange(len(order))
+        self.tri_edges = number[inv].reshape(nt, 3)
+        first = first[order]
+        self.edges = np.stack([lo[first], hi[first]], axis=1)
         self.tri_edges.flags.writeable = False
         self.edges.flags.writeable = False
 
-        ne = len(edges)
+        # incidences grouped by edge, each group in (triangle, local edge)
+        # order
+        ne = len(first)
+        count = np.bincount(self.tri_edges.ravel(), minlength=ne)
+        by_edge = np.argsort(self.tri_edges.ravel(), kind="stable")
+        start = np.cumsum(count) - count
+        over = np.nonzero(count > 2)[0]
+        if over.size:
+            # the edge a scan over the triangles finds first
+            e = over[np.argmin(by_edge[start[over] + 2])]
+            raise ValueError(f"edge {e} has more than two incident triangles")
         edge_tris = np.full((ne, 2), -1, dtype=int)
-        count = np.zeros(ne, dtype=int)
-        for it in range(self.triangles.shape[0]):
-            for e in tri_edges[it]:
-                if count[e] == 2:
-                    raise ValueError(f"edge {e} has more than two incident triangles")
-                edge_tris[e, count[e]] = it
-                count[e] += 1
+        edge_tris[:, 0] = by_edge[start] // 3
+        two = count == 2
+        edge_tris[two, 1] = by_edge[start[two] + 1] // 3
         self.edge_tris = edge_tris
         self.edge_is_boundary = count == 1
         self.boundary_edges = np.nonzero(self.edge_is_boundary)[0]
@@ -91,11 +95,7 @@ class Mesh:
 
         # s_{T,E} = n_T . nu_E: +1 iff the CCW traversal of edge j runs
         # from the lower to the higher global vertex index
-        tri = self.triangles
-        trav = np.stack(
-            [tri[:, [1, 2]], tri[:, [2, 0]], tri[:, [0, 1]]], axis=1
-        )
-        self.tri_edge_sign = np.where(trav[:, :, 0] < trav[:, :, 1], 1, -1)
+        self.tri_edge_sign = np.where(ends[:, :, 0] < ends[:, :, 1], 1, -1)
 
     @property
     def nvertices(self):
@@ -144,7 +144,9 @@ def refine(mesh, marked):
     Mesh
         New conforming mesh; the input mesh is unchanged.
     """
-    marked = np.unique(np.asarray(list(marked), dtype=int))
+    if not isinstance(marked, np.ndarray):
+        marked = list(marked)
+    marked = np.unique(np.asarray(marked, dtype=int))
     if marked.size == 0:
         return mesh
     if marked.min() < 0 or marked.max() >= mesh.ntriangles:
@@ -161,44 +163,33 @@ def refine(mesh, marked):
             break
         edge_marked[mesh.tri_edges[need, 0]] = True
 
-    vertices = list(map(tuple, mesh.vertices))
-    midpoint = {}
-    for e in np.flatnonzero(edge_marked):
-        p, q = mesh.edges[e]
-        xm = 0.5 * (mesh.vertices[p] + mesh.vertices[q])
-        midpoint[e] = len(vertices)
-        vertices.append((xm[0], xm[1]))
+    # the midpoint of the i-th marked edge becomes vertex nv + i
+    split_edges = np.flatnonzero(edge_marked)
+    mid = np.full(mesh.nedges, -1, dtype=int)
+    mid[split_edges] = mesh.nvertices + np.arange(len(split_edges))
+    p, q = mesh.edges[split_edges].T
+    vertices = np.vstack([mesh.vertices, 0.5 * (mesh.vertices[p] + mesh.vertices[q])])
 
-    def bisect(tri, children):
-        # tri = (a, b, c) with refinement edge (b, c); both children keep
-        # the new vertex first so their refinement edges are (a,b), (c,a)
-        a, b, c = tri
-        key = (b, c) if b < c else (c, b)
-        m = new_vertex[key]
-        children.append((m, a, b))
-        children.append((m, c, a))
-
-    new_vertex = {}
-    for e, m in midpoint.items():
-        p, q = mesh.edges[e]
-        new_vertex[(p, q) if p < q else (q, p)] = m
-
-    triangles = []
-    for it, (a, b, c) in enumerate(mesh.triangles):
-        e0, e1, e2 = mesh.tri_edges[it]
-        if not edge_marked[e0]:
-            if edge_marked[e1] or edge_marked[e2]:
-                raise AssertionError("closure failed to mark a refinement edge")
-            triangles.append((a, b, c))
-            continue
-        first = []
-        bisect((a, b, c), first)
-        for child, e in zip(first, (e2, e1)):
-            if edge_marked[e]:
-                bisect(child, triangles)
-            else:
-                triangles.append(child)
-    return Mesh(vertices, triangles, rect=mesh.rect)
+    # (a, b, c) with refinement edge (b, c) = local edge 0 bisects into
+    # (m0, a, b) and (m0, c, a): the new vertex first, so that their
+    # refinement edges are local edges 2 and 1 of the parent, and each
+    # bisects again if that edge is marked.  Up to four children per
+    # triangle, in this order; the slots a triangle does not fill drop out.
+    split = edge_marked[mesh.tri_edges]
+    s0, s1, s2 = split.T
+    if np.any(~s0 & (s1 | s2)):
+        raise AssertionError("closure failed to mark a refinement edge")
+    a, b, c = mesh.triangles.T
+    m0, m1, m2 = mid[mesh.tri_edges].T
+    kids = np.empty((mesh.ntriangles, 4, 3), dtype=int)
+    kids[:, 0] = np.where(s0[:, None],
+                          np.where(s2[:, None], np.c_[m2, m0, a], np.c_[m0, a, b]),
+                          mesh.triangles)
+    kids[:, 1] = np.c_[m2, b, m0]
+    kids[:, 2] = np.where(s1[:, None], np.c_[m1, m0, c], np.c_[m0, c, a])
+    kids[:, 3] = np.c_[m1, a, m0]
+    keep = np.stack([np.ones_like(s0), s0 & s2, s0, s0 & s1], axis=1)
+    return Mesh(vertices, kids[keep], rect=mesh.rect)
 
 
 def dorfler_mark(etas, theta):
@@ -226,6 +217,21 @@ def dorfler_mark(etas, theta):
     csum = np.cumsum(eta2[order])
     nsel = int(np.searchsorted(csum, theta * total * (1.0 - 1e-12))) + 1
     return np.sort(order[:nsel])
+
+
+def match_rows(rows, known):
+    """Index in `known` of each row of `rows`, -1 where it has none.
+
+    Both are 2-D integer arrays whose rows are unique within each; one
+    stable sort of the two together puts each match next to its partner.
+    Carries per-element and per-class data from one mesh to the next.
+    """
+    both = np.concatenate([known, rows])
+    order = np.lexsort(both.T[::-1])
+    pair = np.nonzero(np.all(both[order[1:]] == both[order[:-1]], axis=1))[0]
+    out = np.full(len(rows), -1)
+    out[order[pair + 1] - len(known)] = order[pair]
+    return out
 
 
 def write_mesh(mesh, prefix):

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_jacobi, roots_legendre
 
 MAX_TRIANGLE_DEGREE = 12
 MAX_BASIS_DEGREE = 4
@@ -143,6 +142,22 @@ class QuadratureRule:
     degree: int
 
 
+def gauss_jacobi_10(n):
+    """n-point Gauss-Jacobi rule for the weight 1 - x on [-1, 1].
+
+    Golub-Welsch: the nodes are the eigenvalues of the symmetric Jacobi
+    matrix of the recurrence of the Jacobi polynomials P_k^(1,0), the
+    weights 2 v_0^2 from the first components of its eigenvectors
+    (2 = the integral of the weight).
+    """
+    k = np.arange(n, dtype=float)
+    diag = -1.0 / ((2.0 * k + 1.0) * (2.0 * k + 3.0))
+    k = k[1:]
+    off = np.sqrt(k * (k + 1.0)) / (2.0 * k + 1.0)
+    x, v = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    return x, 2.0 * v[0] ** 2
+
+
 @lru_cache(maxsize=None)
 def triangle_rule(degree):
     """Quadrature on the reference triangle, exact for total degree <= degree.
@@ -154,8 +169,8 @@ def triangle_rule(degree):
     if not 0 <= degree <= MAX_TRIANGLE_DEGREE:
         raise ValueError(f"unsupported quadrature degree {degree}")
     n = max(1, (degree + 2) // 2)
-    xj, wj = roots_jacobi(n, 1.0, 0.0)
-    xl, wl = roots_legendre(n)
+    xj, wj = gauss_jacobi_10(n)
+    xl, wl = np.polynomial.legendre.leggauss(n)
     x = 0.5 * (xj + 1.0)
     wx = 0.25 * wj
     u = 0.5 * (xl + 1.0)
@@ -178,7 +193,7 @@ def edge_rule(degree):
     if degree < 0:
         raise ValueError(f"unsupported edge rule degree {degree}")
     n = max(1, (degree + 2) // 2)
-    xl, wl = roots_legendre(n)
+    xl, wl = np.polynomial.legendre.leggauss(n)
     pts = 0.5 * (xl + 1.0)
     wts = 0.5 * wl
     pts.flags.writeable = False

@@ -20,6 +20,7 @@ keeps the tables and products in cache.
 
 import numpy as np
 
+from .mesh import match_rows
 from .polyquad import triangle_geometry, triangle_rule, map_points
 
 # points per series block: its trig tables and GEMM products stay in
@@ -179,21 +180,25 @@ def make_reference(problem):
     return None
 
 
-def _rule_values(reference, coords, previous=None):
+def _rule_values(reference, triangles, coords, previous=None):
     """Reference values at the error rule's points of each element.
 
-    Returns `(rows, values)`: `values` maps w, u, M, N to arrays with
-    one leading row per element of `coords`, and `rows` maps the bytes of
-    each element's vertex coordinates to its row.  `previous`, such a
-    pair for another mesh, lends its rows to every element whose vertex
-    coordinates it holds exactly and in the same order; the series is
+    `triangles` and `coords` are the vertex indices and coordinates of
+    the elements.  Returns `(triangles, coords, values)`: `values` maps
+    w, u, M, N to arrays with one leading row per element.  `previous`,
+    such a triple for another mesh, lends its rows to every element with
+    the same vertex indices in the same order and, exactly, the same
+    vertex coordinates; refinement keeps the indices of the old
+    vertices, so this finds the elements it left alone.  The series is
     evaluated only at the points of the other elements.
     """
-    keys = coords.reshape(len(coords), -1).view(
-        np.dtype((np.void, 6 * coords.itemsize))).ravel().tolist()
-    rows = dict(zip(keys, range(len(keys))))
-    known, values = previous if previous is not None else ({}, None)
-    src = np.array([known.get(key, -1) for key in keys], dtype=int)
+    src = np.full(len(coords), -1)
+    if previous is not None:
+        known_tri, known_coords, values = previous
+        src = match_rows(triangles, known_tri)
+        hit = np.nonzero(src >= 0)[0]
+        moved = np.any(coords[hit] != known_coords[src[hit]], axis=(1, 2))
+        src[hit[moved]] = -1
     old = np.nonzero(src >= 0)[0]
     new = np.nonzero(src < 0)[0]
     phys = map_points(coords[new], triangle_rule(ERROR_RULE_DEGREE).points)
@@ -204,7 +209,7 @@ def _rule_values(reference, coords, previous=None):
         out[name][new] = v
         if len(old):
             out[name][old] = values[name][src[old]]
-    return rows, out
+    return triangles, coords, out
 
 
 def _field_errors(coords, problem, fields, ref):
@@ -240,7 +245,7 @@ def error_norms(mesh, problem, fields, reference):
     `ERROR_RULE_DEGREE` rule on each element.
     """
     coords = mesh.triangle_coords()
-    _, ref = _rule_values(reference, coords)
+    _, _, ref = _rule_values(reference, mesh.triangles, coords)
     return _field_errors(coords, problem, fields, ref)
 
 
@@ -296,10 +301,11 @@ def make_evaluator(problem):
 
     The hook keeps the reference values of the last mesh it was called
     on (`_rule_values`), and only those: on the next call, an element
-    with the same vertex coordinates, exact and in the same order, takes
-    its values from there, and the series is evaluated only on the
-    elements new to the mesh.  In an adaptive run these are the elements
-    the last refinement created.  The first call has nothing to carry.
+    with the same vertex indices and coordinates, exact and in the same
+    order, takes its values from there, and the series is evaluated only
+    on the elements new to the mesh.  In an adaptive run these are the
+    elements the last refinement created.  The first call has nothing to
+    carry.
     """
     reference = make_reference(problem)
     last = None
@@ -309,8 +315,8 @@ def make_evaluator(problem):
         extras = {}
         if reference is not None:
             coords = mesh.triangle_coords()
-            last = _rule_values(reference, coords, last)
-            extras.update(_field_errors(coords, prob, fields, last[1]))
+            last = _rule_values(reference, mesh.triangles, coords, last)
+            extras.update(_field_errors(coords, prob, fields, last[2]))
         if prob.kind == "scordelis_lo":
             extras["functional"] = scordelis_lo_functional(mesh, prob, fields)
         return extras

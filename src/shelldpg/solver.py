@@ -97,12 +97,21 @@ def _splu(M, permc_spec):
         options={"SymmetricMode": True})
 
 
+def _as_csc(M):
+    """The CSR arrays of a symmetric matrix read as CSC: M' = M, no copy.
+
+    The equilibrated matrix is symmetric up to the rounding of its
+    scaling, which the refinement against the CSR matrix removes.
+    """
+    return scipy.sparse.csc_matrix((M.data, M.indices, M.indptr), shape=M.shape)
+
+
 def _factor(As, xy):
     """LU of the equilibrated matrix; returns a solve(r) -> dx closure."""
     if xy is None or As.shape[0] <= ND_CROSSOVER:
-        return _splu(As.tocsc(), "MMD_AT_PLUS_A").solve
+        return _splu(_as_csc(As), "MMD_AT_PLUS_A").solve
     perm = nested_dissection(As, xy)
-    lu = _splu(As[perm][:, perm].tocsc(), "NATURAL")
+    lu = _splu(_as_csc(As[perm][:, perm]), "NATURAL")
 
     def solve(r):
         out = np.empty_like(r)
@@ -128,7 +137,8 @@ def _refined_solve(As, b, lu_solve):
     y = lu_solve(b)
     if not np.all(np.isfinite(y)):
         return y
-    Al = As.astype(np.longdouble)
+    Al = scipy.sparse.csr_matrix(
+        (As.data.astype(np.longdouble), As.indices, As.indptr), shape=As.shape)
     bl = b.astype(np.longdouble)
     eps = np.finfo(float).eps
     last = np.inf

@@ -190,29 +190,27 @@ def apply_bc(dofmap: TraceDofMap, problem):
     mesh = dofmap.mesh
     rect = problem.rect if mesh.rect is None else mesh.rect
     side = _classify_sides(mesh, rect)
-    names = ("xmin", "xmax", "ymin", "ymax")
     constrained = np.zeros(dofmap.ntrace, dtype=bool)
-    for be, s in zip(mesh.boundary_edges, side):
-        bc = problem.bc[names[s]]
-        va, vb = mesh.edges[be]
+    for s, name in enumerate(("xmin", "xmax", "ymin", "ymax")):
+        bc = problem.bc[name]
+        be = mesh.boundary_edges[side == s]
+        ends = mesh.edges[be]  # (nb, 2)
         ncomp = 0 if s < 2 else 1  # side normal direction (x or y)
         tcomp = 1 - ncomp
-        for i, name in enumerate(("u1", "u2")):
-            if name in bc:
-                constrained[[2 * va + i, 2 * vb + i]] = True
+        for i, comp in enumerate(("u1", "u2")):
+            if comp in bc:
+                constrained[2 * ends + i] = True
                 if dofmap.k == 1:
                     constrained[dofmap.off_ubub + 2 * be + i] = True
             else:
                 constrained[dofmap.off_Nhat + 2 * be + i] = True
         if "w" in bc:
-            for v in (va, vb):
-                constrained[dofmap.off_what + 3 * v] = True
-                constrained[dofmap.off_what + 3 * v + 1 + tcomp] = True
+            constrained[dofmap.off_what + 3 * ends] = True
+            constrained[dofmap.off_what + 3 * ends + 1 + tcomp] = True
         else:
             constrained[dofmap.off_Mhat + 2 * be + 1] = True
         if "dnw" in bc:
-            for v in (va, vb):
-                constrained[dofmap.off_what + 3 * v + 1 + ncomp] = True
+            constrained[dofmap.off_what + 3 * ends + 1 + ncomp] = True
         else:
             constrained[dofmap.off_Mhat + 2 * be] = True
     be = mesh.boundary_edges

@@ -1,10 +1,23 @@
-"""Shared oracle helpers: projections onto element test blocks and the
-element kernels of a single element."""
+"""Shared oracle helpers: projections onto element test blocks, the
+element kernels of a single element, and loop versions of the mesh,
+boundary-condition and class-kernel code."""
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
-from shelldpg.assembly import element_b_batch, element_gram_batch, element_load_batch
+from shelldpg.assembly import (
+    N_FIELD,
+    N_TEST,
+    OFF_T,
+    AssemblyError,
+    element_b_batch,
+    element_gram_batch,
+    element_load_batch,
+    gram_factor,
+)
+from shelldpg.mesh import Mesh
 from shelldpg.polyquad import map_points, triangle_basis, triangle_rule
+from shelldpg.traces import _classify_sides
 
 SQ2 = np.sqrt(2.0)
 # orthonormal symmetric frames and the skew frame
@@ -65,3 +78,190 @@ def element_b(mesh, problem, k, element=0):
 def element_load(mesh, problem, element=0):
     """Load vector (111,) of one element."""
     return element_load_batch(mesh, problem, np.array([element]))[0]
+
+
+class LoopMesh(Mesh):
+    """`Mesh` with its edge tables built by loops over the triangles: an
+    oracle for the array construction of `shelldpg.mesh.Mesh`."""
+
+    def __init__(self, vertices, triangles, rect=None):
+        self.vertices = np.array(vertices, dtype=float)
+        self.triangles = np.array(triangles, dtype=int)
+        self.rect = None if rect is None else tuple(float(v) for v in rect)
+        self.vertices.flags.writeable = False
+        self.triangles.flags.writeable = False
+
+        v = self.vertices
+        t = self.triangles
+        d1 = v[t[:, 1]] - v[t[:, 0]]
+        d2 = v[t[:, 2]] - v[t[:, 0]]
+        self.areas = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+        if np.any(self.areas <= 0.0):
+            bad = int(np.argmin(self.areas))
+            raise ValueError(f"triangle {bad} has nonpositive area")
+
+        edge_of = {}
+        edges = []
+        tri_edges = np.empty_like(self.triangles)
+        for it, (a, b, c) in enumerate(self.triangles):
+            for j, (p, q) in enumerate(((b, c), (c, a), (a, b))):
+                key = (p, q) if p < q else (q, p)
+                idx = edge_of.get(key)
+                if idx is None:
+                    idx = len(edges)
+                    edge_of[key] = idx
+                    edges.append(key)
+                tri_edges[it, j] = idx
+        self.edges = np.array(edges, dtype=int)
+        self.tri_edges = tri_edges
+        self.tri_edges.flags.writeable = False
+        self.edges.flags.writeable = False
+
+        ne = len(edges)
+        edge_tris = np.full((ne, 2), -1, dtype=int)
+        count = np.zeros(ne, dtype=int)
+        for it in range(self.triangles.shape[0]):
+            for e in tri_edges[it]:
+                if count[e] == 2:
+                    raise ValueError(f"edge {e} has more than two incident triangles")
+                edge_tris[e, count[e]] = it
+                count[e] += 1
+        self.edge_tris = edge_tris
+        self.edge_is_boundary = count == 1
+        self.boundary_edges = np.nonzero(self.edge_is_boundary)[0]
+        self.vertex_is_boundary = np.zeros(self.vertices.shape[0], dtype=bool)
+        self.vertex_is_boundary[self.edges[self.boundary_edges].ravel()] = True
+
+        tang = v[self.edges[:, 1]] - v[self.edges[:, 0]]
+        self.edge_lengths = np.hypot(tang[:, 0], tang[:, 1])
+        tang = tang / self.edge_lengths[:, None]
+        self.edge_normals = np.stack([tang[:, 1], -tang[:, 0]], axis=1)
+
+        tri = self.triangles
+        trav = np.stack(
+            [tri[:, [1, 2]], tri[:, [2, 0]], tri[:, [0, 1]]], axis=1
+        )
+        self.tri_edge_sign = np.where(trav[:, :, 0] < trav[:, :, 1], 1, -1)
+
+
+def loop_refine(mesh, marked):
+    """`shelldpg.mesh.refine` by a loop over the triangles, as a `LoopMesh`."""
+    marked = np.unique(np.asarray(list(marked), dtype=int))
+    if marked.size == 0:
+        return mesh
+    edge_marked = np.zeros(mesh.nedges, dtype=bool)
+    edge_marked[mesh.tri_edges[marked].ravel()] = True
+    while True:
+        need = edge_marked[mesh.tri_edges].any(axis=1) & ~edge_marked[
+            mesh.tri_edges[:, 0]
+        ]
+        if not need.any():
+            break
+        edge_marked[mesh.tri_edges[need, 0]] = True
+
+    vertices = list(map(tuple, mesh.vertices))
+    new_vertex = {}
+    for e in np.flatnonzero(edge_marked):
+        p, q = mesh.edges[e]
+        xm = 0.5 * (mesh.vertices[p] + mesh.vertices[q])
+        new_vertex[(p, q) if p < q else (q, p)] = len(vertices)
+        vertices.append((xm[0], xm[1]))
+
+    def bisect(tri, children):
+        a, b, c = tri
+        m = new_vertex[(b, c) if b < c else (c, b)]
+        children.append((m, a, b))
+        children.append((m, c, a))
+
+    triangles = []
+    for it, (a, b, c) in enumerate(mesh.triangles):
+        e0, e1, e2 = mesh.tri_edges[it]
+        if not edge_marked[e0]:
+            assert not (edge_marked[e1] or edge_marked[e2])
+            triangles.append((a, b, c))
+            continue
+        first = []
+        bisect((a, b, c), first)
+        for child, e in zip(first, (e2, e1)):
+            if edge_marked[e]:
+                bisect(child, triangles)
+            else:
+                triangles.append(child)
+    return LoopMesh(vertices, triangles, rect=mesh.rect)
+
+
+def loop_apply_bc(dofmap, problem):
+    """`shelldpg.traces.apply_bc` by a loop over the boundary edges."""
+    mesh = dofmap.mesh
+    rect = problem.rect if mesh.rect is None else mesh.rect
+    side = _classify_sides(mesh, rect)
+    names = ("xmin", "xmax", "ymin", "ymax")
+    constrained = np.zeros(dofmap.ntrace, dtype=bool)
+    for be, s in zip(mesh.boundary_edges, side):
+        bc = problem.bc[names[s]]
+        va, vb = mesh.edges[be]
+        ncomp = 0 if s < 2 else 1
+        tcomp = 1 - ncomp
+        for i, name in enumerate(("u1", "u2")):
+            if name in bc:
+                constrained[[2 * va + i, 2 * vb + i]] = True
+                if dofmap.k == 1:
+                    constrained[dofmap.off_ubub + 2 * be + i] = True
+            else:
+                constrained[dofmap.off_Nhat + 2 * be + i] = True
+        if "w" in bc:
+            for v in (va, vb):
+                constrained[dofmap.off_what + 3 * v] = True
+                constrained[dofmap.off_what + 3 * v + 1 + tcomp] = True
+        else:
+            constrained[dofmap.off_Mhat + 2 * be + 1] = True
+        if "dnw" in bc:
+            for v in (va, vb):
+                constrained[dofmap.off_what + 3 * v + 1 + ncomp] = True
+        else:
+            constrained[dofmap.off_Mhat + 2 * be] = True
+    be = mesh.boundary_edges
+    w_free = ~constrained[dofmap.off_what + 3 * mesh.edges[be]]
+    twists = dofmap.off_twist + 2 * be[:, None] + np.arange(2)
+    constrained[twists[w_free]] = True
+    return constrained
+
+
+def loop_class_kernels(G, Bm, element, j):
+    """W^c_J, K_J and E_J of one class, as `shelldpg.assembly._class_kernels`
+    builds them for a stack of classes."""
+    try:
+        L, s = gram_factor(G)
+    except AssemblyError as err:
+        raise AssemblyError(
+            f"{err} in element {element} (Jacobian class {j})") from None
+    nc = Bm.shape[1] - N_FIELD
+    X = solve_triangular(L, s[:, None] * np.hstack([Bm, np.eye(N_TEST, OFF_T)]),
+                         lower=True)
+    Q, R = np.linalg.qr(X[:, :N_FIELD], mode="complete")
+    QX = Q.T @ X[:, N_FIELD:]
+    QX[:N_FIELD] = solve_triangular(R[:N_FIELD], QX[:N_FIELD])
+    return QX[N_FIELD:, :nc], QX[:N_FIELD, :nc], QX[:, nc:]
+
+
+def class_loop_systems(el, uloc):
+    """A_T, rhs_T, residual norms and fields of `ElementSystems` `el` by
+    per-class fancy indexing of W^c_J' W^c_J and per-class P_T u_T."""
+    nel, nc = el.perm.shape
+    A = np.empty((nel, nc, nc))
+    rhs = np.empty((nel, nc))
+    res = np.empty(nel)
+    fields = np.empty((nel, N_FIELD))
+    for j in range(len(el.W)):
+        mem = np.nonzero(el.cls == j)[0]
+        W = el.W[j]
+        WtW = W.T @ W
+        WtW = 0.5 * (WtW + WtW.T)
+        P, S = el.perm[mem], el.sign[mem]
+        A[mem] = WtW[P[:, :, None], P[:, None, :]] * (S[:, :, None] * S[:, None, :])
+        rhs[mem] = S * np.take_along_axis(el.y[mem] @ W, P, axis=1)
+        v = np.zeros((len(mem), nc))
+        np.put_along_axis(v, P, S * uloc[mem], axis=1)
+        res[mem] = np.linalg.norm(el.y[mem] - v @ W.T, axis=1)
+        fields[mem] = el.f[mem] - v @ el.K[j].T
+    return A, rhs, res, fields

@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from helpers import FRAME_SKEW, FRAMES_SYM, element_b, element_gram, element_load
+from helpers import (
+    FRAME_SKEW,
+    FRAMES_SYM,
+    class_loop_systems,
+    element_b,
+    element_gram,
+    element_load,
+    loop_class_kernels,
+)
 from shelldpg import assembly as asm
 from shelldpg.estimator import AdaptiveConfig, adaptive_loop
 from shelldpg.mesh import Mesh, initial_rectangle_mesh, refine
@@ -529,6 +537,57 @@ def test_jacobian_class_keys():
     assert keys.shape == (4, 5) and len(np.unique(keys, axis=0)) == 4
     _, _, alone = asm.jacobian_classes(Mesh(tris[3], np.arange(3)[None]))
     assert np.array_equal(alone[0], keys[cls[3]])
+
+
+@pytest.mark.parametrize("kind, k, d", [("cyl_clamped", 0, 1e-2),
+                                         ("point_parabolic", 1, 1e-2),
+                                         ("cyl_free", 0, 1e-3)])
+def test_stacked_class_kernels_match_one_class_at_a_time(kind, k, d):
+    prob = make_benchmark(kind, d=d)
+    mesh = small_mesh(rounds=2)
+    _, reps, _ = asm.jacobian_classes(mesh)
+    assert len(reps) > 8
+    G = asm.element_gram_batch(mesh, prob, reps)
+    Bm = asm.element_b_batch(mesh, prob, k, reps)
+    stacked = asm._class_kernels(G, Bm, reps, np.arange(len(reps)))
+    for j in range(len(reps)):
+        one = loop_class_kernels(G[j], Bm[j], reps[j], j)
+        for got, want in zip(stacked, one):
+            assert np.abs(got[j] - want).max() <= 1e-15 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("spoil", ["negate", "indefinite"])
+def test_bad_member_of_a_stacked_batch_is_named(spoil):
+    prob = make_benchmark("cyl_clamped")
+    mesh = small_mesh(rounds=2)
+    _, reps, _ = asm.jacobian_classes(mesh)
+    G = asm.element_gram_batch(mesh, prob, reps[:7])
+    Bm = asm.element_b_batch(mesh, prob, 0, reps[:7])
+    classes = np.arange(10, 17)
+    if spoil == "negate":
+        G[4] *= -1.0
+    else:
+        G[4, 0, 1] = G[4, 1, 0] = 2.0 * np.sqrt(G[4, 0, 0] * G[4, 1, 1])
+    with pytest.raises(asm.AssemblyError,
+                       match=rf"in element {reps[4]} \(Jacobian class 14\)"):
+        asm._class_kernels(G, Bm, reps[:7], classes)
+
+
+@pytest.mark.parametrize("kind, k", [("cyl_clamped", 0), ("scordelis_lo", 1)])
+def test_element_systems_match_per_class_loops(kind, k):
+    # A_T from the flip table, rhs_T, and P_T u_T built once for all
+    # elements give exactly the per-class products
+    prob = make_benchmark(kind, d=1e-2)
+    mesh = small_mesh(rounds=2)
+    el = asm.assemble_normal_equations(mesh, prob, k).elements
+    assert any(len(np.unique(mesh.tri_edge_sign[el.cls == c], axis=0)) > 1
+               for c in range(len(el.W)))
+    uloc = np.random.default_rng(5).normal(size=el.perm.shape)
+    A, rhs, res, fields = class_loop_systems(el, uloc)
+    assert np.array_equal(el.A, A)
+    assert np.array_equal(el.rhs, rhs)
+    assert np.array_equal(el.residual_norms(uloc), res)
+    assert np.array_equal(el.fields(uloc), fields)
 
 
 def direct_element_systems(mesh, prob, k, els):

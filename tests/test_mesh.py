@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from helpers import LoopMesh, loop_refine
 from shelldpg.mesh import Mesh, dorfler_mark, initial_rectangle_mesh, refine
 
 
@@ -247,3 +248,49 @@ def test_write_mesh_round_trip(tmp_path):
     elems = np.loadtxt(prefix.parent / (prefix.name + "_elems.dat"), dtype=int)
     assert np.allclose(coords[:, 1:], mesh.vertices)
     assert np.array_equal(elems[:, 1:], mesh.triangles)
+
+
+def assert_same_mesh(a, b):
+    assert vars(a).keys() == vars(b).keys()
+    for name, value in vars(a).items():
+        other = getattr(b, name)
+        if isinstance(value, np.ndarray):
+            assert value.dtype == other.dtype, name
+            assert np.array_equal(value, other), name
+            assert value.flags.writeable == other.flags.writeable, name
+        else:
+            assert value == other, name
+
+
+@pytest.mark.parametrize("rect, seed", [((0.0, 2.0, 0.0, 1.0), 0),
+                                        ((-1.0, 1.0, 0.0, np.pi / 4.0), 1)])
+def test_mesh_and_refine_match_loop_versions(rect, seed):
+    # every attribute, bit for bit: the edge numbering and the child order
+    # fix the twist gauge and the element order of the assembly
+    rng = np.random.default_rng(seed)
+    mesh = initial_rectangle_mesh(rect)
+    loop = LoopMesh(mesh.vertices, mesh.triangles, rect=mesh.rect)
+    assert_same_mesh(mesh, loop)
+    marks = ["all", "one", "one"] + ["random"] * 6
+    for kind in marks:
+        if kind == "all":
+            marked = np.arange(mesh.ntriangles)
+        elif kind == "one":
+            marked = [int(rng.integers(mesh.ntriangles))]
+        else:
+            nmark = int(rng.integers(1, max(2, mesh.ntriangles // 3)))
+            marked = rng.choice(mesh.ntriangles, size=nmark, replace=False)
+        mesh, loop = refine(mesh, marked), loop_refine(loop, marked)
+        assert_same_mesh(mesh, loop)
+    assert mesh.ntriangles > 500
+
+
+def test_third_triangle_on_an_edge_is_named_as_the_loop_names_it():
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, -1.0],
+                      [2.0, 2.0], [1.5, 0.2]])
+    # edge 0 = (1, 2) and edge 2 = (0, 1) both have three triangles; the
+    # third one of edge 2 comes first
+    tris = np.array([[0, 1, 2], [1, 0, 3], [4, 2, 1], [0, 1, 4], [2, 1, 5]])
+    for cls in (Mesh, LoopMesh):
+        with pytest.raises(ValueError, match="edge 2 has more than two"):
+            cls(verts, tris)

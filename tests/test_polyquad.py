@@ -11,6 +11,7 @@ from shelldpg.polyquad import (
     TriangleBasis,
     edge_rule,
     edge_table,
+    gauss_jacobi_10,
     map_gradients,
     map_hessians,
     monomial_integral,
@@ -73,6 +74,20 @@ def test_rule_rejects_bad_degree():
         triangle_rule(-1)
     with pytest.raises(ValueError):
         triangle_rule(MAX_TRIANGLE_DEGREE + 1)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_gauss_rules_match_scipy_special(n):
+    # the rules of `triangle_rule` and `edge_rule`, computed with numpy,
+    # against scipy's Gauss-Jacobi(1, 0) and Gauss-Legendre rules
+    from scipy.special import roots_jacobi, roots_legendre
+
+    for (x, w), (xs, ws) in (
+        (gauss_jacobi_10(n), roots_jacobi(n, 1.0, 0.0)),
+        (np.polynomial.legendre.leggauss(n), roots_legendre(n)),
+    ):
+        assert np.abs(x - xs).max() <= 4e-15
+        assert np.abs(w - ws).max() <= 4e-15
 
 
 def test_edge_rule_one_point_is_midpoint():

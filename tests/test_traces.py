@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
-from helpers import FRAMES_SYM, project_scalar, project_sym_tensor, project_vector
+from helpers import (FRAMES_SYM, loop_apply_bc, project_scalar, project_sym_tensor,
+                     project_vector)
 
 from shelldpg.mesh import Mesh, initial_rectangle_mesh, refine
-from shelldpg.model import ShellProblem, make_benchmark
+from shelldpg.model import BENCHMARKS, ShellProblem, make_benchmark
 from shelldpg.polyquad import triangle_basis, triangle_geometry, triangle_rule, map_gradients, map_hessians, map_points
 from shelldpg.traces import TraceDofMap, apply_bc, edge_pairings
 
@@ -152,6 +153,20 @@ def test_bc_scordelis_lo():
             for slot, v in enumerate(mesh.edges[be]):
                 held = np.isclose(mesh.vertices[v, 0], prob.rect[1])
                 assert con[dm.off_twist + 2 * be + slot] == (not held)
+
+
+@pytest.mark.parametrize("kind", [b for b in BENCHMARKS if b != "custom"])
+def test_bc_matches_loop_over_boundary_edges(kind):
+    prob = make_benchmark(kind)
+    mesh = initial_rectangle_mesh(prob.rect)
+    rng = np.random.default_rng(11)
+    for _ in range(4):
+        mesh = refine(mesh, rng.choice(mesh.ntriangles, 3, replace=False))
+    for k in (0, 1):
+        dm = TraceDofMap(mesh, k)
+        con = apply_bc(dm, prob)
+        assert np.array_equal(con, loop_apply_bc(dm, prob))
+        assert con.any() and not con.all()
 
 
 # ---------------------------------------------------------------------------
