@@ -476,12 +476,12 @@ def _class_kernels(G, Bm, elements, classes):
         raise
     nb, _, ncols = Bm.shape
     nc = ncols - N_FIELD
-    rhs = np.concatenate(
+    SB = np.concatenate(
         [Bm, np.broadcast_to(np.eye(N_TEST, OFF_T), (nb, N_TEST, OFF_T))], axis=2)
-    rhs *= s[:, :, None]
-    X = np.empty_like(rhs)
+    SB *= s[:, :, None]
+    X = np.empty_like(SB)
     for i in range(nb):
-        X[i] = _triangular_solve(L[i], rhs[i], True, elements[i], classes[i])
+        X[i] = _triangular_solve(L[i], SB[i], True, elements[i], classes[i])
     Q, R = np.linalg.qr(X[:, :, :N_FIELD], mode="complete")
     QX = Q.transpose(0, 2, 1) @ X[:, :, N_FIELD:]
     for i in range(nb):
