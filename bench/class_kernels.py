@@ -12,8 +12,8 @@ the lowest-index elements of the first 1, 8, 32 and 128 classes:
 * `assembly.element_b_batch`, the trial-to-test matrices, and
   `traces.edge_pairings`, the part of them on the skeleton;
 * `assembly._class_kernels` over the batch's classes: the Gram factor,
-  the field elimination and the load map of each class (one stacked
-  call, or one call per class in checkouts that predate the stacked pass).
+  the field elimination and the load map of each class, in one stacked
+  call.
 
 Each figure is the median seconds per call, on one BLAS thread, over
 `--rounds` child processes of `--repeat` calls each.  A child imports
@@ -84,15 +84,12 @@ def jittered_mesh(problem, nclasses):
 
 def measure(repeat):
     """Call times for every workload and batch size, with shelldpg on sys.path."""
-    import inspect
-
     import numpy as np
 
     from shelldpg import assembly as asm
     from shelldpg.model import make_benchmark
     from shelldpg.traces import edge_pairings
 
-    stacked = "classes" in inspect.signature(asm._class_kernels).parameters
     out = {}
     for name, w in WORKLOADS.items():
         prob = make_benchmark(w.benchmark, d=w.d)
@@ -104,11 +101,7 @@ def measure(repeat):
             Bm = asm.element_b_batch(mesh, prob, w.k, els)
 
             def kernels():
-                if stacked:
-                    asm._class_kernels(G, Bm, els, np.arange(n))
-                else:  # one class per call, as checkouts before the stacked pass
-                    for j, (g, b) in enumerate(zip(G, Bm)):
-                        asm._class_kernels(g, b, els[j], j)
+                asm._class_kernels(G, Bm, els, np.arange(n))
 
             rows[str(n)] = {
                 "gram_s": call_times(

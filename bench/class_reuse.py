@@ -93,7 +93,7 @@ def run_levels(prob, k, mesh, mode, theta, max_dofs, max_levels, repeat):
         })
         if level >= max_levels or neq.ndof >= max_dofs:
             return levels, None
-        x = solve_spd(neq.A, neq.rhs, TOL, coords=neq.dof_xy)
+        x = solve_spd(neq.A, neq.rhs, TOL)
         if mode == "uniform":
             marked = np.arange(mesh.ntriangles)
         else:

@@ -109,7 +109,7 @@ def level_floor(w, problem, meshes):
         for _ in range(FLOOR_REPEAT):
             t = time.perf_counter()
             neq = assemble_normal_equations(mesh, problem, w.k, previous=carried)
-            x = solve_spd(neq.A, neq.rhs, w.tol, coords=neq.dof_xy)
+            x = solve_spd(neq.A, neq.rhs, w.tol)
             etas = element_estimators(neq, x)
             neq.fields(x)
             marked = (range(mesh.ntriangles) if w.mode == "uniform"

@@ -204,7 +204,7 @@ def element_gram_batch(mesh, problem, els):
     return G
 
 
-def element_b_batch(mesh, problem, k, els, pairings=None):
+def element_b_batch(mesh, problem, k, els):
     """Trial-to-test matrices (nel, 111, 10 + TraceDofMap.ncols).
 
     The trial fields are constant on an element, so each field column
@@ -267,7 +267,7 @@ def element_b_batch(mesh, problem, k, els, pairings=None):
         )
 
     # trace columns, signs of the skeleton duality
-    pair = edge_pairings(mesh, k, els) if pairings is None else pairings
+    pair = edge_pairings(mesh, k, els)
     cu = N_FIELD
     cw = cu + nu_cols
     cn = cw + 9
@@ -552,11 +552,9 @@ class NormalEquations:
     A: scipy.sparse.csr_matrix  # over the free trace dofs
     rhs: np.ndarray
     dofmap: TraceDofMap
-    constrained: np.ndarray
     index_map: np.ndarray  # trace dof -> row of A, -1 if constrained
     ndof: int  # free traces + 10 field dofs per element
     elements: ElementSystems
-    dof_xy: np.ndarray = None
     problem: object = None
 
     def expand(self, x):
@@ -609,27 +607,6 @@ def assemble_normal_equations(mesh, problem, k, previous=None):
     keep_r = gcols >= 0
     np.add.at(rhs, gcols[keep_r], elements.rhs[keep_r])
 
-    dof_xy = _dof_coordinates(mesh, dofmap)[free]
-    return NormalEquations(A, rhs, dofmap, constrained, index_map,
-                           n + N_FIELD * nt, elements, dof_xy, problem)
-
-
-def _dof_coordinates(mesh, dofmap):
-    """Location of every trace dof (vertex or edge midpoint).
-
-    Twist dofs sit at the edge endpoint they belong to.  Feeds the
-    nested-dissection ordering in the solver.
-    """
-    verts = mesh.vertices
-    emid = verts[mesh.edges].mean(axis=1)
-    xy = np.empty((dofmap.ntrace, 2))
-    xy[dofmap.off_uhat:dofmap.off_what] = np.repeat(verts, 2, axis=0)
-    xy[dofmap.off_what:dofmap.off_ubub] = np.repeat(verts, 3, axis=0)
-    for lo, hi in ((dofmap.off_ubub, dofmap.off_Nhat),
-                   (dofmap.off_Nhat, dofmap.off_Mhat),
-                   (dofmap.off_Mhat, dofmap.off_twist)):
-        if hi > lo:
-            xy[lo:hi] = np.repeat(emid, (hi - lo) // mesh.nedges, axis=0)
-    xy[dofmap.off_twist:dofmap.ntrace] = verts[mesh.edges.ravel()]
-    return xy
+    return NormalEquations(A, rhs, dofmap, index_map, n + N_FIELD * nt,
+                           elements, problem)
 

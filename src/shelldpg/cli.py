@@ -108,20 +108,21 @@ def parse_config(text):
     return cfg
 
 
+def adaptive_config(cfg):
+    """The refinement settings of a run, checked by `AdaptiveConfig`."""
+    try:
+        return AdaptiveConfig(k=cfg.k, theta=cfg.theta, mode=cfg.mode,
+                              max_dofs=cfg.max_dofs, max_levels=cfg.max_levels,
+                              tol=cfg.tol)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def validate_config(cfg):
     if cfg.benchmark not in BENCHMARKS:
         raise ConfigError(
             f"benchmark must be one of {', '.join(BENCHMARKS)}; got {cfg.benchmark!r}")
-    if cfg.k not in (0, 1):
-        raise ConfigError(f"k must be 0 or 1, got {cfg.k}")
-    if cfg.mode not in ("uniform", "adaptive"):
-        raise ConfigError(f"mode must be uniform or adaptive, got {cfg.mode!r}")
-    if not 0.0 < cfg.theta <= 1.0:
-        raise ConfigError(f"theta must lie in (0, 1], got {cfg.theta}")
-    if cfg.tol <= 0.0:
-        raise ConfigError("tol must be positive")
-    if cfg.max_dofs <= 0 or cfg.max_levels < 0:
-        raise ConfigError("budgets must be positive")
+    adaptive_config(cfg)
     if cfg.benchmark == "custom":
         missing = [key for key in ("rect", "B", "d") if getattr(cfg, key) is None]
         if missing:
@@ -224,12 +225,10 @@ def run(cfg):
     Returns the AdaptiveRun for programmatic use.
     """
     problem = build_problem(cfg)
-    acfg = AdaptiveConfig(k=cfg.k, theta=cfg.theta, mode=cfg.mode,
-                          max_dofs=cfg.max_dofs, max_levels=cfg.max_levels,
-                          tol=cfg.tol)
-    result = adaptive_loop(problem, acfg, evaluator=make_evaluator(problem))
+    result = adaptive_loop(problem, adaptive_config(cfg),
+                           evaluator=make_evaluator(problem))
 
-    outdir = os.environ.get("SHELLDPG_OUTDIR", cfg.outdir)
+    outdir = cfg.outdir
     os.makedirs(outdir, exist_ok=True)
     write_convergence_table(os.path.join(outdir, "convergence.dat"), result)
     for rec in result.levels:

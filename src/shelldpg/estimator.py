@@ -48,6 +48,8 @@ class AdaptiveConfig:
             raise ValueError("marking fraction theta must lie in (0, 1]")
         if self.max_levels < 0 or self.max_dofs <= 0:
             raise ValueError("budgets must be nonnegative / positive")
+        if not self.tol > 0.0:
+            raise ValueError(f"solver tolerance tol must be positive, got {self.tol}")
 
 
 @dataclass
@@ -89,7 +91,7 @@ def adaptive_loop(problem, config=None, evaluator=None, initial_mesh=None):
     neq = None
     while True:
         neq = assemble_normal_equations(mesh, problem, cfg.k, previous=neq)
-        x = solve_spd(neq.A, neq.rhs, cfg.tol, coords=neq.dof_xy)
+        x = solve_spd(neq.A, neq.rhs, cfg.tol)
         etas = element_estimators(neq, x)
         rec = LevelRecord(
             level=level,

@@ -8,21 +8,14 @@ is not optional at small thickness.
 
 The fill-reducing ordering is SuperLU's multiple minimum degree on the
 pattern of A + A' (Liu, ACM TOMS 1985), run inside the factorization.
-Above `ND_CROSSOVER` unknowns, when dof coordinates are given, the
-matrix is pre-ordered by geometric nested dissection instead: on the
-skeleton trace graphs of the assembly that takes less fill and time
-there, while minimum degree wins below (`bench/orderings.py` measures
-both and writes `BENCH_orderings.json`).
+It is the only ordering.  On the adaptive levels of 21k-53k unknowns
+it factors faster than a geometric nested dissection; on uniform meshes
+of 45k-57k unknowns it is slower (`BENCH_orderings.json`).
 """
 
 import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
-
-
-# unknowns above which nested dissection orders the trace systems for a
-# faster factorization than minimum degree (BENCH_orderings.json)
-ND_CROSSOVER = 20000
 
 
 class SolverError(Exception):
@@ -42,58 +35,13 @@ def backward_error(As, b, y):
     return float(np.linalg.norm(b - As @ y)) / scale if scale > 0.0 else 0.0
 
 
-def nested_dissection(A, xy, leaf=200):
-    """Fill-reducing permutation from recursive coordinate bisection.
+def _splu(M):
+    """Symmetric-mode SuperLU of an SPD matrix: diagonal pivots only.
 
-    Splits the dofs at the median of their widest coordinate, orders the
-    vertex separator (left-side dofs with a right-side neighbor in the
-    graph of A) last, and recurses.  Returns an index array `perm` such
-    that A[perm][:, perm] is factored with little fill.
+    Ordered by minimum degree on the pattern of M + M'.
     """
-    A = scipy.sparse.csr_matrix(A)
-    n = A.shape[0]
-    xy = np.asarray(xy, dtype=float)
-    if xy.shape != (n, 2):
-        raise SolverError(f"coords shape {xy.shape} does not match n={n}")
-    pattern = scipy.sparse.csr_matrix(
-        (np.ones(A.nnz, dtype=np.int32), A.indices, A.indptr), shape=A.shape)
-    side = np.zeros(n, dtype=np.int32)
-
-    order = []
-    stack = [("split", np.arange(n))]
-    while stack:
-        action, idx = stack.pop()
-        if action == "emit":
-            order.append(idx)
-            continue
-        if idx.size <= leaf:
-            order.append(idx)
-            continue
-        pts = xy[idx]
-        axis = int(np.argmax(np.ptp(pts, axis=0)))
-        mask = pts[:, axis] <= np.median(pts[:, axis])
-        if mask.all() or not mask.any():
-            order.append(idx)
-            continue
-        left, right = idx[mask], idx[~mask]
-        side[right] = 1
-        touches = pattern[left] @ side
-        side[right] = 0
-        sep = left[touches > 0]
-        interior = left[touches == 0]
-        if interior.size == 0 or sep.size > 0.4 * idx.size:
-            order.append(idx)
-            continue
-        stack.append(("emit", sep))
-        stack.append(("split", right))
-        stack.append(("split", interior))
-    return np.concatenate(order)
-
-
-def _splu(M, permc_spec):
-    """Symmetric-mode SuperLU of an SPD matrix: diagonal pivots only."""
     return scipy.sparse.linalg.splu(
-        M, permc_spec=permc_spec, diag_pivot_thresh=0.0,
+        M, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
         options={"SymmetricMode": True})
 
 
@@ -104,21 +52,6 @@ def _as_csc(M):
     scaling, which the refinement against the CSR matrix removes.
     """
     return scipy.sparse.csc_matrix((M.data, M.indices, M.indptr), shape=M.shape)
-
-
-def _factor(As, xy):
-    """LU of the equilibrated matrix; returns a solve(r) -> dx closure."""
-    if xy is None or As.shape[0] <= ND_CROSSOVER:
-        return _splu(_as_csc(As), "MMD_AT_PLUS_A").solve
-    perm = nested_dissection(As, xy)
-    lu = _splu(_as_csc(As[perm][:, perm]), "NATURAL")
-
-    def solve(r):
-        out = np.empty_like(r)
-        out[perm] = lu.solve(r[perm])
-        return out
-
-    return solve
 
 
 def _refined_solve(As, b, lu_solve):
@@ -152,7 +85,7 @@ def _refined_solve(As, b, lu_solve):
     return y
 
 
-def solve_spd(A, rhs, tol=1e-10, coords=None):
+def solve_spd(A, rhs, tol=1e-10):
     """Solve A x = rhs for sparse SPD A.
 
     With s = diag(A)^-1/2, As = S A S and x = S y, accepts y once its
@@ -160,9 +93,6 @@ def solve_spd(A, rhs, tol=1e-10, coords=None):
     systems this is the familiar relative-residual test; when the
     solution is much larger than the data it remains attainable in
     double precision.
-
-    `coords` are optional dof locations, shape (n, 2); above
-    `ND_CROSSOVER` unknowns they select the nested-dissection ordering.
     """
     A = scipy.sparse.csr_matrix(A)
     rhs = np.asarray(rhs, dtype=float)
@@ -185,7 +115,7 @@ def solve_spd(A, rhs, tol=1e-10, coords=None):
     b = s * rhs
 
     try:
-        lu_solve = _factor(As, coords)
+        lu_solve = _splu(_as_csc(As)).solve
     except RuntimeError as exc:
         raise SolverError(f"LU factorization broke down: {exc} (n={n})") from None
     y = _refined_solve(As, b, lu_solve)

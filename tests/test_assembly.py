@@ -468,10 +468,10 @@ def test_assembled_system_shape_and_symmetry():
     prob = make_benchmark("cyl_free")
     neq = asm.assemble_normal_equations(mesh, prob, 0)
     dm = neq.dofmap
-    nfree_trace = int((~neq.constrained).sum())
+    nfree_trace = int((~(neq.index_map < 0)).sum())
     # the fields are condensed out of A but still count as dofs
     assert neq.A.shape == (nfree_trace, nfree_trace)
-    assert neq.rhs.shape == (nfree_trace,) and neq.dof_xy.shape == (nfree_trace, 2)
+    assert neq.rhs.shape == (nfree_trace,)
     assert neq.ndof == nfree_trace + 10 * mesh.ntriangles
     asym = np.abs(neq.A - neq.A.T).max()
     assert asym <= 1e-12 * np.abs(neq.A.data).max()
@@ -724,8 +724,9 @@ def test_expand_and_fields():
     x = np.arange(neq.A.shape[0], dtype=float)
     full = neq.expand(x)
     assert full.size == neq.dofmap.ntrace
-    assert np.abs(full[neq.constrained]).max() == 0.0
-    assert np.array_equal(full[~neq.constrained], x)
+    constrained = neq.index_map < 0
+    assert np.abs(full[constrained]).max() == 0.0
+    assert np.array_equal(full[~constrained], x)
     # the fields are each element's own locally optimal fields
     got = neq.fields(x)
     _, _, _, f, K = direct_condensed_systems(mesh, prob, 0, np.arange(mesh.ntriangles))

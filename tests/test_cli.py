@@ -153,13 +153,6 @@ def test_reruns_byte_identical(tmp_path):
         assert a == (tmp_path / "b" / name).read_bytes()
 
 
-def test_outdir_env_override(tmp_path, monkeypatch):
-    monkeypatch.setenv("SHELLDPG_OUTDIR", str(tmp_path / "env"))
-    run(_free_cfg(tmp_path / "ignored", max_levels=0))
-    assert (tmp_path / "env" / "convergence.dat").exists()
-    assert not (tmp_path / "ignored").exists()
-
-
 def test_line_extraction_point_load(tmp_path):
     cfg = RunConfig(benchmark="point_elliptic", mode="uniform", max_levels=1,
                     outdir=str(tmp_path))

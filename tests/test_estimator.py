@@ -116,7 +116,7 @@ def test_adaptive_levels_match_fresh_assembly():
     assert len(run.levels) == 5
     for rec in run.levels:
         neq = asm.assemble_normal_equations(rec.mesh, prob, cfg.k)
-        x = solve_spd(neq.A, neq.rhs, cfg.tol, coords=neq.dof_xy)
+        x = solve_spd(neq.A, neq.rhs, cfg.tol)
         etas = element_estimators(neq, x)
         eta = np.sqrt(np.sum(etas**2))
         fields = neq.fields(x)
@@ -141,6 +141,8 @@ def test_config_validation():
         AdaptiveConfig(theta=0.0)
     with pytest.raises(ValueError):
         AdaptiveConfig(mode="bisect")
+    with pytest.raises(ValueError, match="tol"):
+        AdaptiveConfig(tol=0.0)
 
 
 def test_uniform_eta_decreases_clamped_cylinder():

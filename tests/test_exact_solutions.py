@@ -46,7 +46,7 @@ def test_free_strip_deflection_rate():
         if mesh.ntriangles < 64:
             continue
         neq = assemble_normal_equations(mesh, prob, 0)
-        x = solve_spd(neq.A, neq.rhs, coords=neq.dof_xy)
+        x = solve_spd(neq.A, neq.rhs)
         defects[mesh.ntriangles] = 1.0 - w_ratio(mesh, neq.fields(x))
     assert sorted(defects) == [64, 256]
     rate = np.log2(defects[64] / defects[256])  # per halving of h
@@ -81,7 +81,7 @@ def test_first_mode_rate_and_effectivity(kind, d):
         if mesh.ntriangles not in (256, 1024):
             continue
         neq = assemble_normal_equations(mesh, prob, 1)
-        x = solve_spd(neq.A, neq.rhs, coords=neq.dof_xy)
+        x = solve_spd(neq.A, neq.rhs)
         errs = error_norms(mesh, prob, neq.fields(x), exact)
         n = mesh.ntriangles
         ndof[n] = neq.ndof

@@ -14,29 +14,27 @@ def total_area(mesh):
 def check_conforming(mesh):
     # every interior edge is shared by exactly two triangles, and every
     # triangle references each of its edges with matching endpoints
-    counts = np.zeros(mesh.nedges, dtype=int)
-    for t in range(mesh.ntriangles):
-        for j in range(3):
-            e = mesh.tri_edges[t, j]
-            a, b = mesh.edges[e]
-            loc = {0: (1, 2), 1: (2, 0), 2: (0, 1)}[j]
-            va, vb = mesh.triangles[t, loc[0]], mesh.triangles[t, loc[1]]
-            assert {a, b} == {va, vb}
-            counts[e] += 1
+    loc = np.array([[1, 2], [2, 0], [0, 1]])
+    ends = np.sort(mesh.edges[mesh.tri_edges], axis=-1)  # (nt, 3, 2)
+    want = np.sort(mesh.triangles[:, loc], axis=-1)
+    assert np.array_equal(ends, want)
+    counts = np.bincount(mesh.tri_edges.ravel(), minlength=mesh.nedges)
     assert np.all((counts == 1) | (counts == 2))
-    # no vertex of one triangle lies strictly inside an edge of another
-    for e in range(mesh.nedges):
-        a, b = mesh.vertices[mesh.edges[e]]
-        for v in range(mesh.nvertices):
-            if v in mesh.edges[e]:
-                continue
-            pa = mesh.vertices[v] - a
-            ab = b - a
-            L2 = ab @ ab
-            t = (pa @ ab) / L2
-            if 1e-10 < t < 1.0 - 1e-10:
-                dist = np.abs(pa[0] * ab[1] - pa[1] * ab[0]) / np.sqrt(L2)
-                assert dist > 1e-10 * np.sqrt(L2)
+    # no vertex of one triangle lies strictly inside an edge of another;
+    # (edge, vertex) pairs in blocks of 256 edges
+    verts = np.arange(mesh.nvertices)
+    for lo in range(0, mesh.nedges, 256):
+        edges = mesh.edges[lo:lo + 256]
+        a, b = mesh.vertices[edges[:, 0]], mesh.vertices[edges[:, 1]]
+        ab = (b - a)[:, None, :]  # (ne, 1, 2)
+        pa = mesh.vertices[None, :, :] - a[:, None, :]  # (ne, nv, 2)
+        L2 = np.sum(ab * ab, axis=-1)
+        t = np.sum(pa * ab, axis=-1) / L2
+        dist = np.abs(pa[..., 0] * ab[..., 1] - pa[..., 1] * ab[..., 0]) / np.sqrt(L2)
+        own = (verts == edges[:, :1]) | (verts == edges[:, 1:])
+        inside = ~own & (1e-10 < t) & (t < 1.0 - 1e-10)
+        hanging = np.argwhere(inside & ~(dist > 1e-10 * np.sqrt(L2)))
+        assert hanging.size == 0, f"vertex inside edge (edge, vertex): {hanging[0] + [lo, 0]}"
 
 
 def test_initial_mesh_unit_square():

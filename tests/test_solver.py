@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-from shelldpg import solver
 from shelldpg.assembly import assemble_normal_equations
 from shelldpg.mesh import initial_rectangle_mesh, refine
 from shelldpg.model import make_benchmark
-from shelldpg.solver import SolverError, backward_error, nested_dissection, solve_spd
+from shelldpg.solver import SolverError, backward_error, solve_spd
 
 
 def test_identity():
@@ -90,19 +89,26 @@ def test_deterministic():
     assert np.array_equal(solve_spd(A, rhs), solve_spd(A, rhs))
 
 
+def permuted_solve(A, rhs, seed):
+    """solve_spd on the system with its dofs renumbered at random.
+
+    Minimum degree breaks ties by dof number, so the renumbered system
+    is factored in another elimination order.  Returns the solution in
+    the original numbering.
+    """
+    n = A.shape[0]
+    perm = np.random.default_rng(seed).permutation(n)
+    P = scipy.sparse.csr_matrix((np.ones(n), (np.arange(n), perm)), shape=(n, n))
+    return P.T @ solve_spd(P @ A @ P.T, P @ rhs)
+
+
 def test_dof_reorder_invariance():
     mesh = refine(initial_rectangle_mesh((-1.0, 1.0, 0.0, np.pi / 4.0)),
                   np.arange(4))
     prob = make_benchmark("cyl_clamped")
     neq = assemble_normal_equations(mesh, prob, 0)
     x = solve_spd(neq.A, neq.rhs)
-
-    rng = np.random.default_rng(5)
-    n = neq.A.shape[0]
-    perm = rng.permutation(n)
-    P = scipy.sparse.csr_matrix((np.ones(n), (np.arange(n), perm)), shape=(n, n))
-    xp = solve_spd(P @ neq.A @ P.T, P @ neq.rhs)
-    x_back = P.T @ xp
+    x_back = permuted_solve(neq.A, neq.rhs, 5)
 
     fields = neq.fields(x)
     fields_back = neq.fields(x_back)
@@ -110,55 +116,11 @@ def test_dof_reorder_invariance():
     assert rel < 1e-8
 
 
-def test_nested_dissection_is_permutation():
-    mesh = initial_rectangle_mesh((-1.0, 1.0, 0.0, np.pi / 4.0))
-    for _ in range(4):
-        mesh = refine(mesh, np.arange(mesh.ntriangles))
-    prob = make_benchmark("cyl_clamped")
-    neq = assemble_normal_equations(mesh, prob, 0)
-    perm = nested_dissection(neq.A, neq.dof_xy)
-    assert np.array_equal(np.sort(perm), np.arange(neq.A.shape[0]))
-    assert np.array_equal(perm, nested_dissection(neq.A, neq.dof_xy))
-
-
-def ordered_and_default_solves(monkeypatch, A, rhs, xy):
-    """solve_spd with coords in the nested-dissection and the default branch.
-
-    The nested-dissection branch is forced by lowering `ND_CROSSOVER`
-    below n; a counting wrapper records which branch each solve took.
-    """
-    calls = []
-
-    def counted(*args):
-        calls.append(1)
-        return nested_dissection(*args)
-
-    monkeypatch.setattr(solver, "nested_dissection", counted)
-    assert A.shape[0] <= solver.ND_CROSSOVER  # so the default takes MMD
-    x = solve_spd(A, rhs, coords=xy)
-    assert not calls
-    with monkeypatch.context() as m:
-        m.setattr(solver, "ND_CROSSOVER", A.shape[0] - 1)
-        x_nd = solve_spd(A, rhs, coords=xy)
-    assert len(calls) == 1
-    return x_nd, x
-
-
-def test_coords_path_matches_default_path(monkeypatch):
-    mesh = initial_rectangle_mesh((-1.0, 1.0, 0.0, np.pi / 4.0))
-    for _ in range(4):
-        mesh = refine(mesh, np.arange(mesh.ntriangles))
-    prob = make_benchmark("cyl_clamped")
-    neq = assemble_normal_equations(mesh, prob, 0)
-    x_nd, x = ordered_and_default_solves(monkeypatch, neq.A, neq.rhs, neq.dof_xy)
-    ref = np.abs(x).max()
-    assert np.abs(x_nd - x).max() < 1e-8 * ref
-
-
-def test_orderings_agree_on_thin_free_cylinder(monkeypatch):
+def test_orderings_agree_on_thin_free_cylinder():
     # the conditioning of the thin free cylinder (d = 1e-3) on an
-    # NVB-adapted mesh, as in the benchmark: both orderings of the
-    # diagonally pivoted factorization give the same fields and meet tol
+    # NVB-adapted mesh, as in the benchmark: two elimination orders of
+    # the diagonally pivoted factorization give the same fields and
+    # meet tol
     prob = make_benchmark("cyl_free", d=1e-3)
     mesh = initial_rectangle_mesh(prob.rect)
     rng = np.random.default_rng(17)
@@ -166,16 +128,11 @@ def test_orderings_agree_on_thin_free_cylinder(monkeypatch):
         mesh = refine(mesh, rng.choice(mesh.ntriangles, 4, replace=False))
     neq = assemble_normal_equations(mesh, prob, 0)
     tol = 1e-10
-    x_nd, x = ordered_and_default_solves(monkeypatch, neq.A, neq.rhs, neq.dof_xy)
-    got, want = neq.fields(x_nd), neq.fields(x)
+    x = solve_spd(neq.A, neq.rhs, tol)
+    x_p = permuted_solve(neq.A, neq.rhs, 18)
+    got, want = neq.fields(x_p), neq.fields(x)
     assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
     s = 1.0 / np.sqrt(neq.A.diagonal())
     As = scipy.sparse.diags(s) @ neq.A @ scipy.sparse.diags(s)
-    for xi in (x_nd, x):
+    for xi in (x_p, x):
         assert backward_error(As, s * neq.rhs, xi / s) <= tol
-
-
-def test_coords_shape_checked():
-    A = scipy.sparse.identity(5, format="csr")
-    with pytest.raises(SolverError, match="coords"):
-        nested_dissection(A, np.zeros((4, 2)))
