@@ -47,11 +47,10 @@ from shelldpg import (  # noqa: E402
     AssemblyError,
     assemble_normal_equations,
     dorfler_mark,
-    element_estimators,
     initial_rectangle_mesh,
     make_benchmark,
     refine,
-    solve_spd,
+    solve,
 )
 from workloads import DEFAULT_SEED, WORKLOADS, start_mesh  # noqa: E402
 
@@ -93,11 +92,11 @@ def run_levels(prob, k, mesh, mode, theta, max_dofs, max_levels, repeat):
         })
         if level >= max_levels or neq.ndof >= max_dofs:
             return levels, None
-        x = solve_spd(neq.A, neq.rhs, TOL)
+        _, etas = solve(neq, TOL)
         if mode == "uniform":
             marked = np.arange(mesh.ntriangles)
         else:
-            marked = dorfler_mark(element_estimators(neq, x), theta)
+            marked = dorfler_mark(etas, theta)
         mesh = refine(mesh, marked)
         prev = neq
 

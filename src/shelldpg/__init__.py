@@ -7,7 +7,6 @@ from .estimator import (
     AdaptiveRun,
     LevelRecord,
     adaptive_loop,
-    element_estimators,
 )
 from .mesh import Mesh, dorfler_mark, initial_rectangle_mesh, refine, write_mesh
 from .model import (
@@ -29,7 +28,7 @@ from .reference import (
     sample_fields_on_line,
     scordelis_lo_functional,
 )
-from .solver import SolverError, solve_spd
+from .solver import SolverError, solve
 from .traces import TraceDofMap, apply_bc, edge_pairings
 
 __version__ = "0.1.0"
@@ -58,7 +57,6 @@ __all__ = [
     "dorfler_mark",
     "edge_pairings",
     "edge_rule",
-    "element_estimators",
     "error_norms",
     "initial_rectangle_mesh",
     "locate_points",
@@ -71,7 +69,7 @@ __all__ = [
     "sample_fields_on_line",
     "scordelis_lo_functional",
     "select_scalings",
-    "solve_spd",
+    "solve",
     "triangle_basis",
     "triangle_rule",
     "write_mesh",

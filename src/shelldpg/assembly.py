@@ -389,7 +389,8 @@ class ElementSystems:
     W^c' W^c under all 8 (`A_flips`) and A_T is a row of that table.
     For trace values u_T the locally optimal fields are
     f_T - K_J P_T u_T (`fields`), and the residual in the dual test norm
-    at those fields is |y^c_T - W^c P_T u_T| (`residual_norms`).
+    at those fields is r_T = y^c_T - W^c P_T u_T (`residuals`); its
+    adjoint P_T' W^c' r_T (`adjoint`) gives rhs_T at u_T = 0.
 
     Reuse: W^c_J, K_J, E_J, their flip table and `ref_sign[J]` depend on
     the mesh only through the class key (`keys`), so the systems of the
@@ -413,38 +414,49 @@ class ElementSystems:
     f: np.ndarray  # (nel, 10): fields at zero traces
     perm: np.ndarray  # (nel, nc)
     sign: np.ndarray  # (nel, nc)
+    classes: tuple  # (order, bounds) of `_class_order`
 
-    def _class_frames(self, uloc):
-        """(class, members, P_T u_T of the members) for local trace
-        values (nel, nc)."""
+    def _frames(self, uloc):
+        """P_T u_T (nel, nc) for local trace values (nel, nc)."""
         v = np.zeros(uloc.shape)
         np.put_along_axis(v, self.perm, self.sign * uloc, axis=1)
-        for j, mem in enumerate(_class_members(self.cls, len(self.W))):
-            yield j, mem, v[mem]
+        return v
 
-    def residual_norms(self, uloc):
-        """|y^c_T - W^c_J P_T u_T| per element for local trace values."""
-        out = np.empty(len(uloc))
-        for j, mem, v in self._class_frames(uloc):
-            out[mem] = np.linalg.norm(self.y[mem] - v @ self.W[j].T, axis=1)
-        return out
+    def residuals(self, uloc):
+        """r_T = y^c_T - W^c_J P_T u_T (nel, 101) for local trace values."""
+        return self.y - _by_class(self.classes, self._frames(uloc),
+                                  self.W.transpose(0, 2, 1))
+
+    def adjoint(self, r):
+        """P_T' W^c_J' r_T (nel, nc) for element vectors r (nel, 101)."""
+        out = _by_class(self.classes, r, self.W)
+        return self.sign * np.take_along_axis(out, self.perm, axis=1)
 
     def fields(self, uloc):
         """Locally optimal fields (nel, 10) f_T - K_J P_T u_T."""
-        out = np.empty((len(uloc), N_FIELD))
-        for j, mem, v in self._class_frames(uloc):
-            out[mem] = self.f[mem] - v @ self.K[j].T
-        return out
+        return self.f - _by_class(self.classes, self._frames(uloc),
+                                  self.K.transpose(0, 2, 1))
 
 
 # the 8 patterns of flipped local edges; code = flip_0 + 2 flip_1 + 4 flip_2
 FLIP_CODES = ((np.arange(8)[:, None] >> np.arange(3)) & 1) == 1
 
 
-def _class_members(cls, ncls):
-    """Element indices of each class, in class order."""
-    order = np.argsort(cls, kind="stable")
-    return np.split(order, np.cumsum(np.bincount(cls, minlength=ncls))[:-1])
+def _class_order(cls):
+    """(order, bounds): the elements sorted by class, and where each
+    class starts in that order (every class has a member)."""
+    return np.argsort(cls, kind="stable"), np.r_[0, np.cumsum(np.bincount(cls))]
+
+
+def _by_class(classes, x, M):
+    """x_T M_J (nel, b) for element rows x (nel, a) and the matrices
+    M (ncls, a, b) of the elements' classes, one product per class."""
+    order, bounds = classes
+    xs = x[order]
+    out = np.empty((len(x), M.shape[2]))
+    out[order] = np.concatenate(
+        [xs[a:b] @ M[j] for j, (a, b) in enumerate(zip(bounds[:-1], bounds[1:]))])
+    return out
 
 
 def _triangular_solve(T, b, lower, element, j):
@@ -534,17 +546,14 @@ def _element_systems(mesh, problem, k, cols, previous=None):
     A = A_flips[cls, flip @ (1 << np.arange(3))]
     l = element_load_batch(mesh, problem, np.arange(nt))[:, :OFF_T]
 
-    y = np.empty((nt, N_TEST - N_FIELD))
-    f = np.empty((nt, N_FIELD))
-    rhs = np.empty((nt, nc))
-    for j, mem in enumerate(_class_members(cls, ncls)):
-        fy = l[mem] @ E[j].T
-        f[mem], y[mem] = fy[:, :N_FIELD], fy[:, N_FIELD:]
-        rhs[mem] = y[mem] @ W[j]
-    rhs = sign * np.take_along_axis(rhs, perm, axis=1)
+    classes = _class_order(cls)
+    fy = _by_class(classes, l, E.transpose(0, 2, 1))
+    f, y = fy[:, :N_FIELD], fy[:, N_FIELD:]
     c = np.einsum("ei,ei->e", y, y)
-    return ElementSystems(A, rhs, c, cols, cls, keys, ref_sign, W, K, E, A_flips,
-                          y, f, perm, sign)
+    systems = ElementSystems(A, None, c, cols, cls, keys, ref_sign, W, K, E,
+                             A_flips, y, f, perm, sign, classes)
+    systems.rhs = systems.adjoint(y)
+    return systems
 
 
 @dataclass
@@ -568,6 +577,19 @@ class NormalEquations:
         """Per-element constant fields (nel, 10) recovered from a solution."""
         return self.elements.fields(self.expand(x)[self.elements.cols])
 
+    def residual(self, x):
+        """(g, r) at x: the element residuals r (`ElementSystems.residuals`)
+        and g = sum_T P_T' W^c' r_T, that is rhs - A x formed without A."""
+        el = self.elements
+        r = el.residuals(self.expand(x)[el.cols])
+        return _scatter(self.index_map[el.cols], el.adjoint(r), len(self.rhs)), r
+
+
+def _scatter(gcols, vals, n):
+    """Sum (n,) of element vectors vals over their global rows gcols >= 0."""
+    keep = gcols >= 0
+    return np.bincount(gcols[keep], vals[keep], minlength=n)
+
 
 def assemble_normal_equations(mesh, problem, k, previous=None):
     """Assemble the field-condensed DPG normal equations on the free traces.
@@ -576,12 +598,17 @@ def assemble_normal_equations(mesh, problem, k, previous=None):
     on another mesh (the last adaptive level), lends its Jacobian-class
     kernels: only the classes new to `mesh` are built.  The result
     agrees with a fresh assembly up to the rounding between the members
-    of a class.
+    of a class.  A constant in-plane displacement has no membrane strain,
+    so a problem that holds u1 or u2 on no side is refused.
     """
     if previous is not None and (previous.problem is not problem
                                  or previous.dofmap.k != k):
         raise ValueError("previous normal equations belong to another "
                          "problem or polynomial degree")
+    for comp in ("u1", "u2"):
+        if not any(comp in held for held in problem.bc.values()):
+            raise AssemblyError(f"no side holds {comp}: a constant {comp} is a "
+                                "kernel mode")
     dofmap = TraceDofMap(mesh, k)
     constrained = apply_bc(dofmap, problem)
     constrained[dofmap.gauge] = True
@@ -603,9 +630,7 @@ def assemble_normal_equations(mesh, problem, k, previous=None):
     keep = (rows >= 0) & (colsm >= 0)
     A = scipy.sparse.coo_matrix(
         (elements.A[keep], (rows[keep], colsm[keep])), shape=(n, n)).tocsr()
-    rhs = np.zeros(n)
-    keep_r = gcols >= 0
-    np.add.at(rhs, gcols[keep_r], elements.rhs[keep_r])
+    rhs = _scatter(gcols, elements.rhs, n)
 
     return NormalEquations(A, rhs, dofmap, index_map, n + N_FIELD * nt,
                            elements, problem)

@@ -31,7 +31,7 @@ class RunConfig:
     k: int = 0
     mode: str = "adaptive"
     theta: float = 0.25
-    tol: float = 1e-10
+    tol: float = 1e-10  # least-squares backward error bound of `solver.solve`
     max_dofs: int = 30000
     max_levels: int = 25
     outdir: str = "out"

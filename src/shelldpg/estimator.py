@@ -2,12 +2,12 @@
 
 The element estimator is the discrete dual norm of the element
 residual, eta(T)^2 = r' G^-1 r with r = l - B u_T, where u_T holds the
-element's trace values and its fields recovered from them.  The
-assembly keeps the condensed kernels of each Jacobian class and the
-condensed load of each element, so the estimator forms the residual
-explicitly in the condensed frame, eta(T) = |y^c_T - W^c_J P_T u_T|
-(`ElementSystems.residual_norms`), without building any element matrix
-again; at the recovered fields the field part of the residual vanishes.
+element's trace values and its fields recovered from them.  In the
+condensed frame of the assembly this is eta(T) = |y^c_T - W^c_J P_T u_T|
+(`ElementSystems.residuals`); at the recovered fields the field part of
+the residual vanishes.  The solver refines against exactly these
+residuals, so the norms of its last ones are the estimators
+(`solver.solve`), and no element matrix is built again.
 
 `adaptive_loop` hands each level's normal equations to the next
 assembly, which builds class kernels only for the shapes the
@@ -22,12 +22,7 @@ import numpy as np
 
 from .assembly import assemble_normal_equations
 from .mesh import dorfler_mark, initial_rectangle_mesh, refine
-from .solver import solve_spd
-
-
-def element_estimators(neq, x):
-    """All element estimators for a free-dof solution vector."""
-    return neq.elements.residual_norms(neq.expand(x)[neq.elements.cols])
+from .solver import solve
 
 
 @dataclass
@@ -37,7 +32,7 @@ class AdaptiveConfig:
     mode: str = "adaptive"
     max_dofs: int = 30000
     max_levels: int = 25
-    tol: float = 1e-10
+    tol: float = 1e-10  # least-squares backward error bound of `solver.solve`
 
     def __post_init__(self):
         if self.k not in (0, 1):
@@ -91,8 +86,7 @@ def adaptive_loop(problem, config=None, evaluator=None, initial_mesh=None):
     neq = None
     while True:
         neq = assemble_normal_equations(mesh, problem, cfg.k, previous=neq)
-        x = solve_spd(neq.A, neq.rhs, cfg.tol)
-        etas = element_estimators(neq, x)
+        x, etas = solve(neq, cfg.tol)
         rec = LevelRecord(
             level=level,
             mesh=mesh,

@@ -1,10 +1,21 @@
-"""Sparse SPD solve for the assembled normal equations.
+"""Least-squares solve of the assembled DPG normal equations.
 
-One symmetric, diagonally pivoted SuperLU factorization of the
-symmetrically equilibrated matrix, with iterative refinement that
-reuses the factorization and forms residuals in extended precision.
-Moments and forces live on very different scales, so the equilibration
-is not optional at small thickness.
+The trace system A x = rhs (`NormalEquations`) holds the normal
+equations of min sum_T |y^c_T - W^c_J P_T u_T|^2 over the free traces
+(`ElementSystems`).  Forming A in double precision perturbs its solution
+by about kappa(A) eps, and kappa(A) grows like h^-4.  So A is factored
+once, but the solution is refined against the element residuals, never
+against A: the corrected seminormal equations (Bjorck, "Stability
+analysis of the method of seminormal equations for linear least squares
+problems", Linear Algebra Appl. 88/89, 1987).  With S = diag(A)^-1/2,
+each step is, in double precision (`NormalEquations.residual`),
+
+    x <- x + S (S A S)^-1 S g,  g = sum_T P_T' W^c' r_T,
+    r_T = y^c_T - W^c_J P_T u_T,
+
+and the |r_T| of the returned x are the element estimators.  Moments
+and forces live on very different scales, so the equilibration is not
+optional at small thickness.
 
 The fill-reducing ordering is SuperLU's multiple minimum degree on the
 pattern of A + A' (Liu, ACM TOMS 1985), run inside the factorization.
@@ -22,19 +33,6 @@ class SolverError(Exception):
     pass
 
 
-def backward_error(As, b, y):
-    """Normwise backward error of y as a solution of As y = b.
-
-    ||As y - b|| / (||b|| + ||As||_F ||y||).  Evaluated on the
-    equilibrated system, where every diagonal entry is 1; on the raw
-    normal equations ||A||_F is set by the few largest entries and the
-    ratio stays tiny however wrong the small-scale unknowns are.
-    """
-    scale = float(np.linalg.norm(b)) + scipy.sparse.linalg.norm(As) * float(
-        np.linalg.norm(y))
-    return float(np.linalg.norm(b - As @ y)) / scale if scale > 0.0 else 0.0
-
-
 def _splu(M):
     """Symmetric-mode SuperLU of an SPD matrix: diagonal pivots only.
 
@@ -49,79 +47,63 @@ def _as_csc(M):
     """The CSR arrays of a symmetric matrix read as CSC: M' = M, no copy.
 
     The equilibrated matrix is symmetric up to the rounding of its
-    scaling, which the refinement against the CSR matrix removes.
+    scaling; the refinement against the element residuals does not see A.
     """
     return scipy.sparse.csc_matrix((M.data, M.indices, M.indptr), shape=M.shape)
 
 
-def _refined_solve(As, b, lu_solve):
-    """LU solve of As y = b, refined with extended-precision residuals.
+def solve(neq, tol=1e-10):
+    """(x, etas): the least-squares solution of `neq` and etas[T] = |r_T|.
 
-    The equilibrated normal equations have condition numbers that grow
-    like h^-4 (1.5e8 at 256 elements of `cyl_clamped`, 2,816 trace dofs,
-    about 17x per uniform refinement; condensing the fields out left it
-    unchanged), so one LU solve in double precision is accurate to
-    kappa * eps only, and refinement with double-precision residuals
-    cannot improve on that.  Residuals in long
-    double (64-bit mantissa on x86-64) gain a factor of about
-    kappa * eps per step, down to the rounding of y; where long double is
-    plain double this is ordinary refinement.
+    At most 3 correction steps follow the solve with the factors of
+    S A S; they stop once a step changes y = S^-1 x by at most
+    4 eps max|y| or by more than half the step before.  x is accepted
+    once the least-squares backward error of the equilibrated problem,
+
+        |S g| / (|W S| (|W S| |y| + |r|)),  |W S|^2 <= |S A S|_F,
+
+    is at most tol, W being the stacked W^c_J P_T and r all the r_T.
     """
-    y = lu_solve(b)
-    if not np.all(np.isfinite(y)):
-        return y
-    Al = scipy.sparse.csr_matrix(
-        (As.data.astype(np.longdouble), As.indices, As.indptr), shape=As.shape)
-    bl = b.astype(np.longdouble)
-    eps = np.finfo(float).eps
-    last = np.inf
-    for _ in range(3):
-        dy = lu_solve((bl - Al @ y).astype(float))
-        y = y + dy
-        change = float(np.abs(dy).max())
-        if change <= 4.0 * eps * float(np.abs(y).max()) or change > 0.5 * last:
-            break
-        last = change
-    return y
-
-
-def solve_spd(A, rhs, tol=1e-10):
-    """Solve A x = rhs for sparse SPD A.
-
-    With s = diag(A)^-1/2, As = S A S and x = S y, accepts y once its
-    `backward_error` on As y = S rhs is at most tol.  For well-scaled
-    systems this is the familiar relative-residual test; when the
-    solution is much larger than the data it remains attainable in
-    double precision.
-    """
-    A = scipy.sparse.csr_matrix(A)
-    rhs = np.asarray(rhs, dtype=float)
+    A, rhs = neq.A, neq.rhs
     n = A.shape[0]
-    if A.shape != (n, n) or rhs.shape != (n,):
-        raise SolverError(f"shape mismatch: A {A.shape}, rhs {rhs.shape}")
-    if n == 0:
-        return np.zeros(0)
     if float(np.linalg.norm(rhs)) == 0.0:
-        return np.zeros(n)
+        x = np.zeros(n)
+        return x, np.linalg.norm(neq.residual(x)[1], axis=1)
 
     diag = A.diagonal()
     if np.any(diag <= 0.0):
         bad = int(np.argmin(diag))
-        raise SolverError(f"diagonal entry {diag[bad]:.3e} at dof {bad}: not SPD")
+        raise SolverError(
+            f"diagonal entry {diag[bad]:.3e} at dof {bad}: not SPD (n={n})")
     s = 1.0 / np.sqrt(diag)
     rows = np.repeat(np.arange(n), np.diff(A.indptr))
     As = scipy.sparse.csr_matrix(
         (A.data * s[rows] * s[A.indices], A.indices, A.indptr), shape=A.shape)
-    b = s * rhs
-
     try:
         lu_solve = _splu(_as_csc(As)).solve
     except RuntimeError as exc:
         raise SolverError(f"LU factorization broke down: {exc} (n={n})") from None
-    y = _refined_solve(As, b, lu_solve)
-    err = backward_error(As, b, y) if np.all(np.isfinite(y)) else np.inf
-    if err > tol:
+
+    y = lu_solve(s * rhs)
+    g, r = neq.residual(s * y)
+    eps = np.finfo(float).eps
+    last = np.inf
+    for _ in range(3):
+        if not np.all(np.isfinite(y)):
+            break
+        dy = lu_solve(s * g)
+        y = y + dy
+        g, r = neq.residual(s * y)
+        change = float(np.abs(dy).max())
+        if change <= 4.0 * eps * float(np.abs(y).max()) or change > 0.5 * last:
+            break
+        last = change
+
+    etas = np.linalg.norm(r, axis=1)
+    norm_w = np.sqrt(np.linalg.norm(As.data))
+    err = float(np.linalg.norm(s * g)) / (
+        norm_w * (norm_w * float(np.linalg.norm(y)) + float(np.linalg.norm(etas))))
+    if not err <= tol:
         raise SolverError(
-            f"equilibrated backward error {err:.3e} exceeds tol {tol:.1e} (n={n})"
-        )
-    return s * y
+            f"least-squares backward error {err:.3e} exceeds tol {tol:.1e} (n={n})")
+    return s * y, etas

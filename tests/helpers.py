@@ -245,12 +245,12 @@ def loop_class_kernels(G, Bm, element, j):
 
 
 def class_loop_systems(el, uloc):
-    """A_T, rhs_T, residual norms and fields of `ElementSystems` `el` by
+    """A_T, rhs_T, residuals and fields of `ElementSystems` `el` by
     per-class fancy indexing of W^c_J' W^c_J and per-class P_T u_T."""
     nel, nc = el.perm.shape
     A = np.empty((nel, nc, nc))
     rhs = np.empty((nel, nc))
-    res = np.empty(nel)
+    res = np.empty(el.y.shape)
     fields = np.empty((nel, N_FIELD))
     for j in range(len(el.W)):
         mem = np.nonzero(el.cls == j)[0]
@@ -262,6 +262,6 @@ def class_loop_systems(el, uloc):
         rhs[mem] = S * np.take_along_axis(el.y[mem] @ W, P, axis=1)
         v = np.zeros((len(mem), nc))
         np.put_along_axis(v, P, S * uloc[mem], axis=1)
-        res[mem] = np.linalg.norm(el.y[mem] - v @ W.T, axis=1)
+        res[mem] = el.y[mem] - v @ W.T
         fields[mem] = el.f[mem] - v @ el.K[j].T
     return A, rhs, res, fields

@@ -6,14 +6,10 @@ import scipy.linalg
 
 from helpers import element_b, element_gram, element_load
 from shelldpg import assembly as asm
-from shelldpg.estimator import (
-    AdaptiveConfig,
-    adaptive_loop,
-    element_estimators,
-)
+from shelldpg.estimator import AdaptiveConfig, adaptive_loop
 from shelldpg.mesh import Mesh, initial_rectangle_mesh, refine
 from shelldpg.model import ShellProblem, make_benchmark
-from shelldpg.solver import solve_spd
+from shelldpg.solver import solve
 
 CLAMP_ALL = {s: ("u1", "u2", "w", "dnw") for s in ("xmin", "xmax", "ymin", "ymax")}
 
@@ -37,8 +33,7 @@ def test_zero_data_zero_eta():
     prob = ShellProblem(rect=(0.0, 1.0, 0.0, 1.0), B=[[0.0, 0.0], [0.0, 1.0]],
                         d=1e-2, f=None, p=None, bc=CLAMP_ALL)
     neq = asm.assemble_normal_equations(mesh, prob, 0)
-    x = solve_spd(neq.A, neq.rhs)
-    etas = element_estimators(neq, x)
+    x, etas = solve(neq)
     assert np.abs(x).max() == 0.0
     assert np.abs(etas).max() == 0.0
 
@@ -49,8 +44,7 @@ def test_rayleigh_quotient_oracle():
     mesh = two_element_mesh()
     prob = loaded_problem()
     neq = asm.assemble_normal_equations(mesh, prob, 0)
-    x = solve_spd(neq.A, neq.rhs)
-    etas = element_estimators(neq, x)
+    x, etas = solve(neq)
     full = neq.expand(x)
     fields = neq.fields(x)
     for t in range(2):
@@ -71,7 +65,7 @@ def test_perturbation_parabola():
     mesh = two_element_mesh()
     prob = loaded_problem()
     neq = asm.assemble_normal_equations(mesh, prob, 0)
-    x = solve_spd(neq.A, neq.rhs)
+    x, _ = solve(neq)
     u0 = neq.expand(x)[neq.elements.cols]
     t = 1
     free = np.nonzero(neq.index_map[neq.elements.cols[t]] >= 0)[0]
@@ -82,7 +76,7 @@ def test_perturbation_parabola():
     for e in eps:
         u = u0.copy()
         u[t, j] += e
-        vals.append(neq.elements.residual_norms(u)[t] ** 2)
+        vals.append(np.sum(neq.elements.residuals(u)[t] ** 2))
     coef = np.polyfit(eps, vals, 2)
     assert coef[0] > 0.0
     assert np.isclose(coef[0], neq.elements.A[t, j, j], rtol=1e-6)
@@ -90,40 +84,35 @@ def test_perturbation_parabola():
 
 def test_galerkin_orthogonality():
     # B' G^-1 (l - B u_h) vanishes on the free dofs; via the condensed
-    # records this is rhs_T - A_T u_T scattered over the mesh
+    # records this is P_T' W^c' r_T scattered over the mesh
     mesh = refine(initial_rectangle_mesh((-1.0, 1.0, 0.0, np.pi / 4)),
                   np.arange(4))
     prob = make_benchmark("cyl_clamped")
     neq = asm.assemble_normal_equations(mesh, prob, 0)
-    x = solve_spd(neq.A, neq.rhs, tol=1e-12)
-    full = neq.expand(x)
-    uloc = full[neq.elements.cols]
-    g_el = neq.elements.rhs - np.einsum("ecd,ed->ec", neq.elements.A, uloc)
-    g = np.zeros(neq.A.shape[0])
-    gcols = neq.index_map[neq.elements.cols]
-    keep = gcols >= 0
-    np.add.at(g, gcols[keep], g_el[keep])
+    x, _ = solve(neq, tol=1e-12)
+    g, _ = neq.residual(x)
     assert np.abs(g).max() <= 1e-10 * max(np.abs(neq.rhs).max(), 1.0)
 
 
 def test_adaptive_levels_match_fresh_assembly():
     # every level assembled from the previous level's class kernels
     # against a fresh assembly and solve of the same mesh; measured: eta
-    # within 2e-16, element estimators and fields within 2e-11
+    # within 3e-16, element estimators and fields within 3e-14.  Both
+    # solve the least-squares problem of their element data, which agree
+    # up to the rounding between the members of a class
     prob = make_benchmark("cyl_free", d=1e-3)
     cfg = AdaptiveConfig(max_levels=4)
     run = adaptive_loop(prob, cfg)
     assert len(run.levels) == 5
     for rec in run.levels:
         neq = asm.assemble_normal_equations(rec.mesh, prob, cfg.k)
-        x = solve_spd(neq.A, neq.rhs, cfg.tol)
-        etas = element_estimators(neq, x)
+        x, etas = solve(neq, cfg.tol)
         eta = np.sqrt(np.sum(etas**2))
         fields = neq.fields(x)
         assert rec.ndof == neq.ndof
-        assert abs(rec.eta - eta) <= 1e-9 * eta, rec.level
-        assert np.abs(rec.etas - etas).max() <= 1e-9 * etas.max(), rec.level
-        assert np.abs(rec.fields - fields).max() <= 1e-9 * np.abs(fields).max()
+        assert abs(rec.eta - eta) <= 1e-12 * eta, rec.level
+        assert np.abs(rec.etas - etas).max() <= 1e-12 * etas.max(), rec.level
+        assert np.abs(rec.fields - fields).max() <= 1e-12 * np.abs(fields).max()
 
 
 def test_budget_zero_single_solve():

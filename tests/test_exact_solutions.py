@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from shelldpg.assembly import assemble_normal_equations
-from shelldpg.estimator import element_estimators
 from shelldpg.mesh import initial_rectangle_mesh, refine
 from shelldpg.model import ShellProblem, make_benchmark
 from shelldpg.polyquad import map_points, triangle_geometry, triangle_rule
-from shelldpg.reference import FourierReference, error_norms
-from shelldpg.solver import solve_spd
+from shelldpg.reference import FourierReference, InextensionalReference, error_norms
+from shelldpg.solver import solve
 
 
 def free_strip():
@@ -46,7 +45,7 @@ def test_free_strip_deflection_rate():
         if mesh.ntriangles < 64:
             continue
         neq = assemble_normal_equations(mesh, prob, 0)
-        x = solve_spd(neq.A, neq.rhs)
+        x, _ = solve(neq)
         defects[mesh.ntriangles] = 1.0 - w_ratio(mesh, neq.fields(x))
     assert sorted(defects) == [64, 256]
     rate = np.log2(defects[64] / defects[256])  # per halving of h
@@ -81,13 +80,45 @@ def test_first_mode_rate_and_effectivity(kind, d):
         if mesh.ntriangles not in (256, 1024):
             continue
         neq = assemble_normal_equations(mesh, prob, 1)
-        x = solve_spd(neq.A, neq.rhs)
+        x, etas = solve(neq)
         errs = error_norms(mesh, prob, neq.fields(x), exact)
         n = mesh.ntriangles
         ndof[n] = neq.ndof
         err[n] = np.sqrt(sum(v**2 for v in errs.values()))
-        eta[n] = np.linalg.norm(element_estimators(neq, x))
+        eta[n] = np.linalg.norm(etas)
     rate = np.log(err[256] / err[1024]) / np.log(ndof[1024] / ndof[256])
     assert rate >= 0.45, (rate, err)
     lo, hi = EFFECTIVITY_BAND
     assert lo <= eta[1024] / err[1024] <= hi, (eta, err)
+
+
+def free_cylinder_errors(d, k, sizes):
+    """ndof and total error against `InextensionalReference` of uniform
+    `cyl_free` meshes with the given element counts."""
+    prob = make_benchmark("cyl_free", d=d)
+    exact = InextensionalReference(d)
+    mesh = initial_rectangle_mesh(prob.rect)
+    ndof, err = {}, {}
+    while mesh.ntriangles < max(sizes):
+        mesh = refine(mesh, np.arange(mesh.ntriangles))
+        if mesh.ntriangles in sizes:
+            neq = assemble_normal_equations(mesh, prob, k)
+            x, _ = solve(neq)
+            errs = error_norms(mesh, prob, neq.fields(x), exact)
+            ndof[mesh.ntriangles] = neq.ndof
+            err[mesh.ntriangles] = np.sqrt(sum(v**2 for v in errs.values()))
+    return ndof, err
+
+
+def test_tangential_trace_degree_removes_membrane_locking():
+    # the free cylinder bends without membrane strain.  With k = 0 the
+    # tangential displacement trace cannot follow that mode on a thin
+    # shell: at d = 1e-2 the error stalls at 71.4 (1,024 elements, rate
+    # 0.04 in ndof from 256).  With k = 1 it is 1.41, and the rate in
+    # ndof is 0.55 at d = 1 and 0.62 at d = 1e-2 (measured)
+    _, locked = free_cylinder_errors(1e-2, 0, (1024,))
+    for d in (1.0, 1e-2):
+        ndof, err = free_cylinder_errors(d, 1, (256, 1024))
+        rate = np.log(err[256] / err[1024]) / np.log(ndof[1024] / ndof[256])
+        assert rate >= 0.45, (d, rate, err)
+    assert locked[1024] >= 20.0 * err[1024], (locked, err)
