@@ -10,10 +10,11 @@ Records, for each workload of `perfbench/workloads.py`:
   hook as `perfbench/worker.py` runs it, and `time.perf_counter` spans
   around the SuperLU factorization (`scipy.sparse.linalg.splu`), the
   class kernels (`assembly._class_kernels`), the scatter of the element
-  matrices (`scipy.sparse.coo_matrix.tocsr`), the element residuals of
-  the solver's refinement steps and of its estimators
-  (`NormalEquations.residual`; on a checkout from before it, the
-  long-double refined solve `solver._refined_solve`), the Gram and B matrices
+  matrices (the CSR pattern from the mesh topology and its fill,
+  `assembly._trace_pattern` and `assembly._csr_fill`; on a checkout
+  from before them, `scipy.sparse.coo_matrix.tocsr`), the element
+  residuals of the solver's refinement steps and of its estimators
+  (`NormalEquations.residual`), the Gram and B matrices
   (`assembly.element_gram_batch`, `assembly.element_b_batch`), the rest
   of `assembly._element_systems`, mesh refinement (`refine`, which
   builds the new `Mesh`) and the reference hook.  Seconds per run and
@@ -65,9 +66,10 @@ FLOOR_REPEAT = 5
 SPANS = (
     ("scipy.sparse.linalg", "splu", "factor"),
     ("shelldpg.assembly", "_class_kernels", "class_kernels"),
+    ("shelldpg.assembly", "_trace_pattern", "scatter"),
+    ("shelldpg.assembly", "_csr_fill", "scatter"),
     ("scipy.sparse.coo_matrix", "tocsr", "scatter"),
     ("shelldpg.assembly.NormalEquations", "residual", "residual"),
-    ("shelldpg.solver", "_refined_solve", "refined_solve"),
     ("shelldpg.assembly", "element_gram_batch", "gram_b"),
     ("shelldpg.assembly", "element_b_batch", "gram_b"),
     ("shelldpg.assembly", "_element_systems", "element_systems"),
@@ -103,22 +105,10 @@ def install_spans(acc):
         setattr(obj, attr, timed)
 
 
-def solve_level(neq, tol):
-    """Solution and element estimators of a level.  A checkout from
-    before `solver.solve` solves with `solve_spd` and estimates apart."""
-    from shelldpg import solver
-
-    if hasattr(solver, "solve"):
-        return solver.solve(neq, tol)
-    from shelldpg.estimator import element_estimators
-
-    x = solver.solve_spd(neq.A, neq.rhs, tol)
-    return x, element_estimators(neq, x)
-
-
 def level_floor(w, problem, meshes):
     """Median seconds of one level with every class carried over."""
     from shelldpg import assemble_normal_equations, dorfler_mark, refine
+    from shelldpg.solver import solve
 
     times = []
     for mesh in meshes:
@@ -126,7 +116,7 @@ def level_floor(w, problem, meshes):
         for _ in range(FLOOR_REPEAT):
             t = time.perf_counter()
             neq = assemble_normal_equations(mesh, problem, w.k, previous=carried)
-            x, etas = solve_level(neq, w.tol)
+            x, etas = solve(neq, w.tol)
             neq.fields(x)
             marked = (range(mesh.ntriangles) if w.mode == "uniform"
                       else dorfler_mark(etas, w.theta))

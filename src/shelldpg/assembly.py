@@ -40,6 +40,18 @@ system holds the free trace dofs only: those that neither a boundary
 condition (`apply_bc`) nor the twist gauge (`TraceDofMap.gauge`, one
 twist per vertex) fixes at zero.  `NormalEquations.ndof` still counts
 the free traces plus the 10 field dofs per element.
+
+The free traces are numbered entity by entity: the free dofs of each
+vertex and each edge (`TraceDofMap.dof_entity`) are consecutive, in
+the order of the entities, and `NormalEquations.index_map` maps the
+trace numbering to this one.  The sparsity of A depends only on the
+mesh topology and the constraints, so its CSR pattern is built from the
+element-entity incidence before any element matrix exists
+(`_trace_pattern`), together with the position in A.data of every
+element matrix entry; one `np.bincount` then sums the element matrices
+into it (`_csr_fill`).  This is the vectorised assembly of Cuvelier,
+Japhet and Scarella ("An efficient way to assemble finite element
+matrices in vector languages", BIT 2016) on the entity graph.
 """
 from dataclasses import dataclass
 
@@ -591,6 +603,75 @@ def _scatter(gcols, vals, n):
     return np.bincount(gcols[keep], vals[keep], minlength=n)
 
 
+def _ranges(starts, counts):
+    """The ranges [s, s + c) of starts s and counts c, concatenated (int32)."""
+    ends = np.cumsum(counts)
+    return (np.repeat((starts + counts - ends).astype(np.int32), counts)
+            + np.arange(ends[-1], dtype=np.int32))
+
+
+def _trace_pattern(dofmap, constrained):
+    """Free numbering and CSR pattern of A from the mesh topology alone.
+
+    Returns (index_map, indptr, indices, slots).  The free dofs are
+    numbered entity by entity (`TraceDofMap.dof_entity`), each entity's
+    in trace order.  Two entities couple iff an element holds both, so
+    all rows of entity i share one column list: the free dofs of each
+    entity j coupled to i, j ascending; the indices come out sorted and
+    without duplicates.  `slots` (nt nc nc,) places element entry
+    (T, a, b) at indptr[row of a] + offset of the block of entity(b) in
+    that row + rank of b among its entity's free dofs; an entry in a
+    constrained row or column goes to slot nnz, past the end of A.data.
+    indptr and indices are int32, the index type scipy.sparse picks for
+    them: nnz <= nt nc^2 < 2^31, since at 2^31 entries the element
+    matrices alone would take 17 GB.
+    """
+    nent, owner = dofmap.nentities, dofmap.dof_entity
+    free = np.nonzero(~constrained)[0]
+    index_map = np.full(dofmap.ntrace, -1)
+    index_map[free[np.argsort(owner[free], kind="stable")]] = np.arange(free.size)
+    nfree = np.bincount(owner[free], minlength=nent)
+    first = np.cumsum(nfree) - nfree
+
+    # the entity graph: pairs (i, j) sorted by i, then j
+    ent = dofmap.element_entities
+    nt = len(ent)
+    pairs, pair_of = np.unique((ent[:, :, None] * nent + ent[:, None, :]).ravel(),
+                               return_inverse=True)
+    i, j = np.divmod(pairs, nent)
+    width = nfree[j]
+    row_len = np.bincount(i, width, minlength=nent).astype(int)
+    row_start = np.cumsum(row_len) - row_len  # of entity i's pairs in `width`
+    block_off = np.cumsum(width) - width - row_start[i]
+    row_entity = np.repeat(np.arange(nent), nfree)
+    indptr = np.r_[0, np.cumsum(row_len[row_entity])].astype(np.int32)
+    nnz = int(indptr[-1])
+    indices = _ranges(first[j], width)[
+        _ranges(row_start[row_entity], row_len[row_entity])]
+
+    cols = dofmap.element_columns
+    nc = cols.shape[1]
+    gcols = index_map[cols]
+    held = gcols >= 0
+    start = np.where(held, indptr[gcols], nnz)
+    rank = np.where(held, gcols - first[owner[cols]], nnz)
+    ce = dofmap.column_entity
+    slots = np.take(block_off[pair_of.reshape(nt, 36)], (6 * ce[:, None] + ce).ravel(),
+                    axis=1).reshape(nt, nc, nc)
+    slots += start[:, :, None]
+    slots += rank[:, None, :]
+    np.minimum(slots, nnz, out=slots)
+    return index_map, indptr, indices, slots.ravel()
+
+
+def _csr_fill(indptr, indices, slots, values):
+    """The CSR matrix of the pattern (indptr, indices) holding the sums of
+    the element matrices `values` over their `slots`."""
+    n = len(indptr) - 1
+    data = np.bincount(slots, values.ravel(), minlength=len(indices) + 1)[:-1]
+    return scipy.sparse.csr_matrix((data, indices, indptr), shape=(n, n))
+
+
 def assemble_normal_equations(mesh, problem, k, previous=None):
     """Assemble the field-condensed DPG normal equations on the free traces.
 
@@ -612,26 +693,13 @@ def assemble_normal_equations(mesh, problem, k, previous=None):
     dofmap = TraceDofMap(mesh, k)
     constrained = apply_bc(dofmap, problem)
     constrained[dofmap.gauge] = True
-    nt = mesh.ntriangles
-    free = np.nonzero(~constrained)[0]
-    n = free.size
-    index_map = np.full(dofmap.ntrace, -1, dtype=int)
-    index_map[free] = np.arange(n)
+    index_map, indptr, indices, slots = _trace_pattern(dofmap, constrained)
 
-    cols = dofmap.element_columns
     elements = _element_systems(
-        mesh, problem, k, cols, None if previous is None else previous.elements)
-
-    nc = cols.shape[1]
-    gcols = index_map[cols]  # (nt, nc), -1 on constrained
-    g32 = gcols.astype(np.int32)
-    rows = np.broadcast_to(g32[:, :, None], (nt, nc, nc))
-    colsm = np.broadcast_to(g32[:, None, :], (nt, nc, nc))
-    keep = (rows >= 0) & (colsm >= 0)
-    A = scipy.sparse.coo_matrix(
-        (elements.A[keep], (rows[keep], colsm[keep])), shape=(n, n)).tocsr()
-    rhs = _scatter(gcols, elements.rhs, n)
-
-    return NormalEquations(A, rhs, dofmap, index_map, n + N_FIELD * nt,
+        mesh, problem, k, dofmap.element_columns,
+        None if previous is None else previous.elements)
+    A = _csr_fill(indptr, indices, slots, elements.A)
+    n = A.shape[0]
+    rhs = _scatter(index_map[elements.cols], elements.rhs, n)
+    return NormalEquations(A, rhs, dofmap, index_map, n + N_FIELD * mesh.ntriangles,
                            elements, problem)
-

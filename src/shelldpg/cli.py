@@ -14,10 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .assembly import AssemblyError
 from .estimator import AdaptiveConfig, adaptive_loop
 from .mesh import write_mesh
 from .model import BC_VARS, BENCHMARKS, ShellProblem, make_benchmark, select_scalings
 from .reference import make_evaluator, make_reference, sample_fields_on_line
+from .solver import SolverError
 
 
 class ConfigError(ValueError):
@@ -270,7 +272,11 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    result = run(cfg)
+    try:
+        result = run(cfg)
+    except (AssemblyError, SolverError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     for rec in result.levels:
         print(f"level {rec.level:3d}  elements {rec.nelems:7d}  "
               f"dof {rec.ndof:8d}  eta {rec.eta:.6e}")

@@ -55,7 +55,7 @@ def _as_csc(M):
 def solve(neq, tol=1e-10):
     """(x, etas): the least-squares solution of `neq` and etas[T] = |r_T|.
 
-    At most 3 correction steps follow the solve with the factors of
+    At most 2 correction steps follow the solve with the factors of
     S A S; they stop once a step changes y = S^-1 x by at most
     4 eps max|y| or by more than half the step before.  x is accepted
     once the least-squares backward error of the equilibrated problem,
@@ -88,7 +88,7 @@ def solve(neq, tol=1e-10):
     g, r = neq.residual(s * y)
     eps = np.finfo(float).eps
     last = np.inf
-    for _ in range(3):
+    for _ in range(2):
         if not np.all(np.isfinite(y)):
             break
         dy = lu_solve(s * g)

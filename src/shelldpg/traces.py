@@ -102,6 +102,16 @@ class TraceDofMap:
     per local edge: 6), M_hat twists (lower-index then higher-index
     endpoint per local edge: 6).  `gauge` holds the one twist dof per
     vertex that the numbering fixes at zero; it is never a free dof.
+
+    Every dof belongs to one mesh entity: vertex v is entity v and edge
+    e is entity nv + e (`nentities` in all).  A vertex owns its u_hat
+    and w_hat dofs (5), an edge its N_hat, M_hat and twist dofs and,
+    when k = 1, its u_hat bubble (6 or 8).  `dof_entity` gives the
+    entity of each dof, `element_entities` the 6 entities of each
+    element (its vertices, then its edges, in local order) and
+    `column_entity` the local entity (0..5) of each local trace column,
+    so that dof_entity[element_columns] equals
+    element_entities[:, column_entity].
     """
 
     def __init__(self, mesh: Mesh, k: int):
@@ -148,6 +158,16 @@ class TraceDofMap:
         assert pos == self.ncols
         cols.flags.writeable = False
         self.element_columns = cols
+
+        self.nentities = nv + ne
+        vert, edge = np.arange(nv), nv + np.arange(ne)
+        self.dof_entity = np.concatenate(
+            [np.repeat(vert, 2), np.repeat(vert, 3)] + [np.repeat(edge, 2)] * (3 + k))
+        self.element_entities = np.hstack([tri, nv + edg])
+        lv, le = np.arange(3), np.arange(3, 6)
+        self.column_entity = np.concatenate(
+            [np.repeat(lv, 2)] + [np.repeat(le, 2)] * k + [np.repeat(lv, 3)]
+            + [np.repeat(le, 2)] * 3)
 
         # twist dof 2e + s sits at vertex edges[e, s]; per vertex, prefer
         # boundary edges, then the lowest edge index

@@ -1,8 +1,10 @@
 """Shared oracle helpers: projections onto element test blocks, the
-element kernels of a single element, and loop versions of the mesh,
-boundary-condition and class-kernel code."""
+element kernels of a single element, loop versions of the mesh,
+boundary-condition and class-kernel code, and the triplet scatter of
+the trace system."""
 
 import numpy as np
+import scipy.sparse
 from scipy.linalg import solve_triangular
 
 from shelldpg.assembly import (
@@ -265,3 +267,20 @@ def class_loop_systems(el, uloc):
         res[mem] = el.y[mem] - v @ W.T
         fields[mem] = el.f[mem] - v @ el.K[j].T
     return A, rhs, res, fields
+
+
+def coo_assembled_matrix(neq):
+    """(A, free): the trace matrix of `neq` scattered from its element
+    matrices as (row, column, value) triplets that `tocsr` sorts and sums,
+    over the free trace dofs `free` numbered in trace order."""
+    free = np.nonzero(neq.index_map >= 0)[0]
+    trace_order = np.full(neq.index_map.size, -1)
+    trace_order[free] = np.arange(free.size)
+    gcols = trace_order[neq.elements.cols]
+    nt, nc = gcols.shape
+    rows = np.broadcast_to(gcols[:, :, None], (nt, nc, nc))
+    cols = np.broadcast_to(gcols[:, None, :], (nt, nc, nc))
+    keep = (rows >= 0) & (cols >= 0)
+    A = scipy.sparse.coo_matrix((neq.elements.A[keep], (rows[keep], cols[keep])),
+                                shape=(free.size, free.size)).tocsr()
+    return A, free

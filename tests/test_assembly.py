@@ -8,6 +8,7 @@ from helpers import (
     FRAME_SKEW,
     FRAMES_SYM,
     class_loop_systems,
+    coo_assembled_matrix,
     element_b,
     element_gram,
     element_load,
@@ -477,6 +478,43 @@ def test_assembled_system_shape_and_symmetry():
     assert asym <= 1e-12 * np.abs(neq.A.data).max()
 
 
+@pytest.mark.parametrize("k", [0, 1])
+@pytest.mark.parametrize("kind", [b for b in BENCHMARKS if b != "custom"])
+def test_csr_pattern_matches_coo_scatter(kind, k):
+    # the pattern from the mesh topology holds exactly the entries the
+    # triplet scatter sums, renumbered entity by entity.  cyl_clamped has
+    # vertices with no free dof, cyl_free and scordelis_lo at k = 0 edges
+    # with none
+    prob = make_benchmark(kind)
+    mesh = initial_rectangle_mesh(prob.rect)
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        mesh = refine(mesh, rng.choice(mesh.ntriangles, (mesh.ntriangles + 2) // 3,
+                                       replace=False))
+    neq = asm.assemble_normal_equations(mesh, prob, k)
+    A = neq.A
+    ref, free = coo_assembled_matrix(neq)
+    n = free.size
+    new = neq.index_map[free]
+    order = np.argsort(new)
+    assert np.array_equal(new[order], np.arange(n))
+    owner = neq.dofmap.dof_entity[free[order]]
+    assert np.count_nonzero(np.diff(owner)) + 1 == len(np.unique(owner))
+    nfree = np.bincount(owner, minlength=neq.dofmap.nentities)
+    if kind == "cyl_clamped":
+        assert np.any(nfree[:mesh.nvertices] == 0)
+    if kind == "cyl_free" and k == 0:
+        assert np.any(nfree[mesh.nvertices:] == 0)
+
+    assert A.has_canonical_format
+    ref = ref[order][:, order].tocsr()
+    ref.sort_indices()
+    assert A.shape == ref.shape and A.nnz == ref.nnz
+    assert np.array_equal(A.indptr, ref.indptr)
+    assert np.array_equal(A.indices, ref.indices)
+    assert np.abs(A.data - ref.data).max() <= 1e-14 * np.abs(ref.data).max()
+
+
 def test_element_order_invariance():
     # renumbering the elements renumbers edges and dofs and changes the
     # element on which each Jacobian class is built; the systems agree to
@@ -738,9 +776,9 @@ def test_expand_and_fields():
     x = np.arange(neq.A.shape[0], dtype=float)
     full = neq.expand(x)
     assert full.size == neq.dofmap.ntrace
-    constrained = neq.index_map < 0
-    assert np.abs(full[constrained]).max() == 0.0
-    assert np.array_equal(full[~constrained], x)
+    free = neq.index_map >= 0
+    assert np.abs(full[~free]).max() == 0.0
+    assert np.array_equal(full[free], x[neq.index_map[free]])
     # the fields are each element's own locally optimal fields
     got = neq.fields(x)
     _, _, _, f, K = direct_condensed_systems(mesh, prob, 0, np.arange(mesh.ntriangles))

@@ -178,6 +178,17 @@ def test_main_usage_errors(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_main_reports_assembly_errors(tmp_path, capsys):
+    # a custom problem with no boundary conditions has the constant
+    # in-plane displacements as a kernel: refused by the assembly
+    argv = ["--benchmark", "custom", "--rect", "0,1,0,1", "--B", "0,0,1",
+            "--d", "0.01", "--f", "1", "--outdir", str(tmp_path / "out")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: no side holds u1")
+    assert "Traceback" not in err
+
+
 def test_main_runs_config_file(tmp_path, capsys):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text(

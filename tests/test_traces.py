@@ -40,6 +40,13 @@ def test_dofmap_counts():
         assert np.all((slot >= 0) & (slot < 2 * mesh.nedges))
         at = mesh.edges.ravel()[slot]
         assert np.array_equal(np.sort(at), np.arange(mesh.nvertices))
+        # every local column belongs to the entity that owns its dof: 5
+        # dofs per vertex, 6 + 2k per edge
+        assert np.array_equal(dm.dof_entity[dm.element_columns],
+                              dm.element_entities[:, dm.column_entity])
+        per = np.bincount(dm.dof_entity, minlength=dm.nentities)
+        assert np.all(per[:mesh.nvertices] == 5)
+        assert np.all(per[mesh.nvertices:] == 6 + 2 * dm.k)
     with pytest.raises(ValueError):
         TraceDofMap(mesh, 2)
 
