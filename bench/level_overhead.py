@@ -23,7 +23,14 @@ Records, for each workload of `perfbench/workloads.py`:
   with every Jacobian class carried over from an assembly on the same
   mesh: assemble, solve, estimate, recover the fields, mark and refine.
 
-and, once, `mesh`: the time of the `refine` call that makes a mesh of
+and, once, `large_level`: the spans above (seconds, median over
+repetitions) of one assembly of the uniform cyl_clamped mesh of 4,096
+elements (k = 0, d = 1e-2) with every class carried over, followed by
+the 3 element-residual passes of a solve.  The workloads stop below
+1,000 elements, where costs that grow with the element count hide.
+The factorization is left out: it alone takes seconds at this size.
+
+Also once, `mesh`: the time of the `refine` call that makes a mesh of
 16,384, 65,536 and 262,144 elements (uniform marks) and about 480,000
 elements (10% of the 262,144 marked at random), and of `Mesh(...)` on
 the vertices and triangles of each.
@@ -76,6 +83,7 @@ SPANS = (
     ("shelldpg.estimator", "refine", "refine"),
 )
 MESH_SIZES = (16384, 65536, 262144, "random")
+LARGE_ELEMENTS = 4096
 
 
 def owner(dotted):
@@ -125,6 +133,31 @@ def level_floor(w, problem, meshes):
     return statistics.median(times)
 
 
+def large_level(acc):
+    """Median span seconds of a carried-over assembly and 3 residual
+    passes on a uniform mesh of LARGE_ELEMENTS elements."""
+    import numpy as np
+
+    from shelldpg import (assemble_normal_equations, initial_rectangle_mesh,
+                          make_benchmark, refine)
+
+    problem = make_benchmark("cyl_clamped", d=1e-2)
+    mesh = initial_rectangle_mesh(problem.rect)
+    while mesh.ntriangles < LARGE_ELEMENTS:
+        mesh = refine(mesh, np.arange(mesh.ntriangles))
+    carried = assemble_normal_equations(mesh, problem, 0)
+    runs = []
+    for _ in range(FLOOR_REPEAT):
+        acc.clear()
+        neq = assemble_normal_equations(mesh, problem, 0, previous=carried)
+        x = np.zeros(neq.A.shape[0])
+        for _ in range(3):
+            neq.residual(x)
+        runs.append(dict(acc))
+    return {"elements": mesh.ntriangles,
+            "phases_s": {k: statistics.median(r[k] for r in runs) for k in runs[0]}}
+
+
 def mesh_times():
     """`refine` into and `Mesh(...)` on meshes of growing size."""
     import numpy as np
@@ -165,6 +198,7 @@ def measure():
 
     acc = defaultdict(float)
     install_spans(acc)
+    out["large_level"] = large_level(acc)
     for name, w in WORKLOADS.items():
         problem = shelldpg.make_benchmark(w.benchmark, d=w.d)
         cfg = shelldpg.AdaptiveConfig(k=w.k, theta=w.theta, mode=w.mode,
@@ -217,6 +251,10 @@ def print_summary(label, res):
         print(f"{label:7s} {name:26s} solve {case['solve_s'] * 1e3:7.1f} ms  "
               f"floor {case['level_floor_s'] * 1e3:5.2f} ms", flush=True)
         print(f"{'':7s} {shares}", flush=True)
+    large = "  ".join(f"{k} {v * 1e3:.2f} ms"
+                      for k, v in res["large_level"]["phases_s"].items())
+    print(f"{label:7s} {res['large_level']['elements']} elements, carried: {large}",
+          flush=True)
     for n, row in res["mesh"].items():
         print(f"{label:7s} {n:>7s} elements  refine {row['refine_s']:7.3f} s  "
               f"Mesh {row['mesh_s']:7.3f} s", flush=True)

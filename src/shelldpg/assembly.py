@@ -11,15 +11,17 @@ trace numbering yields a sparse SPD system on the free trace dofs, and
 the fields are recovered per element after the solve
 (`NormalEquations.fields`).
 
-G and Bmat depend on the element only through its Jacobian J and its
-edge signs s_{T,E}: the element tensors of an affine map are those of
-its shape (Kirby and Logg, ACM TOMS 2006), and a sign flip is a signed
-permutation of the trace columns (`traces.flipped_edge_columns`).
-Newest-vertex bisection keeps the number of distinct Jacobians small
-(Stevenson, Math. Comp. 2008), so the elements are grouped into
-Jacobian classes (`jacobian_classes`).  G, Bmat, the Cholesky factor of
-G, the field elimination and a load map are built on one element per
-class; per element only the load and a signed column map remain.  Most
+G and Bmat depend on the element only through its Jacobian J: the
+element tensors of an affine map are those of its shape (Kirby and
+Logg, ACM TOMS 2006), and the trace pairings are written in the
+element's own frame (`traces.edge_pairings`), so that the orientation of
+the skeleton lives only in the signed element-to-global column map
+P_T = diag(sign_T) (`TraceDofMap.element_signs`).  Newest-vertex
+bisection keeps the number of distinct Jacobians small (Stevenson,
+Math. Comp. 2008), so the elements are grouped into Jacobian classes
+(`jacobian_classes`).  G, Bmat, the Cholesky factor of G, the field
+elimination and a load map are built on one element per class; per
+element only the load and the signs remain.  Most
 shapes survive a refinement step, so an assembly given the previous
 level's `NormalEquations` builds the class kernels only for the shapes
 new to its mesh and takes the others over.  `ElementSystems` documents
@@ -73,13 +75,7 @@ from .polyquad import (
     triangle_rule,
     triangle_table,
 )
-from .traces import (
-    TraceDofMap,
-    apply_bc,
-    edge_pairings,
-    flipped_edge_columns,
-    local_trace_columns,
-)
+from .traces import TraceDofMap, apply_bc, edge_pairings, local_trace_columns
 
 N_TEST = 111
 OFF_V, OFF_Z, OFF_T, OFF_S, OFF_Q = 0, 20, 30, 60, 105
@@ -136,7 +132,7 @@ def _b_coeffs(B):
 
 
 def _gram_block(X):
-    """X' X over the quadrature rows of a table (nel, rows, cols), made
+    """X' X over the rows of a stack of tables (nel, rows, cols), made
     exactly symmetric: the batched product is symmetric only up to
     rounding."""
     P = X.transpose(0, 2, 1) @ X
@@ -373,9 +369,9 @@ class ElementSystems:
     """Field-condensed element normal equations from Jacobian-class kernels.
 
     The elements of class J (`jacobian_classes`) share G_J and B_J,
-    built on one element of the class, and the factor L_J of
-    `gram_factor`; W_J = L_J^-1 S_J B_J splits into its field and trace
-    columns [W_f | W_t].  With the full QR W_f = [Q_1 Q_2] [R; 0] the
+    built on one element of the class in its own frame, and the factor
+    L_J of `gram_factor`; W_J = L_J^-1 S_J B_J splits into its field and
+    trace columns [W_f | W_t].  With the full QR W_f = [Q_1 Q_2] [R; 0] the
     class keeps the kernels
 
         W^c_J = Q_2' W_t,  K_J = R^-1 Q_1' W_t,
@@ -388,70 +384,55 @@ class ElementSystems:
 
     the fields at zero traces f_T = R^-1 Q_1' y_T and the condensed load
     y^c_T = Q_2' y_T of the whitened load y_T = L_J^-1 S_J l_T, and the
-    signed column map P_T (`perm`, `sign`) of its edge signs relative to
-    `ref_sign[J]`, the edge signs of the element the kernels were built
-    on: B_T[:, j] = sign[T, j] * B_J[:, perm[T, j]] on the trace columns
-    (the field columns are never permuted).  Then
+    signed column map P_T = diag(sign_T) of its edge orientation
+    (`TraceDofMap.element_signs`): the element's own trace values are
+    P_T u_T for the global values u_T at its columns `cols`, and
+    B_T = B_J P_T on the trace columns.  Then
 
-        A_T = P_T' W^c' W^c P_T,  rhs_T = P_T' W^c' y^c_T,  c_T = |y^c_T|^2
+        A_T = P_T W^c' W^c P_T,  rhs_T = P_T W^c' y^c_T
 
     are the Schur complements on the field block of the uncondensed
-    element system, formed without inverting it.  P_T is one of the 8
-    patterns of flipped local edges (`FLIP_CODES`), so each class keeps
-    W^c' W^c under all 8 (`A_flips`) and A_T is a row of that table.
-    For trace values u_T the locally optimal fields are
-    f_T - K_J P_T u_T (`fields`), and the residual in the dual test norm
-    at those fields is r_T = y^c_T - W^c P_T u_T (`residuals`); its
-    adjoint P_T' W^c' r_T (`adjoint`) gives rhs_T at u_T = 0.
+    element system, formed without inverting it; each class keeps
+    W^c' W^c (`WtW`), and A_T is WtW[J] signed along both axes.  For
+    trace values u_T the locally optimal fields are f_T - K_J P_T u_T
+    (`fields`), and the residual in the dual test norm at those fields
+    is r_T = y^c_T - W^c P_T u_T (`residuals`); its adjoint
+    P_T W^c' r_T (`adjoint`) gives rhs_T at u_T = 0.
 
-    Reuse: W^c_J, K_J, E_J, their flip table and `ref_sign[J]` depend on
-    the mesh only through the class key (`keys`), so the systems of the
-    same problem and k on another mesh
+    Reuse: W^c_J, K_J, E_J and WtW[J] depend on the mesh only through
+    the class key (`keys`), so the systems of the same problem and k on
+    another mesh
     (`assemble_normal_equations(previous=...)`) lend them to every class
     whose key they hold, and only the other classes are built.
     """
 
     A: np.ndarray  # (nel, nc, nc) over the local trace columns
     rhs: np.ndarray  # (nel, nc)
-    c: np.ndarray  # (nel,)   |y^c_T|^2
     cols: np.ndarray  # (nel, nc) global trace dof indices
     cls: np.ndarray  # (nel,) Jacobian class
     keys: np.ndarray  # (ncls, 5) class keys of `jacobian_classes`
-    ref_sign: np.ndarray  # (ncls, 3) edge signs the kernels were built with
     W: np.ndarray  # (ncls, 111 - 10, nc): W^c_J
     K: np.ndarray  # (ncls, 10, nc): field recovery
     E: np.ndarray  # (ncls, 111, OFF_T): load map to [f_T; y^c_T]
-    A_flips: np.ndarray  # (ncls, 8, nc, nc): P' W^c' W^c P per flip code
+    WtW: np.ndarray  # (ncls, nc, nc): W^c_J' W^c_J, exactly symmetric
     y: np.ndarray  # (nel, 111 - 10): y^c_T
     f: np.ndarray  # (nel, 10): fields at zero traces
-    perm: np.ndarray  # (nel, nc)
-    sign: np.ndarray  # (nel, nc)
+    sign: np.ndarray  # (nel, nc): the diagonal of P_T
     classes: tuple  # (order, bounds) of `_class_order`
-
-    def _frames(self, uloc):
-        """P_T u_T (nel, nc) for local trace values (nel, nc)."""
-        v = np.zeros(uloc.shape)
-        np.put_along_axis(v, self.perm, self.sign * uloc, axis=1)
-        return v
 
     def residuals(self, uloc):
         """r_T = y^c_T - W^c_J P_T u_T (nel, 101) for local trace values."""
-        return self.y - _by_class(self.classes, self._frames(uloc),
+        return self.y - _by_class(self.classes, self.sign * uloc,
                                   self.W.transpose(0, 2, 1))
 
     def adjoint(self, r):
-        """P_T' W^c_J' r_T (nel, nc) for element vectors r (nel, 101)."""
-        out = _by_class(self.classes, r, self.W)
-        return self.sign * np.take_along_axis(out, self.perm, axis=1)
+        """P_T W^c_J' r_T (nel, nc) for element vectors r (nel, 101)."""
+        return self.sign * _by_class(self.classes, r, self.W)
 
     def fields(self, uloc):
         """Locally optimal fields (nel, 10) f_T - K_J P_T u_T."""
-        return self.f - _by_class(self.classes, self._frames(uloc),
+        return self.f - _by_class(self.classes, self.sign * uloc,
                                   self.K.transpose(0, 2, 1))
-
-
-# the 8 patterns of flipped local edges; code = flip_0 + 2 flip_1 + 4 flip_2
-FLIP_CODES = ((np.arange(8)[:, None] >> np.arange(3)) & 1) == 1
 
 
 def _class_order(cls):
@@ -514,56 +495,46 @@ def _class_kernels(G, Bm, elements, classes):
     return QX[:, N_FIELD:, :nc], QX[:, :N_FIELD, :nc], QX[:, :, nc:]
 
 
-def _flip_table(W, k):
-    """P' W' W P (nb, 8, nc, nc) of stacked W^c for each of the `FLIP_CODES`."""
-    WtW = W.transpose(0, 2, 1) @ W
-    WtW = 0.5 * (WtW + WtW.transpose(0, 2, 1))
-    P, S = flipped_edge_columns(k, FLIP_CODES)
-    return WtW[:, P[:, :, None], P[:, None, :]] * (S[:, :, None] * S[:, None, :])
+def _element_systems(problem, dofmap, previous=None):
+    """Class-factored, field-condensed `ElementSystems` of all elements
+    of `dofmap.mesh`, over its element columns and signs.
 
-
-def _element_systems(mesh, problem, k, cols, previous=None):
-    """Class-factored, field-condensed `ElementSystems` of all elements.
-
-    `cols` (nel, nc) are the global indices of the local trace columns.
     The kernels of a class whose key `previous` (the `ElementSystems` of
     the same problem and k on another mesh) holds are taken from it; the
     others are built on the class's lowest-index element.
     """
+    mesh, k = dofmap.mesh, dofmap.k
+    cols, sign = dofmap.element_columns, dofmap.element_signs
     nt, nc = cols.shape
     cls, reps, keys = jacobian_classes(mesh)
     ncls = len(reps)
-    signs = mesh.tri_edge_sign
-    ref_sign = signs[reps]
     W = np.empty((ncls, N_TEST - N_FIELD, nc))
     K = np.empty((ncls, N_FIELD, nc))
     E = np.empty((ncls, N_TEST, OFF_T))
-    A_flips = np.empty((ncls, 8, nc, nc))
+    WtW = np.empty((ncls, nc, nc))
     new = np.arange(ncls)
     if previous is not None:
         src = match_rows(keys, previous.keys)
         old, new = np.nonzero(src >= 0)[0], np.nonzero(src < 0)[0]
         for mine, theirs in ((W, previous.W), (K, previous.K), (E, previous.E),
-                             (A_flips, previous.A_flips),
-                             (ref_sign, previous.ref_sign)):
+                             (WtW, previous.WtW)):
             mine[old] = theirs[src[old]]
     for lo in range(0, len(new), CLASS_BATCH):
         batch = new[lo:lo + CLASS_BATCH]
         G = element_gram_batch(mesh, problem, reps[batch])
         Bm = element_b_batch(mesh, problem, k, reps[batch])
         W[batch], K[batch], E[batch] = _class_kernels(G, Bm, reps[batch], batch)
-        A_flips[batch] = _flip_table(W[batch], k)
-    flip = signs != ref_sign[cls]
-    perm, sign = flipped_edge_columns(k, flip)
-    A = A_flips[cls, flip @ (1 << np.arange(3))]
+        WtW[batch] = _gram_block(W[batch])
+    A = WtW[cls]
+    A *= sign[:, :, None]
+    A *= sign[:, None, :]
     l = element_load_batch(mesh, problem, np.arange(nt))[:, :OFF_T]
 
     classes = _class_order(cls)
     fy = _by_class(classes, l, E.transpose(0, 2, 1))
     f, y = fy[:, :N_FIELD], fy[:, N_FIELD:]
-    c = np.einsum("ei,ei->e", y, y)
-    systems = ElementSystems(A, None, c, cols, cls, keys, ref_sign, W, K, E,
-                             A_flips, y, f, perm, sign, classes)
+    systems = ElementSystems(A, None, cols, cls, keys, W, K, E, WtW, y, f, sign,
+                             classes)
     systems.rhs = systems.adjoint(y)
     return systems
 
@@ -696,8 +667,7 @@ def assemble_normal_equations(mesh, problem, k, previous=None):
     index_map, indptr, indices, slots = _trace_pattern(dofmap, constrained)
 
     elements = _element_systems(
-        mesh, problem, k, dofmap.element_columns,
-        None if previous is None else previous.elements)
+        problem, dofmap, None if previous is None else previous.elements)
     A = _csr_fill(indptr, indices, slots, elements.A)
     n = A.shape[0]
     rhs = _scatter(index_map[elements.cols], elements.rhs, n)

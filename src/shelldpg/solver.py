@@ -55,10 +55,9 @@ def _as_csc(M):
 def solve(neq, tol=1e-10):
     """(x, etas): the least-squares solution of `neq` and etas[T] = |r_T|.
 
-    At most 2 correction steps follow the solve with the factors of
-    S A S; they stop once a step changes y = S^-1 x by at most
-    4 eps max|y| or by more than half the step before.  x is accepted
-    once the least-squares backward error of the equilibrated problem,
+    Two correction steps follow the solve with the factors of S A S,
+    unless y = S^-1 x stops being finite.  x is accepted once the
+    least-squares backward error of the equilibrated problem,
 
         |S g| / (|W S| (|W S| |y| + |r|)),  |W S|^2 <= |S A S|_F,
 
@@ -86,18 +85,11 @@ def solve(neq, tol=1e-10):
 
     y = lu_solve(s * rhs)
     g, r = neq.residual(s * y)
-    eps = np.finfo(float).eps
-    last = np.inf
     for _ in range(2):
         if not np.all(np.isfinite(y)):
             break
-        dy = lu_solve(s * g)
-        y = y + dy
+        y = y + lu_solve(s * g)
         g, r = neq.residual(s * y)
-        change = float(np.abs(dy).max())
-        if change <= 4.0 * eps * float(np.abs(y).max()) or change > 0.5 * last:
-            break
-        last = change
 
     etas = np.linalg.norm(r, axis=1)
     norm_w = np.sqrt(np.linalg.norm(As.data))

@@ -19,32 +19,42 @@ Global dof order: u_hat vertex dofs, w_hat vertex dofs, u_hat edge dofs
 (k = 1 only), N_hat edge dofs, M_hat edge dofs (m_n, q per edge), M_hat
 twist dofs (lower-index endpoint, higher-index endpoint per edge).
 Element-local trace columns follow the same field order with
-vertices/edges in local order.
+vertices/edges in local order; the two twist columns of a local edge are
+its start and its end on the counterclockwise traversal of the element.
 
 The pairing matrices integrate each trace basis function against the
-element test blocks over the element boundary.  Hermite and hat traces
-are geometric interpolants of shared vertex data, hence orientation
-free; only the N_hat components and q pick up the element-edge sign
-s_{T,E} = n_T . nu_E.  The normal-moment and twist columns are sign free
-because nu.M nu and tau.M nu are invariant under flipping nu_E (tau_E
-flips with it), and s_{T,E} d/d nu_E = d/d n_T.
+element test blocks over the element boundary, in the element's own
+frame: N_hat and q relative to the outward normal n_T, the twists at the
+start and the end of each counterclockwise edge.  So they depend on the
+element only through its Jacobian, and the orientation of the skeleton
+lives in the element-to-global column map alone (Rognes, Kirby and Logg,
+"Efficient assembly of H(div) and H(curl) conforming finite elements",
+SIAM J. Sci. Comput. 2009).  Hermite and hat traces are geometric
+interpolants of shared vertex data, hence orientation free.  The global
+N_hat components and q are relative to nu_E, and the element reads them
+times s_{T,E} = n_T . nu_E (`TraceDofMap.element_signs`).  The normal
+moment and the twists need no sign, because nu.M nu and tau.M nu are
+invariant under flipping nu_E (tau_E flips with it), and
+s_{T,E} d/d nu_E = d/d n_T; a twist only lands in the start or the end
+column of its edge (`TraceDofMap.element_columns`).
 
 The moment trace is the trace of H(div div) in the form of Fuehrer,
 Heuer and Niemi (Math. Comp. 2019).  Integrating the twisting part of
 <M n, grad z> by parts along each edge of an element T gives
 
-  <M_hat, z>_dT = sum_E [ -int_E m_n dz/dn + int_E s_{T,E} q z ]
+  <M_hat, z>_dT = sum_E [ -int_E m_n dz/dn + int_E q z ]
                   - sum_E [ t z ]_a^b ,
 
-where a -> b runs counterclockwise around T.  The last sum only sees,
-at each corner x of T, the jump t(leaving edge) - t(arriving edge): the
-corner force of T at x.  Adding one constant to the twists of all edges
-meeting at a vertex leaves every corner force unchanged, so each vertex
-fixes one twist dof to zero, the gauge (`TraceDofMap.gauge`): the
-lowest-index incident boundary edge at a boundary vertex, else the
-lowest-index incident edge.  What remains is exactly the space of
-conforming corner forces: deg(x) - 1 per vertex, whose sum over the
-elements around an interior vertex vanishes.
+with m_n, q and t in the frame of T and a -> b counterclockwise around
+T.  The last sum only sees, at each corner x of T, the jump
+t(leaving edge) - t(arriving edge): the corner force of T at x.  Adding
+one constant to the twists of all edges meeting at a vertex leaves every
+corner force unchanged, so each vertex fixes one twist dof to zero,
+the gauge (`TraceDofMap.gauge`): the lowest-index incident boundary
+edge at a boundary vertex, else the lowest-index incident edge.  What
+remains is exactly the space of conforming corner forces: deg(x) - 1
+per vertex, whose sum over the elements around an interior vertex
+vanishes.
 
 The Kirchhoff natural conditions become plain dof constraints: where w
 is free, q = 0 on the edge and the total corner force vanishes at each
@@ -99,9 +109,12 @@ class TraceDofMap:
     Attributes give the offset of each block; `element_columns` lists,
     per element, the global indices of its local trace dofs in the
     order u_hat (6 or 12), w_hat (9), N_hat (6), M_hat edge dofs (m_n, q
-    per local edge: 6), M_hat twists (lower-index then higher-index
-    endpoint per local edge: 6).  `gauge` holds the one twist dof per
-    vertex that the numbering fixes at zero; it is never a free dof.
+    per local edge: 6), M_hat twists (start then end of each local edge
+    on the counterclockwise traversal: 6).  `element_signs` (nt, ncols)
+    holds s_{T,E} on the N_hat and q columns and 1 on all others: the
+    element's own trace values are element_signs times the global ones
+    at element_columns.  `gauge` holds the one twist dof per vertex that
+    the numbering fixes at zero; it is never a free dof.
 
     Every dof belongs to one mesh entity: vertex v is entity v and edge
     e is entity nv + e (`nentities` in all).  A vertex owns its u_hat
@@ -146,18 +159,28 @@ class TraceDofMap:
             for c in range(3):
                 cols[:, pos] = self.off_what + 3 * tri[:, m] + c
                 pos += 1
-        for j in range(3):
-            cols[:, pos] = self.off_Nhat + 2 * edg[:, j]
-            cols[:, pos + 1] = self.off_Nhat + 2 * edg[:, j] + 1
-            pos += 2
-        for off in (self.off_Mhat, self.off_twist):
+        cn = pos  # first N_hat column
+        for off in (self.off_Nhat, self.off_Mhat):
             for j in range(3):
                 cols[:, pos] = off + 2 * edg[:, j]
                 cols[:, pos + 1] = off + 2 * edg[:, j] + 1
                 pos += 2
+        # twist 2e + i sits at vertex edges[e, i], and the
+        # counterclockwise edge starts at the lower-index vertex iff
+        # s_{T,E} = +1
+        s = mesh.tri_edge_sign
+        for j in range(3):
+            cols[:, pos] = self.off_twist + 2 * edg[:, j] + (s[:, j] < 0)
+            cols[:, pos + 1] = self.off_twist + 2 * edg[:, j] + (s[:, j] > 0)
+            pos += 2
         assert pos == self.ncols
         cols.flags.writeable = False
         self.element_columns = cols
+        sign = np.ones((nt, self.ncols))
+        sign[:, cn:cn + 6] = np.repeat(s, 2, axis=1)
+        sign[:, cn + 7:cn + 12:2] = s
+        sign.flags.writeable = False
+        self.element_signs = sign
 
         self.nentities = nv + ne
         vert, edge = np.arange(nv), nv + np.arange(ne)
@@ -249,7 +272,12 @@ class TracePairings:
     N_hat: (nt, 20, 6)     v-block rows,
     M_hat: (nt, 10, 12)    z-block rows; columns 2j, 2j+1: m_n and q of
                            local edge j, columns 6+2j, 6+2j+1: twists at
-                           its lower- and higher-index endpoint.
+                           its start and its end on the counterclockwise
+                           traversal.
+
+    N_hat and q are relative to the outward normal of the element, so
+    the matrices depend on the element only through its Jacobian;
+    `TraceDofMap.element_signs` carries the global edge orientation.
     """
 
     u_hat: np.ndarray
@@ -273,7 +301,8 @@ def _frame_times_normal(nrm):
 
 
 def edge_pairings(mesh: Mesh, k: int, elements=None) -> TracePairings:
-    """Pairing matrices of all trace dofs for the given elements.
+    """Pairing matrices of all trace dofs for the given elements, each in
+    the element's own frame (`TracePairings`).
 
     Integrands are polynomials of degree <= 6 along each edge; a fixed
     4-point Gauss rule integrates them exactly.
@@ -324,7 +353,6 @@ def edge_pairings(mesh: Mesh, k: int, elements=None) -> TracePairings:
         L = np.hypot(ed[:, 0], ed[:, 1])
         tau = ed / L[:, None]
         nrm = np.stack([tau[:, 1], -tau[:, 0]], axis=1)  # outward for CCW
-        sign = mesh.tri_edge_sign[els, j].astype(float)
 
         Lfn3 = L[:, None, None] * _frame_times_normal(nrm)  # (nt, 3, 2)
 
@@ -371,48 +399,19 @@ def edge_pairings(mesh: Mesh, k: int, elements=None) -> TracePairings:
                 nt, 45, 3
             )
 
-        # --- N_hat columns: s_{T,E} integral sigma_hat . v
+        # --- N_hat columns: integral sigma_hat . v
         I3 = L[:, None] * (wq @ t3.val)  # edge integrals of P3 scalars
         for c in range(2):
-            pn[:, 2 * np.arange(10) + c, 2 * j + c] = sign[:, None] * I3
+            pn[:, 2 * np.arange(10) + c, 2 * j + c] = I3
 
-        # --- M_hat columns: -m_n integral dz/dn, s_{T,E} q integral z,
-        #     and the twists' endpoint terms -[t z]_a^b; a is the
-        #     lower-index endpoint iff s_{T,E} = +1
+        # --- M_hat columns: -m_n integral dz/dn, q integral z, and the
+        #     twists' endpoint terms -[t z]_a^b: z(a) at the start, -z(b)
+        #     at the end
         Jn = (Jinv @ (L[:, None] * nrm)[:, :, None])[:, :, 0]  # (nt, 2)
         pm[:, :, 2 * j] = -Jn @ np.tensordot(wq, t3.grad, 1).T
-        pm[:, :, 2 * j + 1] = sign[:, None] * I3
-        lo_is_a = (sign > 0)[:, None]
-        za, zb = z_at_vertex[a][None, :], z_at_vertex[b][None, :]
-        pm[:, :, 6 + 2 * j] = np.where(lo_is_a, za, -zb)
-        pm[:, :, 7 + 2 * j] = np.where(lo_is_a, -zb, za)
+        pm[:, :, 2 * j + 1] = I3
+        pm[:, :, 6 + 2 * j] = z_at_vertex[a]
+        pm[:, :, 7 + 2 * j] = -z_at_vertex[b]
 
     return TracePairings(pu, pw, pn, pm)
 
-
-def flipped_edge_columns(k, flip):
-    """Signed permutation of the local trace columns under edge-sign flips.
-
-    Two elements of the same shape have the same pairing matrices except
-    where their edge signs s_{T,E} differ.  Flipping s_{T,E} on local
-    edge j negates its two N_hat columns and its q column, and swaps its
-    two twist columns, because the lower-index endpoint becomes the
-    other end of the edge (the `lo_is_a` branch of `edge_pairings`).
-    `flip` is an (n, 3) boolean array of flipped local edges.  Returns
-    (perm, sign), each (n, local_trace_columns(k)), such that column c
-    of the flipped pairing equals sign[:, c] times column perm[:, c] of
-    the unflipped one.
-    """
-    flip = np.asarray(flip, dtype=bool)
-    ncols = local_trace_columns(k)
-    cn = 15 + 6 * k  # first N_hat column, after u_hat and w_hat
-    cm, ct = cn + 6, cn + 12  # first (m_n, q) column and first twist
-    perm = np.tile(np.arange(ncols), (flip.shape[0], 1))
-    sign = np.ones(perm.shape)
-    s = np.where(flip, -1.0, 1.0)
-    for j in range(3):
-        sign[:, [cn + 2 * j, cn + 2 * j + 1, cm + 2 * j + 1]] = s[:, j, None]
-        lo, hi = ct + 2 * j, ct + 2 * j + 1
-        perm[:, lo] = np.where(flip[:, j], hi, lo)
-        perm[:, hi] = np.where(flip[:, j], lo, hi)
-    return perm, sign

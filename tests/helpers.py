@@ -247,9 +247,9 @@ def loop_class_kernels(G, Bm, element, j):
 
 
 def class_loop_systems(el, uloc):
-    """A_T, rhs_T, residuals and fields of `ElementSystems` `el` by
-    per-class fancy indexing of W^c_J' W^c_J and per-class P_T u_T."""
-    nel, nc = el.perm.shape
+    """A_T, rhs_T, residuals and fields of `ElementSystems` `el` from
+    W^c_J' W^c_J and P_T u_T formed class by class."""
+    nel, nc = el.sign.shape
     A = np.empty((nel, nc, nc))
     rhs = np.empty((nel, nc))
     res = np.empty(el.y.shape)
@@ -259,11 +259,10 @@ def class_loop_systems(el, uloc):
         W = el.W[j]
         WtW = W.T @ W
         WtW = 0.5 * (WtW + WtW.T)
-        P, S = el.perm[mem], el.sign[mem]
-        A[mem] = WtW[P[:, :, None], P[:, None, :]] * (S[:, :, None] * S[:, None, :])
-        rhs[mem] = S * np.take_along_axis(el.y[mem] @ W, P, axis=1)
-        v = np.zeros((len(mem), nc))
-        np.put_along_axis(v, P, S * uloc[mem], axis=1)
+        S = el.sign[mem]
+        A[mem] = WtW * (S[:, :, None] * S[:, None, :])
+        rhs[mem] = S * (el.y[mem] @ W)
+        v = S * uloc[mem]
         res[mem] = el.y[mem] - v @ W.T
         fields[mem] = el.f[mem] - v @ el.K[j].T
     return A, rhs, res, fields

@@ -16,7 +16,7 @@ from helpers import (
 )
 from shelldpg import assembly as asm
 from shelldpg.estimator import AdaptiveConfig, adaptive_loop
-from shelldpg.mesh import Mesh, initial_rectangle_mesh, refine
+from shelldpg.mesh import Mesh, initial_rectangle_mesh, match_rows, refine
 from shelldpg.model import (
     BENCHMARKS,
     PointLoad,
@@ -241,7 +241,8 @@ def test_gram_membrane_bending_decoupling():
 
 
 def exact_constant_state(mesh, dofmap, B, nu, a, w0):
-    """Trace vector and local trial vectors of a constant exact solution."""
+    """Trace vector and local trial vectors of a constant exact solution;
+    the local trace values are in each element's own frame."""
     N = w0 * apply_C(B, nu)
     tv = np.zeros(dofmap.ntrace)
     for vtx in range(mesh.nvertices):
@@ -255,7 +256,7 @@ def exact_constant_state(mesh, dofmap, B, nu, a, w0):
     uloc = np.zeros((nt, 10 + dofmap.ncols))
     uloc[:, 0], uloc[:, 1], uloc[:, 2] = a[0], a[1], w0
     uloc[:, 3:7] = N.ravel()
-    uloc[:, 10:] = tv[dofmap.element_columns]
+    uloc[:, 10:] = dofmap.element_signs * tv[dofmap.element_columns]
     return uloc, N
 
 
@@ -441,9 +442,12 @@ def test_normal_equations_dense_oracle():
     n = neq.A.shape[0]
     dense = np.zeros((neq.ndof, neq.ndof))
     rhs = np.zeros(neq.ndof)
+    y = neq.elements.y
     for t in range(nt):
         G = element_gram(mesh, prob, t)
         Bm = element_b(mesh, prob, 1, t)
+        # the element reads its global trace values times its signs
+        Bm[:, 10:] *= neq.dofmap.element_signs[t]
         l = element_load(mesh, prob, t)
         GiB = np.linalg.solve(G, Bm)
         Gil = np.linalg.solve(G, l)
@@ -454,7 +458,7 @@ def test_normal_equations_dense_oracle():
         dense[np.ix_(gc[keep], gc[keep])] += At[np.ix_(keep, keep)]
         rhs[gc[keep]] += rt[keep]
         c = l @ Gil - rt[:10] @ np.linalg.solve(At[:10, :10], rt[:10])
-        assert np.isclose(neq.elements.c[t], c, rtol=1e-10, atol=1e-14)
+        assert np.isclose(y[t] @ y[t], c, rtol=1e-10, atol=1e-14)
     tr, fl = slice(0, n), slice(n, None)
     X = np.linalg.solve(dense[fl, fl], np.c_[dense[fl, tr], rhs[fl]])
     schur = dense[tr, tr] - dense[tr, fl] @ X[:, :-1]
@@ -528,8 +532,11 @@ def test_element_order_invariance():
     b = asm.assemble_normal_equations(renum, prob, 0)
     assert len(a.elements.W) == len(b.elements.W)
     A, rhs, c, _, _ = direct_condensed_systems(mesh, prob, 0, np.arange(mesh.ntriangles))
-    for name, ref in (("A", A), ("rhs", rhs), ("c", c)):
-        x, y = getattr(a.elements, name)[perm], getattr(b.elements, name)
+    ea, eb = a.elements, b.elements
+    for name, x, y, ref in (
+            ("A", ea.A[perm], eb.A, A), ("rhs", ea.rhs[perm], eb.rhs, rhs),
+            ("c", np.einsum("ei,ei->e", ea.y, ea.y)[perm],
+             np.einsum("ei,ei->e", eb.y, eb.y), c)):
         assert np.abs(x - y).max() <= 1e-10 * np.abs(x).max(), name
         assert np.abs(x - ref[perm]).max() <= 1e-10 * np.abs(ref).max(), name
 
@@ -613,14 +620,14 @@ def test_bad_member_of_a_stacked_batch_is_named(spoil):
 
 @pytest.mark.parametrize("kind, k", [("cyl_clamped", 0), ("scordelis_lo", 1)])
 def test_element_systems_match_per_class_loops(kind, k):
-    # A_T from the flip table, rhs_T, and P_T u_T built once for all
-    # elements give exactly the per-class products
+    # A_T signed from the class table, rhs_T, and P_T u_T built once for
+    # all elements give exactly the per-class products
     prob = make_benchmark(kind, d=1e-2)
     mesh = small_mesh(rounds=2)
     el = asm.assemble_normal_equations(mesh, prob, k).elements
     assert any(len(np.unique(mesh.tri_edge_sign[el.cls == c], axis=0)) > 1
                for c in range(len(el.W)))
-    uloc = np.random.default_rng(5).normal(size=el.perm.shape)
+    uloc = np.random.default_rng(5).normal(size=el.sign.shape)
     A, rhs, res, fields = class_loop_systems(el, uloc)
     assert np.array_equal(el.A, A)
     assert np.array_equal(el.rhs, rhs)
@@ -629,7 +636,8 @@ def test_element_systems_match_per_class_loops(kind, k):
 
 
 def direct_element_systems(mesh, prob, k, els):
-    """A_T, rhs_T, c_T of each element from its own G, B and l.
+    """A_T, rhs_T, c_T of each element from its own G, B and l, with B's
+    trace columns signed into the global edge frames.
 
     Cholesky solves of each element's equilibrated G: the class path
     factors G the same way, and at these condition numbers (1e10 and
@@ -637,6 +645,7 @@ def direct_element_systems(mesh, prob, k, els):
     """
     G = asm.element_gram_batch(mesh, prob, els)
     Bm = asm.element_b_batch(mesh, prob, k, els)
+    Bm[:, :, asm.N_FIELD:] *= TraceDofMap(mesh, k).element_signs[els][:, None, :]
     l = asm.element_load_batch(mesh, prob, els)
     out = []
     for g, b, f in zip(G, Bm, l):
@@ -652,8 +661,8 @@ def direct_condensed_systems(mesh, prob, k, els):
     """Each element's own static condensation of its direct system.
 
     Returns the Schur complements A_T, rhs_T, c_T on the field block and
-    the field recovery u_f = f_T - K_T u_t, all in the element's own
-    trace column order.
+    the field recovery u_f = f_T - K_T u_t, all over the element's global
+    trace values.
     """
     A, rhs, c = direct_element_systems(mesh, prob, k, els)
     fl, tr = slice(0, asm.N_FIELD), slice(asm.N_FIELD, None)
@@ -684,12 +693,11 @@ def test_class_systems_match_direct_oracle(kind, k, d, bound):
         mesh = refine(mesh, rng.choice(mesh.ntriangles, 4, replace=False))
     el = asm.assemble_normal_equations(mesh, prob, k).elements
     # the mesh exercises the signed column map: some class has members
-    # whose edge signs differ, which swaps twist columns (s = -1)
+    # whose edge signs differ, so their P_T differ
     signs = mesh.tri_edge_sign
     assert any(len(np.unique(signs[el.cls == c], axis=0)) > 1
                for c in range(len(el.W)))
-    ident = np.arange(el.perm.shape[1])
-    assert np.any(el.perm != ident) and np.any(el.sign < 0)
+    assert np.any(el.sign < 0)
 
     A, rhs, c, _, _ = direct_condensed_systems(mesh, prob, k,
                                                np.arange(mesh.ntriangles))
@@ -697,7 +705,7 @@ def test_class_systems_match_direct_oracle(kind, k, d, bound):
     for t in range(mesh.ntriangles):
         assert rel(el.A[t], A[t]) <= bound, (t, rel(el.A[t], A[t]))
         assert rel(el.rhs[t], rhs[t]) <= bound, (t, rel(el.rhs[t], rhs[t]))
-    assert rel(el.c, c) <= bound
+    assert rel(np.einsum("ei,ei->e", el.y, el.y), c) <= bound
 
 
 def test_global_spd_clamped():
@@ -738,7 +746,8 @@ def test_zero_load_zero_rhs():
                              for s in ("xmin", "xmax", "ymin", "ymax")})
     neq = asm.assemble_normal_equations(mesh, prob, 0)
     assert np.abs(neq.rhs).max() == 0.0
-    assert np.abs(neq.elements.c).max() == 0.0
+    y = neq.elements.y
+    assert np.abs(np.einsum("ei,ei->e", y, y)).max() == 0.0
 
 
 def test_flat_plate_membrane_bending_decoupling():
@@ -813,6 +822,7 @@ def test_fields_match_uncondensed_solve(kind, k, d):
     G = asm.element_gram_batch(mesh, prob, els)
     Bl = np.concatenate([asm.element_b_batch(mesh, prob, k, els),
                          asm.element_load_batch(mesh, prob, els)[:, :, None]], axis=2)
+    Bl[:, :, 10:-1] *= neq.dofmap.element_signs[:, None, :]
     gc = np.hstack([n + 10 * np.arange(nt)[:, None] + np.arange(10),
                     neq.index_map[neq.elements.cols]])
     dense = np.zeros((neq.ndof, neq.ndof))
@@ -892,19 +902,22 @@ def test_previous_level_kernels_match_fresh_assembly(monkeypatch, kind, k, d, bo
     new = np.array([j for j, key in enumerate(keys) if key.tobytes() not in old])
     assert 0 < len(new) < len(keys)
     assert sorted(built) == sorted(reps[new].tolist())
-    # a taken-over class whose lowest-index element now has other edge
-    # signs than the element its kernels were built on: P_T must be
-    # taken relative to the stored signs
+    # a carried class whose lowest-index element has other edge signs
+    # than the element of the first mesh its kernels were built on: the
+    # kernels must not depend on the signs
     el = neq.elements
     reused = np.setdiff1d(np.arange(len(keys)), new)
-    assert np.any(second.tri_edge_sign[reps[reused]] != el.ref_sign[reused])
+    _, first_reps, first_keys = asm.jacobian_classes(first)
+    built_on = first_reps[match_rows(keys[reused], first_keys)]
+    assert np.any(second.tri_edge_sign[reps[reused]] != first.tri_edge_sign[built_on])
     assert np.array_equal(el.keys, keys)
 
     rel = lambda x, ref: np.abs(x - ref).max() / np.abs(ref).max()
     for t in range(second.ntriangles):
         assert rel(el.A[t], fresh.elements.A[t]) <= bound, t
         assert rel(el.rhs[t], fresh.elements.rhs[t]) <= bound, t
-    assert rel(el.c, fresh.elements.c) <= bound
+    assert rel(np.einsum("ei,ei->e", el.y, el.y),
+               np.einsum("ei,ei->e", fresh.elements.y, fresh.elements.y)) <= bound
     assert abs(neq.A - fresh.A).max() <= bound * abs(fresh.A).max()
     assert rel(neq.rhs, fresh.rhs) <= bound
     x, _ = solve(fresh)

@@ -51,8 +51,10 @@ def test_rayleigh_quotient_oracle():
         G = element_gram(mesh, prob, t)
         Bm = element_b(mesh, prob, 0, t)
         l = element_load(mesh, prob, t)
-        # the trial vector holds the recovered fields and the traces
-        r = l - Bm @ np.r_[fields[t], full[neq.elements.cols[t]]]
+        # the trial vector holds the recovered fields and the traces in
+        # the element's own frame
+        sign = neq.dofmap.element_signs[t]
+        r = l - Bm @ np.r_[fields[t], sign * full[neq.elements.cols[t]]]
         lam = scipy.linalg.eigh(np.outer(r, r), G, eigvals_only=True)
         assert lam.max() >= 0.0
         assert np.isclose(etas[t] ** 2, lam.max(), rtol=1e-8, atol=1e-16)

@@ -128,10 +128,9 @@ def least_squares_oracle(neq, steps=4):
     does not reach the limit (x86-64: 64-bit mantissa).
     """
     el = neq.elements
-    nel, nc = el.perm.shape
+    nel = len(el.y)
     m = el.y.shape[1]
-    WP = np.take_along_axis(el.W[el.cls], el.perm[:, None, :], axis=2)
-    WP *= el.sign[:, None, :]
+    WP = el.W[el.cls] * el.sign[:, None, :]
     gcols = np.broadcast_to(neq.index_map[el.cols][:, None, :], WP.shape)
     keep = gcols >= 0
     n = neq.A.shape[0]

@@ -5,6 +5,7 @@ import pytest
 from helpers import (FRAMES_SYM, loop_apply_bc, project_scalar, project_sym_tensor,
                      project_vector)
 
+from shelldpg.assembly import element_b_batch, jacobian_classes
 from shelldpg.mesh import Mesh, initial_rectangle_mesh, refine
 from shelldpg.model import BENCHMARKS, ShellProblem, make_benchmark
 from shelldpg.polyquad import triangle_basis, triangle_geometry, triangle_rule, map_gradients, map_hessians, map_points
@@ -15,7 +16,7 @@ UNIT_TRI = Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.array([[0, 1,
 
 def local_slices(k):
     """Local u_hat, w_hat, N_hat and M_hat columns; the M_hat block holds
-    (m_n, q) per edge followed by the (lo, hi) endpoint twists per edge."""
+    (m_n, q) per edge followed by the (start, end) twists per edge."""
     n_u = 6 + 6 * k
     return (
         slice(0, n_u),
@@ -66,12 +67,29 @@ def test_dofmap_shared_edge_dofs():
             if len(pairs) != 2:
                 continue
             (t1, j1), (t2, j2) = pairs
-            for s, first in ((sn, 0), (sm, 0), (sm, 6)):
+            for s, first in ((sn, 0), (sm, 0)):
                 c1 = cols[t1, s][first + 2 * j1 : first + 2 * j1 + 2]
                 c2 = cols[t2, s][first + 2 * j2 : first + 2 * j2 + 2]
                 assert np.array_equal(c1, c2)
-            # opposite element-edge signs across interior edges
-            assert mesh.tri_edge_sign[t1, j1] == -mesh.tri_edge_sign[t2, j2]
+            # the two neighbours run along the edge in opposite
+            # directions: one's start twist is the other's end twist
+            c1 = cols[t1, sm][6 + 2 * j1 : 8 + 2 * j1]
+            c2 = cols[t2, sm][6 + 2 * j2 : 8 + 2 * j2]
+            assert np.array_equal(c1, c2[::-1])
+            # opposite element-edge signs across interior edges, on the
+            # N_hat and q columns only
+            s1, s2 = mesh.tri_edge_sign[t1, j1], mesh.tri_edge_sign[t2, j2]
+            assert s1 == -s2
+            for t, j, s in ((t1, j1, s1), (t2, j2, s2)):
+                sg = dm.element_signs[t]
+                assert np.array_equal(sg[sn][2 * j : 2 * j + 2], [s, s])
+                assert np.array_equal(sg[sm][[2 * j, 2 * j + 1, 6 + 2 * j, 7 + 2 * j]],
+                                      [1, s, 1, 1])
+        signed = np.zeros(dm.ncols, dtype=bool)
+        signed[sn] = True
+        signed[sm.start + 1 : sm.start + 6 : 2] = True
+        assert np.all(dm.element_signs[:, ~signed] == 1)
+        assert np.all(np.abs(dm.element_signs[:, signed]) == 1)
 
 
 def make_plate(bc):
@@ -376,21 +394,19 @@ def test_pair_N_hat_constant_test():
     cv = project_vector(coords, lambda x, y: np.stack([np.full_like(x, 0.6), np.full_like(x, -0.9)], axis=-1), 3)
     lengths = [np.sqrt(2.0), 1.0, 1.0]
     for j in range(3):
-        s = UNIT_TRI.tri_edge_sign[0, j]
         for c, vc in enumerate((0.6, -0.9)):
             val = cv @ pair.N_hat[0][:, 2 * j + c]
-            assert val == pytest.approx(s * lengths[j] * vc, abs=1e-13)
+            assert val == pytest.approx(lengths[j] * vc, abs=1e-13)
 
 
 def test_pair_M_hat_hand_values():
     pair = edge_pairings(UNIT_TRI, 0)
     coords = UNIT_TRI.triangle_coords([0])[0]
-    # z == 1: q_hat column gives s |E|, m_hat column 0
+    # z == 1: q_hat column gives |E|, m_hat column 0
     c1 = project_scalar(coords, lambda x, y: np.ones_like(x), 3)
     lengths = [np.sqrt(2.0), 1.0, 1.0]
     for j in range(3):
-        s = UNIT_TRI.tri_edge_sign[0, j]
-        assert c1 @ pair.M_hat[0][:, 2 * j + 1] == pytest.approx(s * lengths[j], abs=1e-13)
+        assert c1 @ pair.M_hat[0][:, 2 * j + 1] == pytest.approx(lengths[j], abs=1e-13)
         # c1 carries quadrature roundoff in its zero modes; the m_n column
         # has entries up to ~60, so zero is resolved to 1e-13 per unit
         col = pair.M_hat[0][:, 2 * j]
@@ -402,13 +418,11 @@ def test_pair_M_hat_hand_values():
     cy = project_scalar(coords, lambda x, y: y, 3)
     assert cy @ pair.M_hat[0][:, 2 * 2] == pytest.approx(1.0, abs=1e-13)
     # twist columns are the endpoint terms -[t z]_a^b, a -> b counterclockwise:
-    # z(a) at the start, -z(b) at the end; the lower-index endpoint is the
-    # start iff s = +1
+    # z(a) at the start, -z(b) at the end
     for j in range(3):
-        s = UNIT_TRI.tri_edge_sign[0, j]
-        assert c1 @ pair.M_hat[0][:, 6 + 2 * j] == pytest.approx(s, abs=1e-13)
-        assert c1 @ pair.M_hat[0][:, 7 + 2 * j] == pytest.approx(-s, abs=1e-13)
-    # bottom edge (0,0) -> (1,0), vertices 0 < 1: z = x gives 0 and -1
+        assert c1 @ pair.M_hat[0][:, 6 + 2 * j] == pytest.approx(1.0, abs=1e-13)
+        assert c1 @ pair.M_hat[0][:, 7 + 2 * j] == pytest.approx(-1.0, abs=1e-13)
+    # bottom edge (0,0) -> (1,0): z = x gives 0 and -1
     assert abs(cx @ pair.M_hat[0][:, 6 + 2 * 2]) < 1e-13
     assert cx @ pair.M_hat[0][:, 7 + 2 * 2] == pytest.approx(-1.0, abs=1e-13)
 
@@ -418,7 +432,8 @@ def test_pair_M_hat_hand_values():
 
 
 def assemble_functional(mesh, k, test_v=None, test_z=None):
-    """Global trace functional for a conforming test function."""
+    """Global trace functional for a conforming test function: each
+    element's pairings, signed into the global edge frames."""
     dm = TraceDofMap(mesh, k)
     pair = edge_pairings(mesh, k)
     su, sw, sn, sm = local_slices(k)
@@ -426,15 +441,15 @@ def assemble_functional(mesh, k, test_v=None, test_z=None):
     scale = np.zeros(dm.ntrace)
     for t in range(mesh.ntriangles):
         coords = mesh.triangle_coords([t])[0]
-        cols = dm.element_columns[t]
+        cols, sign = dm.element_columns[t], dm.element_signs[t]
         if test_v is not None:
             cv = project_vector(coords, test_v, 3)
-            contrib = cv @ pair.N_hat[t]
+            contrib = sign[sn] * (cv @ pair.N_hat[t])
             np.add.at(F, cols[sn], contrib)
             np.add.at(scale, cols[sn], np.abs(contrib))
         if test_z is not None:
             cz = project_scalar(coords, test_z, 3)
-            contrib = cz @ pair.M_hat[t]
+            contrib = sign[sm] * (cz @ pair.M_hat[t])
             np.add.at(F, cols[sm], contrib)
             np.add.at(scale, cols[sm], np.abs(contrib))
     return dm, F, scale
@@ -552,21 +567,19 @@ def test_twist_shift_at_a_vertex_pairs_to_zero():
         assert np.abs(pair.M_hat[t] @ single[dm.element_columns[t, sm]]).max() > 0.1
 
 
-def test_sign_flip_invariance():
-    # flipping the edge-normal convention flips stored coefficients but
-    # leaves pairing products unchanged
-    mesh = initial_rectangle_mesh((0.0, 1.0, 0.0, 1.0))
-    pair = edge_pairings(mesh, 0)
-    rng = np.random.default_rng(2)
-    for t in range(mesh.ntriangles):
-        coef_N = rng.standard_normal(6)
-        coef_M = rng.standard_normal(12)
-        flip_N = np.repeat(rng.choice([1.0, -1.0], size=3), 2)
-        # m_hat and the twists are invariant under the flip, q_hat
-        # changes sign
-        flip_M = np.ones(12)
-        flip_M[1:6:2] = flip_N[0::2]
-        vN = pair.N_hat[t] @ coef_N
-        vM = pair.M_hat[t] @ coef_M
-        assert np.allclose((pair.N_hat[t] * flip_N) @ (coef_N * flip_N), vN)
-        assert np.allclose((pair.M_hat[t] * flip_M) @ (coef_M * flip_M), vM)
+def test_pairings_depend_on_the_jacobian_only():
+    # members of one Jacobian class whose edges run the other way along
+    # the skeleton have the same trial-to-test matrix: the orientation
+    # lives in TraceDofMap.element_signs alone
+    prob = make_benchmark("scordelis_lo")
+    mesh = refine_some(initial_rectangle_mesh(prob.rect), seed=5, rounds=3)
+    cls, reps, _ = jacobian_classes(mesh)
+    sign = mesh.tri_edge_sign
+    flipped = np.any(sign != sign[reps[cls]], axis=1)
+    assert flipped.sum() > 10
+    for k in (0, 1):
+        Bm = element_b_batch(mesh, prob, k, np.arange(mesh.ntriangles))
+        for c in np.unique(cls[flipped]):
+            ref = Bm[reps[c]]
+            rel = np.abs(Bm[cls == c] - ref).max() / np.abs(ref).max()
+            assert rel <= 1e-13, (k, c, rel)
