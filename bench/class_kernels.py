@@ -77,7 +77,7 @@ def jittered_mesh(problem, nclasses):
                  & (xy[:, 1] > y0) & (xy[:, 1] < y1))
         xy[inner] += JITTER * h * rng.uniform(-1.0, 1.0, (inner.sum(), 2))
         moved = Mesh(xy, mesh.triangles, rect=mesh.rect)
-        _, reps, _ = jacobian_classes(moved)
+        _, reps, _, _ = jacobian_classes(moved)
         if len(reps) >= nclasses:
             return moved, reps
 

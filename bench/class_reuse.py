@@ -12,7 +12,8 @@ does, on one BLAS thread, in two cases:
   4-element rectangle until an assembly raises `AssemblyError`.
 
 For every level it records the elements, the ndof, the Jacobian
-classes, the classes built (those whose key the previous level's
+classes (J and -J share one, `assembly.jacobian_classes`), the classes
+built (those whose key the previous level's
 normal equations do not hold) and the assembly seconds with
 `previous=` the last level's normal equations and without it, each the
 median of `--repeat` runs.  Per workload it also sums these over all

@@ -18,14 +18,20 @@ element's own frame (`traces.edge_pairings`), so that the orientation of
 the skeleton lives only in the signed element-to-global column map
 P_T = diag(sign_T) (`TraceDofMap.element_signs`).  Newest-vertex
 bisection keeps the number of distinct Jacobians small (Stevenson,
-Math. Comp. 2008), so the elements are grouped into Jacobian classes
-(`jacobian_classes`).  G, Bmat, the Cholesky factor of G, the field
-elimination and a load map are built on one element per class; per
-element only the load and the signs remain.  Most
-shapes survive a refinement step, so an assembly given the previous
-level's `NormalEquations` builds the class kernels only for the shapes
-new to its mesh and takes the others over.  `ElementSystems` documents
-the algebra.
+Math. Comp. 2008), and makes them in pairs J and -J, an element and its
+180-degree rotation.  Under the point reflection x -> -x the operator
+(constant B and C_disp) is even once the odd quantities change sign:
+the vectors v, u, u_hat, grad w_hat and N_hat = N n are odd; z, T, S,
+Q, w, N, M, the w_hat values, m_n, q and the twists are even.  So the
+element tensors of -J are those of J with rows and columns signed, and
+the elements are grouped into classes of +-J (`jacobian_classes`), each
+element with its parity p_T = +-1 against its class's canonical J.  G,
+Bmat, the Cholesky factor of G, the field elimination and a load map
+are built on one element per class; per element only the load and the
+signs remain.  Most shapes survive a refinement step, so an assembly
+given the previous level's `NormalEquations` builds the class kernels
+only for the shapes new to its mesh and takes the others over.
+`ElementSystems` documents the algebra.
 
 Test space per element (broken): v in [P3]^2, z in P3, T in sym P3,
 S in sym P4, Q in skew P2; 111 dofs with the block offsets below.
@@ -91,6 +97,10 @@ CLASS_RTOL = 1e-10
 # 8 MB, so this bounds the peak memory on meshes with many distinct shapes
 CLASS_BATCH = 128
 
+# signs under J -> -J (`ElementSystems`): of the field columns of B, u1
+# and u2 odd, and of the v and z test rows that a load fills, v odd
+SIGMA_F = np.r_[-1.0, -1.0, np.ones(N_FIELD - 2)]
+S_V = np.r_[-np.ones(OFF_Z - OFF_V), np.ones(OFF_T - OFF_Z)]
 # test dofs of |grad v - B z + Q|^2
 VZQ = np.r_[OFF_V:OFF_T, OFF_Q:N_TEST]
 FRAME_SKEW = np.array([[0.0, 1.0 / SQ2], [-1.0 / SQ2, 0.0]])
@@ -287,6 +297,19 @@ def element_b_batch(mesh, problem, k, els):
     return Bmat
 
 
+def _reflection_signs(k):
+    """sigma_t (`TraceDofMap.ncols`,): the signs of the trace columns of B
+    under J -> -J (`ElementSystems`): -1 on u_hat, on the two gradient
+    dofs of each vertex's w_hat and on N_hat; +1 on the w_hat values,
+    m_n, q and the twists."""
+    cw = 6 + 6 * k
+    sigma = np.ones(local_trace_columns(k))
+    sigma[:cw] = -1.0
+    sigma[cw + 1:cw + 9:3] = sigma[cw + 2:cw + 9:3] = -1.0
+    sigma[cw + 9:cw + 15] = -1.0
+    return sigma
+
+
 def find_point_element(mesh, point):
     """Vertex index and lowest-index element owning a point-load vertex."""
     dist = np.abs(mesh.vertices - np.asarray(point)).max(axis=1)
@@ -327,23 +350,31 @@ def element_load_batch(mesh, problem, els):
 
 
 def jacobian_classes(mesh):
-    """Group the elements of a mesh by their Jacobian up to translation.
+    """Group the elements of a mesh by their Jacobian up to translation
+    and point reflection.
 
-    Returns (cls, reps, keys): the class index of every element, the
-    lowest-index element of each class and the key of each class.  A
-    Jacobian is keyed by the binary exponent of its largest entry and its
-    entries rounded to `CLASS_RTOL` times that power of two, so J and 2 J
-    never share a class.  A shape whose entries straddle a grid point may
-    get two classes, which costs one more kernel call and nothing else.
-    Keys are absolute, so equal keys on two meshes mean the same shape.
+    Returns (cls, reps, keys, parity): the class index of every element,
+    the lowest-index element of each class, the key of each class and
+    the parity p_T = +-1 of every element, the sign that takes its
+    Jacobian to its class's canonical one.  A Jacobian is keyed by the
+    binary exponent of its largest entry and its entries rounded to
+    `CLASS_RTOL` times that power of two, so J and 2 J never share a
+    class.  J and -J share one: the canonical key is the one whose first
+    nonzero grid entry is positive, and p_T = -1 where the element's own
+    grid had to be negated to reach it (`ElementSystems` gives the
+    algebra).  A shape whose entries straddle a grid point may get two
+    classes, which costs one more kernel call and nothing else.  Keys
+    are absolute, so equal keys on two meshes mean the same shape.
     """
     J, _, _ = triangle_geometry(mesh.triangle_coords())
     J = J.reshape(len(J), 4)
     _, expo = np.frexp(np.abs(J).max(axis=1))
     grid = np.rint(np.ldexp(J, -expo[:, None]) / CLASS_RTOL).astype(np.int64)
-    key = np.column_stack([expo, grid])
+    lead = grid[np.arange(len(grid)), np.argmax(grid != 0, axis=1)]
+    parity = np.where(lead < 0, -1, 1)
+    key = np.column_stack([expo, grid * parity[:, None]])
     keys, reps, cls = np.unique(key, axis=0, return_index=True, return_inverse=True)
-    return cls.ravel(), reps, keys
+    return cls.ravel(), reps, keys, parity
 
 
 def gram_factor(G):
@@ -368,36 +399,60 @@ def gram_factor(G):
 class ElementSystems:
     """Field-condensed element normal equations from Jacobian-class kernels.
 
-    The elements of class J (`jacobian_classes`) share G_J and B_J,
-    built on one element of the class in its own frame, and the factor
-    L_J of `gram_factor`; W_J = L_J^-1 S_J B_J splits into its field and
-    trace columns [W_f | W_t].  With the full QR W_f = [Q_1 Q_2] [R; 0] the
-    class keeps the kernels
+    The elements of class J (`jacobian_classes`) share G_J and B_J of the
+    class's canonical Jacobian, built on one element of the class in its
+    own frame, and the factor L_J of `gram_factor`; W_J = L_J^-1 S_J B_J
+    splits into its field and trace columns [W_f | W_t].  With the full
+    QR W_f = [Q_1 Q_2] [R; 0] the class keeps the kernels
 
         W^c_J = Q_2' W_t,  K_J = R^-1 Q_1' W_t,
         E_J = [R^-1 Q_1'; Q_2'] L_J^-1 S_J[:, :OFF_T],
 
     E_J being the load map on the v and z test rows, the only ones a
-    load fills (`element_load_batch`).  Element T keeps
+    load fills (`element_load_batch`).
+
+    Point reflection.  J -> -J maps x - x_0 to -(x - x_0): first
+    derivatives change sign, values and second derivatives do not, and
+    B and C_disp are constant.  So every term of the test norm and of
+    the ultraweak form is even once the odd quantities are negated: the
+    vectors v, u, u_hat, grad w_hat and N_hat = N n are odd; z, T, S, Q,
+    w, N, M, the w_hat values, m_n, q and the twists are even.  Hence
+
+        G(-J) = S_v G(J) S_v,  B(-J) = S_v B(J) diag(sigma_f, sigma_t),
+
+    S_v = -1 on the 20 v test rows, sigma_f = -1 on u1 and u2
+    (`SIGMA_F`), sigma_t = -1 on u_hat, on the two gradient dofs of each
+    vertex's w_hat and on N_hat (`_reflection_signs`).  The equilibration
+    S_J is unchanged, L(-J) = S_v L_J S_v, and with Q_1 -> S_v Q_1 sigma_f,
+    R -> sigma_f R sigma_f, Q_2 -> S_v Q_2 the kernels of -J are
+
+        W^c_J sigma_t,  sigma_f K_J sigma_t,  blkdiag(sigma_f, I) E_J S_v,
+
+    and W^c' W^c becomes sigma_t W^c' W^c sigma_t.  A class keeps the
+    kernels of its canonical Jacobian; a representative of parity -1 is
+    signed into them once, when it is built.  Element T of parity p_T
+    (`parity`) keeps
 
         [f_T; y^c_T] = E_J l_T[:OFF_T],
 
-    the fields at zero traces f_T = R^-1 Q_1' y_T and the condensed load
-    y^c_T = Q_2' y_T of the whitened load y_T = L_J^-1 S_J l_T, and the
-    signed column map P_T = diag(sign_T) of its edge orientation
-    (`TraceDofMap.element_signs`): the element's own trace values are
-    P_T u_T for the global values u_T at its columns `cols`, and
-    B_T = B_J P_T on the trace columns.  Then
+    its load's v rows negated first where p_T = -1: the fields at zero
+    traces f_T = R^-1 Q_1' y_T (in the canonical frame) and the condensed
+    load y^c_T = Q_2' y_T of the whitened load y_T = L_J^-1 S_J l_T.  Its
+    signed column map P_T = diag(sign_T) holds the edge orientation
+    (`TraceDofMap.element_signs`) times sigma_t where p_T = -1: the
+    canonical element's trace values are P_T u_T for the global values
+    u_T at its columns `cols`.  Then
 
         A_T = P_T W^c' W^c P_T,  rhs_T = P_T W^c' y^c_T
 
     are the Schur complements on the field block of the uncondensed
     element system, formed without inverting it; each class keeps
     W^c' W^c (`WtW`), and A_T is WtW[J] signed along both axes.  For
-    trace values u_T the locally optimal fields are f_T - K_J P_T u_T
-    (`fields`), and the residual in the dual test norm at those fields
-    is r_T = y^c_T - W^c P_T u_T (`residuals`); its adjoint
-    P_T W^c' r_T (`adjoint`) gives rhs_T at u_T = 0.
+    trace values u_T the locally optimal fields are f_T - K_J P_T u_T,
+    times sigma_f where p_T = -1 (`fields`), and the residual in the
+    dual test norm at those fields is r_T = y^c_T - W^c P_T u_T
+    (`residuals`); its adjoint P_T W^c' r_T (`adjoint`) gives rhs_T at
+    u_T = 0.
 
     Reuse: W^c_J, K_J, E_J and WtW[J] depend on the mesh only through
     the class key (`keys`), so the systems of the same problem and k on
@@ -416,8 +471,9 @@ class ElementSystems:
     E: np.ndarray  # (ncls, 111, OFF_T): load map to [f_T; y^c_T]
     WtW: np.ndarray  # (ncls, nc, nc): W^c_J' W^c_J, exactly symmetric
     y: np.ndarray  # (nel, 111 - 10): y^c_T
-    f: np.ndarray  # (nel, 10): fields at zero traces
+    f: np.ndarray  # (nel, 10): fields at zero traces, canonical frame
     sign: np.ndarray  # (nel, nc): the diagonal of P_T
+    parity: np.ndarray  # (nel,) p_T of `jacobian_classes`
     classes: tuple  # (order, bounds) of `_class_order`
 
     def residuals(self, uloc):
@@ -430,9 +486,12 @@ class ElementSystems:
         return self.sign * _by_class(self.classes, r, self.W)
 
     def fields(self, uloc):
-        """Locally optimal fields (nel, 10) f_T - K_J P_T u_T."""
-        return self.f - _by_class(self.classes, self.sign * uloc,
-                                  self.K.transpose(0, 2, 1))
+        """Locally optimal fields (nel, 10) f_T - K_J P_T u_T, times
+        sigma_f where p_T = -1."""
+        out = self.f - _by_class(self.classes, self.sign * uloc,
+                                 self.K.transpose(0, 2, 1))
+        out[self.parity < 0] *= SIGMA_F
+        return out
 
 
 def _class_order(cls):
@@ -497,16 +556,18 @@ def _class_kernels(G, Bm, elements, classes):
 
 def _element_systems(problem, dofmap, previous=None):
     """Class-factored, field-condensed `ElementSystems` of all elements
-    of `dofmap.mesh`, over its element columns and signs.
+    of `dofmap.mesh`, over its element columns; P_T signs them by the
+    edge orientation and the parity.
 
     The kernels of a class whose key `previous` (the `ElementSystems` of
     the same problem and k on another mesh) holds are taken from it; the
     others are built on the class's lowest-index element.
     """
     mesh, k = dofmap.mesh, dofmap.k
-    cols, sign = dofmap.element_columns, dofmap.element_signs
+    cols = dofmap.element_columns
     nt, nc = cols.shape
-    cls, reps, keys = jacobian_classes(mesh)
+    cls, reps, keys, parity = jacobian_classes(mesh)
+    sigma_t = _reflection_signs(k)
     ncls = len(reps)
     W = np.empty((ncls, N_TEST - N_FIELD, nc))
     K = np.empty((ncls, N_FIELD, nc))
@@ -523,18 +584,26 @@ def _element_systems(problem, dofmap, previous=None):
         batch = new[lo:lo + CLASS_BATCH]
         G = element_gram_batch(mesh, problem, reps[batch])
         Bm = element_b_batch(mesh, problem, k, reps[batch])
-        W[batch], K[batch], E[batch] = _class_kernels(G, Bm, reps[batch], batch)
-        WtW[batch] = _gram_block(W[batch])
+        Wb, Kb, Eb = _class_kernels(G, Bm, reps[batch], batch)
+        # representatives of -J, signed into the canonical kernels
+        flip = parity[reps[batch]] < 0
+        Wb[flip] *= sigma_t
+        Kb[flip] *= SIGMA_F[:, None] * sigma_t
+        Eb[flip] *= np.r_[SIGMA_F, np.ones(N_TEST - N_FIELD)][:, None] * S_V
+        W[batch], K[batch], E[batch] = Wb, Kb, Eb
+        WtW[batch] = _gram_block(Wb)
+    sign = dofmap.element_signs * np.where(parity[:, None] < 0, sigma_t, 1.0)
     A = WtW[cls]
     A *= sign[:, :, None]
     A *= sign[:, None, :]
     l = element_load_batch(mesh, problem, np.arange(nt))[:, :OFF_T]
+    l[:, OFF_V:OFF_Z] *= parity[:, None]
 
     classes = _class_order(cls)
     fy = _by_class(classes, l, E.transpose(0, 2, 1))
     f, y = fy[:, :N_FIELD], fy[:, N_FIELD:]
     systems = ElementSystems(A, None, cols, cls, keys, W, K, E, WtW, y, f, sign,
-                             classes)
+                             parity, classes)
     systems.rhs = systems.adjoint(y)
     return systems
 

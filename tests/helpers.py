@@ -248,7 +248,8 @@ def loop_class_kernels(G, Bm, element, j):
 
 def class_loop_systems(el, uloc):
     """A_T, rhs_T, residuals and fields of `ElementSystems` `el` from
-    W^c_J' W^c_J and P_T u_T formed class by class."""
+    W^c_J' W^c_J and P_T u_T formed class by class, the fields of the
+    elements of parity -1 signed afterwards."""
     nel, nc = el.sign.shape
     A = np.empty((nel, nc, nc))
     rhs = np.empty((nel, nc))
@@ -265,6 +266,8 @@ def class_loop_systems(el, uloc):
         v = S * uloc[mem]
         res[mem] = el.y[mem] - v @ W.T
         fields[mem] = el.f[mem] - v @ el.K[j].T
+    # u1 and u2 are odd under the point reflection J -> -J
+    fields[el.parity < 0, :2] *= -1.0
     return A, rhs, res, fields
 
 

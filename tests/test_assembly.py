@@ -194,7 +194,7 @@ def test_gram_inverse_reconstruction():
     # entries span too many orders for L L' to reproduce G beyond
     # eps * |G| entrywise
     mesh = small_mesh()
-    _, reps, _ = asm.jacobian_classes(mesh)
+    _, reps, _, _ = asm.jacobian_classes(mesh)
     for d in (1.0, 1e-2, 1e-4):
         prob = plain_problem(B=[[0.0, 0.0], [0.0, 1.0]], d=d)
         for G in asm.element_gram_batch(mesh, prob, reps):
@@ -209,7 +209,7 @@ def test_gram_inverse_reconstruction():
 def test_gram_failure_names_element_and_class(monkeypatch, spoil):
     mesh = small_mesh()
     prob = make_benchmark("cyl_clamped")
-    cls, reps, _ = asm.jacobian_classes(mesh)
+    cls, reps, _, _ = asm.jacobian_classes(mesh)
     bad = len(reps) // 2
     kernel = asm.element_gram_batch
 
@@ -571,17 +571,71 @@ def test_jacobian_class_keys():
         2.0 * base,  # 2 J: own class
         mirrored,  # mirror image: own class
         np.vstack([[0.0, 0.0], (J * (1.0 + 1e-7 * pattern)).T]),  # own class
+        np.array([1.0, 3.0]) - base,  # rotated by 180 degrees, -J: same class
     ]
-    mesh = Mesh(np.vstack(tris), np.arange(18).reshape(6, 3))
-    cls, reps, keys = asm.jacobian_classes(mesh)
-    assert cls[0] == cls[1] == cls[2]
+    mesh = Mesh(np.vstack(tris), np.arange(21).reshape(7, 3))
+    cls, reps, keys, parity = asm.jacobian_classes(mesh)
+    assert cls[0] == cls[1] == cls[2] == cls[6]
     assert reps[cls[0]] == 0
     assert len({cls[0], cls[3], cls[4], cls[5]}) == 4
     assert len(reps) == 4
-    # one distinct key per class, absolute across meshes
+    # the rotated copy has the other parity; the mirror image is not -J
+    assert parity[6] == -parity[0] and np.all(parity[:3] == parity[0])
+    assert np.all(np.abs(parity) == 1)
+    # one distinct key per class, absolute across meshes, canonical: the
+    # first nonzero grid entry is positive
     assert keys.shape == (4, 5) and len(np.unique(keys, axis=0)) == 4
-    _, _, alone = asm.jacobian_classes(Mesh(tris[3], np.arange(3)[None]))
+    assert all(key[1:][key[1:] != 0][0] > 0 for key in keys)
+    _, _, alone, _ = asm.jacobian_classes(Mesh(tris[3], np.arange(3)[None]))
     assert np.array_equal(alone[0], keys[cls[3]])
+    _, _, alone, flipped = asm.jacobian_classes(Mesh(tris[6], np.arange(3)[None]))
+    assert np.array_equal(alone[0], keys[cls[0]]) and flipped[0] == parity[6]
+
+
+def reflection_oracle_signs(k):
+    """(S_v, sigma_f, sigma_t) of the point reflection J -> -J, from the
+    parity of each quantity: the vectors v, u, u_hat, grad w_hat and
+    N_hat are odd, everything else is even."""
+    S_v = np.r_[-np.ones(20), np.ones(91)]
+    sigma_f = np.r_[-1.0, -1.0, np.ones(8)]  # u1 u2 w N11 N12 N21 N22 M11 M12 M22
+    u_hat = -np.ones(6 + 6 * k)
+    w_hat = np.tile([1.0, -1.0, -1.0], 3)  # value, d/dx, d/dy at each vertex
+    N_hat = -np.ones(6)
+    moment = np.ones(12)  # m_n, q per edge, then the twists
+    return S_v, sigma_f, np.r_[u_hat, w_hat, N_hat, moment]
+
+
+@pytest.mark.parametrize("k", [0, 1])
+@pytest.mark.parametrize("kind", [b for b in BENCHMARKS if b != "custom"])
+def test_point_reflection_symmetry(kind, k):
+    # G(-J) = S_v G(J) S_v and B(-J) = S_v B(J) diag(sigma_f, sigma_t)
+    # for an element and its 180-degree rotation about another point
+    prob = make_benchmark(kind)
+    base = np.array([[0.37, 0.61], [0.58, 0.66], [0.41, 0.83]])
+    rotated = np.array([0.9, 1.7]) - base
+    mesh = Mesh(np.vstack([base, rotated]), np.arange(6).reshape(2, 3))
+    cls, _, _, parity = asm.jacobian_classes(mesh)
+    assert cls[0] == cls[1] and parity[0] == -parity[1]
+    S_v, sigma_f, sigma_t = reflection_oracle_signs(k)
+    assert np.array_equal(asm._reflection_signs(k), sigma_t)
+    G = asm.element_gram_batch(mesh, prob, [0, 1])
+    Bm = asm.element_b_batch(mesh, prob, k, [0, 1])
+    sG = S_v[:, None] * G[0] * S_v
+    sB = S_v[:, None] * Bm[0] * np.r_[sigma_f, sigma_t]
+    assert np.abs(G[1] - sG).max() <= 1e-13 * np.abs(G[1]).max()
+    assert np.abs(Bm[1] - sB).max() <= 1e-13 * np.abs(Bm[1]).max()
+    # the same in the equilibrated frame that gets factored, where the
+    # entries are at most 1 and the small odd blocks count as much as the
+    # rest (measured 1.1e-13 and 5.2e-14); there the signs are not idle:
+    # G and B of -J differ from those of J by far more than the bound
+    s = 1.0 / np.sqrt(np.diag(G[1]))
+    c = 1.0 / np.abs(s[:, None] * Bm[1]).max(axis=0)
+    eqG = lambda X: s[:, None] * X * s
+    eqB = lambda X: s[:, None] * X * c
+    assert np.abs(eqG(G[1] - sG)).max() <= 1e-12
+    assert np.abs(eqB(Bm[1] - sB)).max() <= 1e-12
+    assert np.abs(eqG(G[1] - G[0])).max() > 0.1
+    assert np.abs(eqB(Bm[1] - Bm[0])).max() > 0.1
 
 
 @pytest.mark.parametrize("kind, k, d", [("cyl_clamped", 0, 1e-2),
@@ -590,7 +644,7 @@ def test_jacobian_class_keys():
 def test_stacked_class_kernels_match_one_class_at_a_time(kind, k, d):
     prob = make_benchmark(kind, d=d)
     mesh = small_mesh(rounds=2)
-    _, reps, _ = asm.jacobian_classes(mesh)
+    _, reps, _, _ = asm.jacobian_classes(mesh)
     assert len(reps) > 8
     G = asm.element_gram_batch(mesh, prob, reps)
     Bm = asm.element_b_batch(mesh, prob, k, reps)
@@ -605,7 +659,7 @@ def test_stacked_class_kernels_match_one_class_at_a_time(kind, k, d):
 def test_bad_member_of_a_stacked_batch_is_named(spoil):
     prob = make_benchmark("cyl_clamped")
     mesh = small_mesh(rounds=2)
-    _, reps, _ = asm.jacobian_classes(mesh)
+    _, reps, _, _ = asm.jacobian_classes(mesh)
     G = asm.element_gram_batch(mesh, prob, reps[:7])
     Bm = asm.element_b_batch(mesh, prob, 0, reps[:7])
     classes = np.arange(10, 17)
@@ -698,6 +752,10 @@ def test_class_systems_match_direct_oracle(kind, k, d, bound):
     assert any(len(np.unique(signs[el.cls == c], axis=0)) > 1
                for c in range(len(el.W)))
     assert np.any(el.sign < 0)
+    # and the point reflection: some class has members of both parities,
+    # whose kernels come from one build
+    assert any(len(np.unique(el.parity[el.cls == c])) == 2
+               for c in range(len(el.W)))
 
     A, rhs, c, _, _ = direct_condensed_systems(mesh, prob, k,
                                                np.arange(mesh.ntriangles))
@@ -897,7 +955,7 @@ def test_previous_level_kernels_match_fresh_assembly(monkeypatch, kind, k, d, bo
 
     # the Gram kernel ran once on each class new to the second mesh, on
     # its lowest-index element, and on nothing else
-    _, reps, keys = asm.jacobian_classes(second)
+    _, reps, keys, _ = asm.jacobian_classes(second)
     old = {key.tobytes() for key in prev.elements.keys}
     new = np.array([j for j, key in enumerate(keys) if key.tobytes() not in old])
     assert 0 < len(new) < len(keys)
@@ -907,9 +965,13 @@ def test_previous_level_kernels_match_fresh_assembly(monkeypatch, kind, k, d, bo
     # kernels must not depend on the signs
     el = neq.elements
     reused = np.setdiff1d(np.arange(len(keys)), new)
-    _, first_reps, first_keys = asm.jacobian_classes(first)
+    _, first_reps, first_keys, first_parity = asm.jacobian_classes(first)
     built_on = first_reps[match_rows(keys[reused], first_keys)]
     assert np.any(second.tri_edge_sign[reps[reused]] != first.tri_edge_sign[built_on])
+    # and one whose members on the second mesh include the other parity
+    # than that element: the carried kernels are the canonical ones
+    assert any(np.any(el.parity[el.cls == j] != first_parity[t])
+               for j, t in zip(reused, built_on))
     assert np.array_equal(el.keys, keys)
 
     rel = lambda x, ref: np.abs(x - ref).max() / np.abs(ref).max()

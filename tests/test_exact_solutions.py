@@ -7,7 +7,12 @@ from shelldpg.assembly import assemble_normal_equations
 from shelldpg.mesh import initial_rectangle_mesh, refine
 from shelldpg.model import ShellProblem, make_benchmark
 from shelldpg.polyquad import map_points, triangle_geometry, triangle_rule
-from shelldpg.reference import FourierReference, InextensionalReference, error_norms
+from shelldpg.reference import (
+    FourierReference,
+    InextensionalReference,
+    error_norms,
+    scordelis_lo_functional,
+)
 from shelldpg.solver import solve
 
 
@@ -122,3 +127,35 @@ def test_tangential_trace_degree_removes_membrane_locking():
         rate = np.log(err[256] / err[1024]) / np.log(ndof[1024] / ndof[256])
         assert rate >= 0.45, (d, rate, err)
     assert locked[1024] >= 20.0 * err[1024], (locked, err)
+
+
+# Scordelis-Lo roof: the vertical midside displacement of the free edge,
+# 0.3024 in the deep-shell reference (MacNeal and Harder, "A proposed
+# standard set of problems to test finite element accuracy", Finite
+# Elem. Anal. Des. 1985)
+SCORDELIS_LO_REFERENCE = 0.3024
+
+
+def test_scordelis_lo_functional_approaches_reference():
+    """Uniform k = 1 at the default d = 0.25, 4 to 1,024 elements: the
+    functional reads 0.0045 / 0.021 / 0.124 / 0.233 / 0.282 (measured).
+
+    It must rise and end within 10% of 0.3024.  A gap is allowed because
+    0.3024 is the value of the deep-shell model, while this model is
+    shallow, and because 1,024 elements do not resolve the roof yet: the
+    runs at 4,096 and 16,384 elements, kept out of this suite for time,
+    read 0.299 and 0.305.
+    """
+    prob = make_benchmark("scordelis_lo")
+    mesh = initial_rectangle_mesh(prob.rect)
+    values = []
+    while True:
+        neq = assemble_normal_equations(mesh, prob, 1)
+        x, _ = solve(neq)
+        values.append(scordelis_lo_functional(mesh, prob, neq.fields(x)))
+        if mesh.ntriangles >= 1024:
+            break
+        mesh = refine(mesh, np.arange(mesh.ntriangles))
+    assert mesh.ntriangles == 1024 and len(values) == 5
+    assert np.all(np.diff(values) > 0.0), values
+    assert abs(values[-1] - SCORDELIS_LO_REFERENCE) <= 0.1 * SCORDELIS_LO_REFERENCE, values
