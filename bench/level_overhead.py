@@ -35,15 +35,18 @@ Also once, `mesh`: the time of the `refine` call that makes a mesh of
 elements (10% of the 262,144 marked at random), and of `Mesh(...)` on
 the vertices and triangles of each.
 
-Every time is scaled to the reference host speed of
-`perfbench/calibrate.py`: the child times that module's fixed kernel
-right after each block of measurements (the level floors, the mesh
-times, the large level, each workload's phases) and multiplies the
-block's seconds by `REFERENCE_S` over the kernel's time, as
-`perfbench/run.py` does with its runs.  Shares are ratios and need no
-scaling.  Each figure is the median, on one BLAS thread, over `--rounds`
-child processes.  A child imports `shelldpg` from a given `src` directory:
-this checkout's, and with `--parent-src` also that of another checkout
+Times are raw `time.perf_counter` seconds.  Next to them each child
+records `calibration_s`, the median time of the fixed host-speed kernel
+of `perfbench/calibrate.py`, timed right after each block of
+measurements (the level floors, the mesh times, the large level, each
+workload's phases): the ratio of the two sides' `calibration_s` shows
+how far the host speed drifted between them.  The times are not scaled
+by it, since the kernel's own spread can exceed that of the times it
+would scale; shares are ratios within one run and compare across sides
+as they are.  Each figure is the median, on one BLAS thread, over
+`--rounds` child processes.  A child imports `shelldpg` from a given
+`src` directory: this checkout's, and with `--parent-src` also that of
+another checkout
 (say, one made with `git clone` or `git archive` at the parent commit).
 The two sides alternate round by round, so that a drift in host speed
 reaches both.
@@ -70,7 +73,7 @@ from pathlib import Path  # noqa: E402
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
 
-from calibrate import REFERENCE_S, kernel_parts  # noqa: E402
+from calibrate import kernel_parts  # noqa: E402
 from workloads import DEFAULT_SEED, WORKLOADS, start_mesh  # noqa: E402
 
 START_MESHES = 16
@@ -192,20 +195,6 @@ def mesh_times():
     return out
 
 
-def host_factor(kernels):
-    """REFERENCE_S over the time of the calibration kernel, timed now and
-    appended to `kernels`."""
-    kernels.append(sum(kernel_parts()))
-    return REFERENCE_S / kernels[-1]
-
-
-def scaled(tree, factor):
-    """Nested dicts of seconds times `factor`; counts (int) stay."""
-    if isinstance(tree, dict):
-        return {k: scaled(v, factor) for k, v in tree.items()}
-    return tree if isinstance(tree, int) else tree * factor
-
-
 def measure():
     """All figures of one round, with shelldpg on sys.path."""
     import shelldpg
@@ -215,14 +204,15 @@ def measure():
     for name, w in WORKLOADS.items():
         problem = shelldpg.make_benchmark(w.benchmark, d=w.d)
         meshes = [start_mesh(problem, DEFAULT_SEED, j) for j in range(START_MESHES)]
-        out["workloads"][name] = {
-            "level_floor_s": scaled(level_floor(w, problem, meshes),
-                                   host_factor(kernels))}
-    out["mesh"] = scaled(mesh_times(), host_factor(kernels))
+        out["workloads"][name] = {"level_floor_s": level_floor(w, problem, meshes)}
+    kernels.append(sum(kernel_parts()))
+    out["mesh"] = mesh_times()
+    kernels.append(sum(kernel_parts()))
 
     acc = defaultdict(float)
     install_spans(acc)
-    out["large_level"] = scaled(large_level(acc), host_factor(kernels))
+    out["large_level"] = large_level(acc)
+    kernels.append(sum(kernel_parts()))
     for name, w in WORKLOADS.items():
         problem = shelldpg.make_benchmark(w.benchmark, d=w.d)
         cfg = shelldpg.AdaptiveConfig(k=w.k, theta=w.theta, mode=w.mode,
@@ -246,10 +236,10 @@ def measure():
             solve_s += time.perf_counter() - t
         acc["element_systems"] -= acc["class_kernels"] + acc["gram_b"]
         acc["other"] = solve_s - sum(acc.values())
-        out["workloads"][name].update(scaled({
-            "solve_s": solve_s / START_MESHES,
-            "phases_s": {k: v / START_MESHES for k, v in sorted(acc.items())}},
-            host_factor(kernels)))
+        kernels.append(sum(kernel_parts()))
+        out["workloads"][name]["solve_s"] = solve_s / START_MESHES
+        out["workloads"][name]["phases_s"] = {
+            k: v / START_MESHES for k, v in sorted(acc.items())}
         out["workloads"][name]["shares"] = {
             k: v / solve_s for k, v in sorted(acc.items())}
     out["calibration_s"] = statistics.median(kernels)
@@ -284,6 +274,7 @@ def print_summary(label, res):
     for n, row in res["mesh"].items():
         print(f"{label:7s} {n:>7s} elements  refine {row['refine_s']:7.3f} s  "
               f"Mesh {row['mesh_s']:7.3f} s", flush=True)
+    print(f"{label:7s} calibration kernel {res['calibration_s']:.3f} s", flush=True)
 
 
 def main(argv=None):
@@ -317,8 +308,7 @@ def main(argv=None):
         "seed": DEFAULT_SEED,
         "start_meshes": START_MESHES,
         "rounds": args.rounds,
-        "unit": ("s at the reference host speed of perfbench/calibrate.py (per run "
-                 "for phases_s and solve_s), median over rounds"),
+        "unit": "s (per run for phases_s and solve_s), median over rounds",
     }
     for side in sides:
         out[side] = median_tree(runs[side])

@@ -97,10 +97,10 @@ CLASS_RTOL = 1e-10
 # 8 MB, so this bounds the peak memory on meshes with many distinct shapes
 CLASS_BATCH = 128
 
-# signs under J -> -J (`ElementSystems`): of the field columns of B, u1
-# and u2 odd, and of the v and z test rows that a load fills, v odd
+# signs under J -> -J (`ElementSystems`): of the test rows, v odd; of the
+# field columns of B, u1 and u2 odd
+S_V = np.r_[-np.ones(OFF_Z - OFF_V), np.ones(N_TEST - OFF_Z)]
 SIGMA_F = np.r_[-1.0, -1.0, np.ones(N_FIELD - 2)]
-S_V = np.r_[-np.ones(OFF_Z - OFF_V), np.ones(OFF_T - OFF_Z)]
 # test dofs of |grad v - B z + Q|^2
 VZQ = np.r_[OFF_V:OFF_T, OFF_Q:N_TEST]
 FRAME_SKEW = np.array([[0.0, 1.0 / SQ2], [-1.0 / SQ2, 0.0]])
@@ -235,7 +235,6 @@ def element_b_batch(mesh, problem, k, els):
     w = triangle_rule(QUAD_DEGREE).weights
     t2, t3, t4 = (triangle_table(p, QUAD_DEGREE) for p in (2, 3, 4))
     nel = len(detJ)
-    nu_cols = 6 + 6 * k
     ncols = N_FIELD + local_trace_columns(k)
 
     B = problem.B
@@ -286,15 +285,21 @@ def element_b_batch(mesh, problem, k, els):
 
     # trace columns, signs of the skeleton duality
     pair = edge_pairings(mesh, k, els)
-    cu = N_FIELD
-    cw = cu + nu_cols
-    cn = cw + 9
-    cm = cn + 6
-    Bmat[:, OFF_T : OFF_T + 30, cu:cw] = -pair.u_hat
-    Bmat[:, OFF_S : OFF_S + 45, cw:cn] = -pair.w_hat
-    Bmat[:, OFF_V : OFF_V + 20, cn:cm] = -pair.N_hat
-    Bmat[:, OFF_Z : OFF_Z + 10, cm:] = pair.M_hat
+    su, sw, sn, sm = _trace_blocks(k)
+    Bt = Bmat[:, :, N_FIELD:]
+    Bt[:, OFF_T : OFF_T + 30, su] = -pair.u_hat
+    Bt[:, OFF_S : OFF_S + 45, sw] = -pair.w_hat
+    Bt[:, OFF_V : OFF_V + 20, sn] = -pair.N_hat
+    Bt[:, OFF_Z : OFF_Z + 10, sm] = pair.M_hat
     return Bmat
+
+
+def _trace_blocks(k):
+    """The u_hat, w_hat (value, d/dx, d/dy at each vertex), N_hat and
+    M_hat slices of the local trace columns (`TraceDofMap.ncols`)."""
+    nu = 6 + 6 * k
+    return (slice(0, nu), slice(nu, nu + 9), slice(nu + 9, nu + 15),
+            slice(nu + 15, local_trace_columns(k)))
 
 
 def _reflection_signs(k):
@@ -302,11 +307,10 @@ def _reflection_signs(k):
     under J -> -J (`ElementSystems`): -1 on u_hat, on the two gradient
     dofs of each vertex's w_hat and on N_hat; +1 on the w_hat values,
     m_n, q and the twists."""
-    cw = 6 + 6 * k
+    su, sw, sn, _ = _trace_blocks(k)
     sigma = np.ones(local_trace_columns(k))
-    sigma[:cw] = -1.0
-    sigma[cw + 1:cw + 9:3] = sigma[cw + 2:cw + 9:3] = -1.0
-    sigma[cw + 9:cw + 15] = -1.0
+    sigma[su] = sigma[sn] = -1.0
+    sigma[sw] = np.tile([1.0, -1.0, -1.0], 3)
     return sigma
 
 
@@ -420,22 +424,16 @@ class ElementSystems:
 
         G(-J) = S_v G(J) S_v,  B(-J) = S_v B(J) diag(sigma_f, sigma_t),
 
-    S_v = -1 on the 20 v test rows, sigma_f = -1 on u1 and u2
+    S_v = -1 on the 20 v test rows (`S_V`), sigma_f = -1 on u1 and u2
     (`SIGMA_F`), sigma_t = -1 on u_hat, on the two gradient dofs of each
-    vertex's w_hat and on N_hat (`_reflection_signs`).  The equilibration
-    S_J is unchanged, L(-J) = S_v L_J S_v, and with Q_1 -> S_v Q_1 sigma_f,
-    R -> sigma_f R sigma_f, Q_2 -> S_v Q_2 the kernels of -J are
-
-        W^c_J sigma_t,  sigma_f K_J sigma_t,  blkdiag(sigma_f, I) E_J S_v,
-
-    and W^c' W^c becomes sigma_t W^c' W^c sigma_t.  A class keeps the
-    kernels of its canonical Jacobian; a representative of parity -1 is
-    signed into them once, when it is built.  Element T of parity p_T
-    (`parity`) keeps
+    vertex's w_hat and on N_hat (`_reflection_signs`).  A class keeps the
+    kernels of its canonical Jacobian: a representative of parity -1 has
+    its G and B signed by these identities before its kernels are built.
+    Element T of parity p_T (`parity`) keeps
 
         [f_T; y^c_T] = E_J l_T[:OFF_T],
 
-    its load's v rows negated first where p_T = -1: the fields at zero
+    its load signed by S_v first where p_T = -1: the fields at zero
     traces f_T = R^-1 Q_1' y_T (in the canonical frame) and the condensed
     load y^c_T = Q_2' y_T of the whitened load y_T = L_J^-1 S_J l_T.  Its
     signed column map P_T = diag(sign_T) holds the edge orientation
@@ -584,20 +582,18 @@ def _element_systems(problem, dofmap, previous=None):
         batch = new[lo:lo + CLASS_BATCH]
         G = element_gram_batch(mesh, problem, reps[batch])
         Bm = element_b_batch(mesh, problem, k, reps[batch])
-        Wb, Kb, Eb = _class_kernels(G, Bm, reps[batch], batch)
-        # representatives of -J, signed into the canonical kernels
+        # representatives of -J, signed to the canonical J
         flip = parity[reps[batch]] < 0
-        Wb[flip] *= sigma_t
-        Kb[flip] *= SIGMA_F[:, None] * sigma_t
-        Eb[flip] *= np.r_[SIGMA_F, np.ones(N_TEST - N_FIELD)][:, None] * S_V
-        W[batch], K[batch], E[batch] = Wb, Kb, Eb
-        WtW[batch] = _gram_block(Wb)
+        G[flip] *= S_V[:, None] * S_V
+        Bm[flip] *= S_V[:, None] * np.r_[SIGMA_F, sigma_t]
+        W[batch], K[batch], E[batch] = _class_kernels(G, Bm, reps[batch], batch)
+        WtW[batch] = _gram_block(W[batch])
     sign = dofmap.element_signs * np.where(parity[:, None] < 0, sigma_t, 1.0)
     A = WtW[cls]
     A *= sign[:, :, None]
     A *= sign[:, None, :]
     l = element_load_batch(mesh, problem, np.arange(nt))[:, :OFF_T]
-    l[:, OFF_V:OFF_Z] *= parity[:, None]
+    l[parity < 0] *= S_V[:OFF_T]
 
     classes = _class_order(cls)
     fy = _by_class(classes, l, E.transpose(0, 2, 1))

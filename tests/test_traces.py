@@ -5,7 +5,7 @@ import pytest
 from helpers import (FRAMES_SYM, loop_apply_bc, project_scalar, project_sym_tensor,
                      project_vector)
 
-from shelldpg.assembly import element_b_batch, jacobian_classes
+from shelldpg.assembly import S_V, SIGMA_F, _reflection_signs, element_b_batch, jacobian_classes
 from shelldpg.mesh import Mesh, initial_rectangle_mesh, refine
 from shelldpg.model import BENCHMARKS, ShellProblem, make_benchmark
 from shelldpg.polyquad import triangle_basis, triangle_geometry, triangle_rule, map_gradients, map_hessians, map_points
@@ -575,13 +575,17 @@ def test_pairings_depend_on_the_jacobian_only():
     mesh = refine_some(initial_rectangle_mesh(prob.rect), seed=5, rounds=3)
     cls, reps, _, parity = jacobian_classes(mesh)
     sign = mesh.tri_edge_sign
-    # members of the representative's parity: the same J, not -J
-    flipped = np.any(sign != sign[reps[cls]], axis=1) & (parity == parity[reps[cls]])
+    flipped = np.any(sign != sign[reps[cls]], axis=1)
     assert flipped.sum() > 10
+    assert np.any(flipped & (parity != parity[reps[cls]]))
     for k in (0, 1):
         Bm = element_b_batch(mesh, prob, k, np.arange(mesh.ntriangles))
+        # a member of the other parity has -J: B(-J) = S_v B(J) diag(sigma_f, sigma_t)
+        reflect = S_V[:, None] * np.r_[SIGMA_F, _reflection_signs(k)]
         for c in np.unique(cls[flipped]):
             ref = Bm[reps[c]]
-            same = (cls == c) & (parity == parity[reps[c]])
-            rel = np.abs(Bm[same] - ref).max() / np.abs(ref).max()
+            members = np.nonzero(cls == c)[0]
+            other = parity[members] != parity[reps[c]]
+            expect = np.where(other[:, None, None], reflect * ref, ref)
+            rel = np.abs(Bm[members] - expect).max() / np.abs(ref).max()
             assert rel <= 1e-13, (k, c, rel)
