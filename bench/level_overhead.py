@@ -16,7 +16,9 @@ Records, for each workload of `perfbench/workloads.py`:
   residuals of the solver's refinement steps and of its estimators
   (`NormalEquations.residual`), the Gram and B matrices
   (`assembly.element_gram_batch`, `assembly.element_b_batch`), the rest
-  of `assembly._element_systems`, mesh refinement (`refine`, which
+  of `assembly._element_systems` together with the element matrices
+  formed for the fill (`ElementSystems.matrices`; on a checkout from
+  before it, inside `_element_systems`), mesh refinement (`refine`, which
   builds the new `Mesh`) and the reference hook.  Seconds per run and
   the share of the run's `adaptive_loop` time;
 * `level_floor_s`: one level on each start mesh (24 or 25 elements)
@@ -26,9 +28,12 @@ Records, for each workload of `perfbench/workloads.py`:
 and, once, `large_level`: the spans above (seconds, median over
 repetitions) of one assembly of the uniform cyl_clamped mesh of 4,096
 elements (k = 0, d = 1e-2) with every class carried over, followed by
-the 3 element-residual passes of a solve.  The workloads stop below
-1,000 elements, where costs that grow with the element count hide.
-The factorization is left out: it alone takes seconds at this size.
+the 3 element-residual passes of a solve, and `held_bytes`, the bytes
+of the arrays the resulting `NormalEquations` keeps (A's data, indices
+and indptr, rhs, index_map and every array of its `elements`).  The
+workloads stop below 1,000 elements, where costs that grow with the
+element count hide.  The factorization is left out: it alone takes
+seconds at this size.
 
 Also once, `mesh`: the time of the `refine` call that makes a mesh of
 16,384, 65,536 and 262,144 elements (uniform marks) and about 480,000
@@ -90,6 +95,7 @@ SPANS = (
     ("shelldpg.assembly", "element_gram_batch", "gram_b"),
     ("shelldpg.assembly", "element_b_batch", "gram_b"),
     ("shelldpg.assembly", "_element_systems", "element_systems"),
+    ("shelldpg.assembly.ElementSystems", "matrices", "element_systems"),
     ("shelldpg.estimator", "refine", "refine"),
 )
 MESH_SIZES = (16384, 65536, 262144, "random")
@@ -143,6 +149,16 @@ def level_floor(w, problem, meshes):
     return statistics.median(times)
 
 
+def held_bytes(neq):
+    """Bytes of the arrays that `neq` keeps."""
+    import numpy as np
+
+    arrays = [neq.A.data, neq.A.indices, neq.A.indptr, neq.rhs, neq.index_map]
+    for value in vars(neq.elements).values():
+        arrays += value if isinstance(value, tuple) else [value]
+    return sum(a.nbytes for a in arrays if isinstance(a, np.ndarray))
+
+
 def large_level(acc):
     """Median span seconds of a carried-over assembly and 3 residual
     passes on a uniform mesh of LARGE_ELEMENTS elements."""
@@ -164,7 +180,7 @@ def large_level(acc):
         for _ in range(3):
             neq.residual(x)
         runs.append(dict(acc))
-    return {"elements": mesh.ntriangles,
+    return {"elements": mesh.ntriangles, "held_bytes": held_bytes(neq),
             "phases_s": {k: statistics.median(r[k] for r in runs) for k in runs[0]}}
 
 
@@ -271,6 +287,8 @@ def print_summary(label, res):
                       for k, v in res["large_level"]["phases_s"].items())
     print(f"{label:7s} {res['large_level']['elements']} elements, carried: {large}",
           flush=True)
+    print(f"{label:7s} held by its NormalEquations: "
+          f"{res['large_level']['held_bytes'] / 1e6:.1f} MB", flush=True)
     for n, row in res["mesh"].items():
         print(f"{label:7s} {n:>7s} elements  refine {row['refine_s']:7.3f} s  "
               f"Mesh {row['mesh_s']:7.3f} s", flush=True)

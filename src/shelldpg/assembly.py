@@ -57,9 +57,11 @@ mesh topology and the constraints, so its CSR pattern is built from the
 element-entity incidence before any element matrix exists
 (`_trace_pattern`), together with the position in A.data of every
 element matrix entry; one `np.bincount` then sums the element matrices
-into it (`_csr_fill`).  This is the vectorised assembly of Cuvelier,
-Japhet and Scarella ("An efficient way to assemble finite element
-matrices in vector languages", BIT 2016) on the entity graph.
+into it (`_csr_fill`).  The element matrices are formed for that call
+only (`ElementSystems.matrices`) and are not kept.  This is the
+vectorised assembly of Cuvelier, Japhet and Scarella ("An efficient way
+to assemble finite element matrices in vector languages", BIT 2016) on
+the entity graph.
 """
 from dataclasses import dataclass
 
@@ -445,7 +447,9 @@ class ElementSystems:
 
     are the Schur complements on the field block of the uncondensed
     element system, formed without inverting it; each class keeps
-    W^c' W^c (`WtW`), and A_T is WtW[J] signed along both axes.  For
+    W^c' W^c (`WtW`), and A_T is WtW[J] signed along both axes.  The
+    systems keep rhs_T but not A_T: `matrices` forms A_T for the fill
+    of the global matrix only.  For
     trace values u_T the locally optimal fields are f_T - K_J P_T u_T,
     times sigma_f where p_T = -1 (`fields`), and the residual in the
     dual test norm at those fields is r_T = y^c_T - W^c P_T u_T
@@ -459,7 +463,6 @@ class ElementSystems:
     whose key they hold, and only the other classes are built.
     """
 
-    A: np.ndarray  # (nel, nc, nc) over the local trace columns
     rhs: np.ndarray  # (nel, nc)
     cols: np.ndarray  # (nel, nc) global trace dof indices
     cls: np.ndarray  # (nel,) Jacobian class
@@ -473,6 +476,17 @@ class ElementSystems:
     sign: np.ndarray  # (nel, nc): the diagonal of P_T
     parity: np.ndarray  # (nel,) p_T of `jacobian_classes`
     classes: tuple  # (order, bounds) of `_class_order`
+
+    def matrices(self, els=None):
+        """A_T = P_T WtW[J] P_T (n, nc, nc) over the local trace columns
+        of the elements `els` (all by default)."""
+        if els is None:
+            els = slice(None)
+        sign = self.sign[els]
+        A = self.WtW[self.cls[els]]
+        A *= sign[:, :, None]
+        A *= sign[:, None, :]
+        return A
 
     def residuals(self, uloc):
         """r_T = y^c_T - W^c_J P_T u_T (nel, 101) for local trace values."""
@@ -589,16 +603,13 @@ def _element_systems(problem, dofmap, previous=None):
         W[batch], K[batch], E[batch] = _class_kernels(G, Bm, reps[batch], batch)
         WtW[batch] = _gram_block(W[batch])
     sign = dofmap.element_signs * np.where(parity[:, None] < 0, sigma_t, 1.0)
-    A = WtW[cls]
-    A *= sign[:, :, None]
-    A *= sign[:, None, :]
     l = element_load_batch(mesh, problem, np.arange(nt))[:, :OFF_T]
     l[parity < 0] *= S_V[:OFF_T]
 
     classes = _class_order(cls)
     fy = _by_class(classes, l, E.transpose(0, 2, 1))
     f, y = fy[:, :N_FIELD], fy[:, N_FIELD:]
-    systems = ElementSystems(A, None, cols, cls, keys, W, K, E, WtW, y, f, sign,
+    systems = ElementSystems(None, cols, cls, keys, W, K, E, WtW, y, f, sign,
                              parity, classes)
     systems.rhs = systems.adjoint(y)
     return systems
@@ -733,7 +744,7 @@ def assemble_normal_equations(mesh, problem, k, previous=None):
 
     elements = _element_systems(
         problem, dofmap, None if previous is None else previous.elements)
-    A = _csr_fill(indptr, indices, slots, elements.A)
+    A = _csr_fill(indptr, indices, slots, elements.matrices())
     n = A.shape[0]
     rhs = _scatter(index_map[elements.cols], elements.rhs, n)
     return NormalEquations(A, rhs, dofmap, index_map, n + N_FIELD * mesh.ntriangles,

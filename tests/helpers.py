@@ -283,6 +283,7 @@ def coo_assembled_matrix(neq):
     rows = np.broadcast_to(gcols[:, :, None], (nt, nc, nc))
     cols = np.broadcast_to(gcols[:, None, :], (nt, nc, nc))
     keep = (rows >= 0) & (cols >= 0)
-    A = scipy.sparse.coo_matrix((neq.elements.A[keep], (rows[keep], cols[keep])),
+    vals = neq.elements.matrices()[keep]
+    A = scipy.sparse.coo_matrix((vals, (rows[keep], cols[keep])),
                                 shape=(free.size, free.size)).tocsr()
     return A, free

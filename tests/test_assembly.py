@@ -519,6 +519,27 @@ def test_csr_pattern_matches_coo_scatter(kind, k):
     assert np.abs(A.data - ref.data).max() <= 1e-14 * np.abs(ref.data).max()
 
 
+def test_element_systems_hold_no_element_matrices():
+    # A_T is formed for the fill only: the fill over `matrices` gives A
+    # bitwise, and the arrays a NormalEquations keeps per element stay
+    # well below one dense (nc, nc) matrix per element
+    prob = make_benchmark("cyl_clamped")
+    mesh = initial_rectangle_mesh(prob.rect)
+    while mesh.ntriangles < 1024:
+        mesh = refine(mesh, np.arange(mesh.ntriangles))
+    neq = asm.assemble_normal_equations(mesh, prob, 0)
+    el = neq.elements
+    _, indptr, indices, slots = asm._trace_pattern(neq.dofmap, neq.index_map < 0)
+    A = asm._csr_fill(indptr, indices, slots, el.matrices())
+    assert np.array_equal(A.indptr, neq.A.indptr)
+    assert np.array_equal(A.data, neq.A.data)
+
+    nt, nc = el.cols.shape
+    kept = [*vars(neq).values(), *vars(el).values(), *el.classes]
+    held = sum(x.nbytes for x in kept if isinstance(x, np.ndarray) and len(x) == nt)
+    assert held < nt * nc * nc * 8 / 2
+
+
 def test_element_order_invariance():
     # renumbering the elements renumbers edges and dofs and changes the
     # element on which each Jacobian class is built; the systems agree to
@@ -534,7 +555,8 @@ def test_element_order_invariance():
     A, rhs, c, _, _ = direct_condensed_systems(mesh, prob, 0, np.arange(mesh.ntriangles))
     ea, eb = a.elements, b.elements
     for name, x, y, ref in (
-            ("A", ea.A[perm], eb.A, A), ("rhs", ea.rhs[perm], eb.rhs, rhs),
+            ("A", ea.matrices()[perm], eb.matrices(), A),
+            ("rhs", ea.rhs[perm], eb.rhs, rhs),
             ("c", np.einsum("ei,ei->e", ea.y, ea.y)[perm],
              np.einsum("ei,ei->e", eb.y, eb.y), c)):
         assert np.abs(x - y).max() <= 1e-10 * np.abs(x).max(), name
@@ -683,7 +705,7 @@ def test_element_systems_match_per_class_loops(kind, k):
                for c in range(len(el.W)))
     uloc = np.random.default_rng(5).normal(size=el.sign.shape)
     A, rhs, res, fields = class_loop_systems(el, uloc)
-    assert np.array_equal(el.A, A)
+    assert np.array_equal(el.matrices(), A)
     assert np.array_equal(el.rhs, rhs)
     assert np.array_equal(el.residuals(uloc), res)
     assert np.array_equal(el.fields(uloc), fields)
@@ -760,8 +782,9 @@ def test_class_systems_match_direct_oracle(kind, k, d, bound):
     A, rhs, c, _, _ = direct_condensed_systems(mesh, prob, k,
                                                np.arange(mesh.ntriangles))
     rel = lambda x, ref: np.abs(x - ref).max() / np.abs(ref).max()
+    mats = el.matrices()
     for t in range(mesh.ntriangles):
-        assert rel(el.A[t], A[t]) <= bound, (t, rel(el.A[t], A[t]))
+        assert rel(mats[t], A[t]) <= bound, (t, rel(mats[t], A[t]))
         assert rel(el.rhs[t], rhs[t]) <= bound, (t, rel(el.rhs[t], rhs[t]))
     assert rel(np.einsum("ei,ei->e", el.y, el.y), c) <= bound
 
@@ -975,8 +998,9 @@ def test_previous_level_kernels_match_fresh_assembly(monkeypatch, kind, k, d, bo
     assert np.array_equal(el.keys, keys)
 
     rel = lambda x, ref: np.abs(x - ref).max() / np.abs(ref).max()
+    mats, fresh_mats = el.matrices(), fresh.elements.matrices()
     for t in range(second.ntriangles):
-        assert rel(el.A[t], fresh.elements.A[t]) <= bound, t
+        assert rel(mats[t], fresh_mats[t]) <= bound, t
         assert rel(el.rhs[t], fresh.elements.rhs[t]) <= bound, t
     assert rel(np.einsum("ei,ei->e", el.y, el.y),
                np.einsum("ei,ei->e", fresh.elements.y, fresh.elements.y)) <= bound
