@@ -8,11 +8,13 @@ Records, for each workload of `perfbench/workloads.py`:
 * `phases`: one `adaptive_loop` from each of the workload's 16 start
   meshes (`workloads.start_mesh`, seed 1), with the `make_evaluator`
   hook as `perfbench/worker.py` runs it, and `time.perf_counter` spans
-  around the SuperLU factorization (`scipy.sparse.linalg.splu`), the
-  class kernels (`assembly._class_kernels`), the scatter of the element
-  matrices (the CSR pattern from the mesh topology and its fill,
-  `assembly._trace_pattern` and `assembly._csr_fill`; on a checkout
-  from before them, `scipy.sparse.coo_matrix.tocsr`), the element
+  around the SuperLU factorization of the trace system (`solver._splu`),
+  the fill-reducing order of the free numbering (`assembly._entity_order`,
+  which makes its own small `splu` call), the class kernels
+  (`assembly._class_kernels`), the scatter of the element matrices (the
+  CSR pattern from the mesh topology and its fill, `assembly._trace_pattern`
+  less the order, and `assembly._csr_fill`; on a checkout from before
+  them, `scipy.sparse.coo_matrix.tocsr`), the element
   residuals of the solver's refinement steps and of its estimators
   (`NormalEquations.residual`), the Gram and B matrices
   (`assembly.element_gram_batch`, `assembly.element_b_batch`), the rest
@@ -33,7 +35,7 @@ of the arrays the resulting `NormalEquations` keeps (A's data, indices
 and indptr, rhs, index_map and every array of its `elements`).  The
 workloads stop below 1,000 elements, where costs that grow with the
 element count hide.  The factorization is left out: it alone takes
-seconds at this size.
+most of a second at this size (`bench/orderings.py` times it).
 
 Also once, `mesh`: the time of the `refine` call that makes a mesh of
 16,384, 65,536 and 262,144 elements (uniform marks) and about 480,000
@@ -84,9 +86,11 @@ from workloads import DEFAULT_SEED, WORKLOADS, start_mesh  # noqa: E402
 START_MESHES = 16
 FLOOR_REPEAT = 5
 # (module or class, attribute, phase); nested phases are subtracted from
-# `element_systems` below.  A target the imported shelldpg lacks is skipped
+# `element_systems` and `scatter` (`unnest`).  A target the imported
+# shelldpg lacks is skipped
 SPANS = (
-    ("scipy.sparse.linalg", "splu", "factor"),
+    ("shelldpg.solver", "_splu", "factor"),
+    ("shelldpg.assembly", "_entity_order", "order"),
     ("shelldpg.assembly", "_class_kernels", "class_kernels"),
     ("shelldpg.assembly", "_trace_pattern", "scatter"),
     ("shelldpg.assembly", "_csr_fill", "scatter"),
@@ -127,6 +131,12 @@ def install_spans(acc):
                 acc[_phase] += time.perf_counter() - t
 
         setattr(obj, attr, timed)
+
+
+def unnest(acc):
+    """Take the phases timed inside others out of their enclosing phase."""
+    acc["element_systems"] -= acc["class_kernels"] + acc["gram_b"]
+    acc["scatter"] -= acc["order"]
 
 
 def level_floor(w, problem, meshes):
@@ -179,6 +189,7 @@ def large_level(acc):
         x = np.zeros(neq.A.shape[0])
         for _ in range(3):
             neq.residual(x)
+        unnest(acc)
         runs.append(dict(acc))
     return {"elements": mesh.ntriangles, "held_bytes": held_bytes(neq),
             "phases_s": {k: statistics.median(r[k] for r in runs) for k in runs[0]}}
@@ -250,7 +261,7 @@ def measure():
             t = time.perf_counter()
             shelldpg.adaptive_loop(problem, cfg, evaluator=hook, initial_mesh=mesh)
             solve_s += time.perf_counter() - t
-        acc["element_systems"] -= acc["class_kernels"] + acc["gram_b"]
+        unnest(acc)
         acc["other"] = solve_s - sum(acc.values())
         kernels.append(sum(kernel_parts()))
         out["workloads"][name]["solve_s"] = solve_s / START_MESHES

@@ -50,23 +50,28 @@ twist per vertex) fixes at zero.  `NormalEquations.ndof` still counts
 the free traces plus the 10 field dofs per element.
 
 The free traces are numbered entity by entity: the free dofs of each
-vertex and each edge (`TraceDofMap.dof_entity`) are consecutive, in
-the order of the entities, and `NormalEquations.index_map` maps the
-trace numbering to this one.  The sparsity of A depends only on the
-mesh topology and the constraints, so its CSR pattern is built from the
-element-entity incidence before any element matrix exists
-(`_trace_pattern`), together with the position in A.data of every
-element matrix entry; one `np.bincount` then sums the element matrices
-into it (`_csr_fill`).  The element matrices are formed for that call
-only (`ElementSystems.matrices`) and are not kept.  This is the
-vectorised assembly of Cuvelier, Japhet and Scarella ("An efficient way
-to assemble finite element matrices in vector languages", BIT 2016) on
-the entity graph.
+vertex and each edge (`TraceDofMap.dof_entity`) are consecutive, the
+entities in a fill-reducing elimination order (`_entity_order`), and
+`NormalEquations.index_map` maps the trace numbering to this one.  The
+order is minimum degree on the vertex graph, each edge eliminated just
+before the first of its two ends (Ashcraft's compressed graph, SIAM
+J. Sci. Comput. 1995); the factorization keeps it (`solver._splu`).
+The sparsity of A depends only on the mesh topology and the
+constraints, so its CSR pattern is built from the element-entity
+incidence before any element matrix exists (`_trace_pattern`),
+together with the position in A.data of every element matrix entry;
+one `np.bincount` then sums the element matrices into it (`_csr_fill`).
+The element matrices are formed for that call only
+(`ElementSystems.matrices`) and are not kept.  This is the vectorised
+assembly of Cuvelier, Japhet and Scarella ("An efficient way to
+assemble finite element matrices in vector languages", BIT 2016) on the
+entity graph.
 """
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
+import scipy.sparse.linalg
 from scipy.linalg.lapack import dtrtrs
 
 from .mesh import match_rows
@@ -657,23 +662,58 @@ def _ranges(starts, counts):
             + np.arange(ends[-1], dtype=np.int32))
 
 
+def _entity_order(mesh):
+    """position[entity] of the entities (`TraceDofMap.dof_entity`) in a
+    fill-reducing elimination order.
+
+    The vertices go in SuperLU's multiple minimum degree order of the
+    vertex graph, whose links are `mesh.edges`.  scipy exposes that
+    order only through `splu`, so it is read off the factorization of
+    M, the upper triangle of the graph Laplacian plus the identity (deg
+    + 1 on the diagonal, -1 above it): the ordering sees the pattern of
+    M + M', the vertex graph, and half of it builds and factors faster
+    than the whole.  M is strictly diagonally dominant, so the
+    factorization cannot break down.  Each edge goes just before the
+    first-eliminated of its two ends, ties by edge index.
+    Every entity that shares an element with the edge shares one with
+    that vertex, so eliminating the edge there adds no fill beyond the
+    vertex's clique and puts the dofs of both in one supernode.
+    """
+    nv, edges = mesh.nvertices, mesh.edges  # edges[:, 0] < edges[:, 1]
+    col, row = np.divmod(np.sort(np.r_[np.arange(nv) * (nv + 1),
+                                       edges[:, 1] * nv + edges[:, 0]]), nv)
+    deg = np.bincount(edges.ravel(), minlength=nv)
+    M = scipy.sparse.csc_matrix(
+        (np.where(row == col, deg[col] + 1.0, -1.0), row,
+         np.r_[0, np.cumsum(np.bincount(col, minlength=nv))]), shape=(nv, nv))
+    rank = scipy.sparse.linalg.splu(
+        M, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+        options={"SymmetricMode": True}).perm_c
+    key = np.r_[2 * rank + 1, 2 * rank[edges].min(axis=1)]
+    position = np.empty(len(key), dtype=int)
+    position[np.argsort(key, kind="stable")] = np.arange(len(key))
+    return position
+
+
 def _trace_pattern(dofmap, constrained):
     """Free numbering and CSR pattern of A from the mesh topology alone.
 
     Returns (index_map, indptr, indices, slots).  The free dofs are
-    numbered entity by entity (`TraceDofMap.dof_entity`), each entity's
-    in trace order.  Two entities couple iff an element holds both, so
-    all rows of entity i share one column list: the free dofs of each
-    entity j coupled to i, j ascending; the indices come out sorted and
-    without duplicates.  `slots` (nt nc nc,) places element entry
-    (T, a, b) at indptr[row of a] + offset of the block of entity(b) in
-    that row + rank of b among its entity's free dofs; an entry in a
-    constrained row or column goes to slot nnz, past the end of A.data.
-    indptr and indices are int32, the index type scipy.sparse picks for
-    them: nnz <= nt nc^2 < 2^31, since at 2^31 entries the element
-    matrices alone would take 17 GB.
+    numbered entity by entity (`TraceDofMap.dof_entity`), the entities
+    in elimination order (`_entity_order`), each entity's dofs in trace
+    order; `solver.solve` factors A in this order.  Two entities couple
+    iff an element holds both, so all rows of entity i share one column
+    list: the free dofs of each entity j coupled to i, j ascending; the
+    indices come out sorted and without duplicates.  `slots` (nt nc nc,)
+    places element entry (T, a, b) at indptr[row of a] + offset of the
+    block of entity(b) in that row + rank of b among its entity's free
+    dofs; an entry in a constrained row or column goes to slot nnz, past
+    the end of A.data.  indptr and indices are int32, the index type
+    scipy.sparse picks for them: nnz <= nt nc^2 < 2^31, since at 2^31
+    entries the element matrices alone would take 17 GB.
     """
-    nent, owner = dofmap.nentities, dofmap.dof_entity
+    position = _entity_order(dofmap.mesh)
+    nent, owner = dofmap.nentities, position[dofmap.dof_entity]
     free = np.nonzero(~constrained)[0]
     index_map = np.full(dofmap.ntrace, -1)
     index_map[free[np.argsort(owner[free], kind="stable")]] = np.arange(free.size)
@@ -681,7 +721,7 @@ def _trace_pattern(dofmap, constrained):
     first = np.cumsum(nfree) - nfree
 
     # the entity graph: pairs (i, j) sorted by i, then j
-    ent = dofmap.element_entities
+    ent = position[dofmap.element_entities]
     nt = len(ent)
     pairs, pair_of = np.unique((ent[:, :, None] * nent + ent[:, None, :]).ravel(),
                                return_inverse=True)

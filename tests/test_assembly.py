@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
+import scipy.sparse.linalg
 
 from helpers import (
     FRAME_SKEW,
@@ -15,6 +17,7 @@ from helpers import (
     loop_class_kernels,
 )
 from shelldpg import assembly as asm
+from shelldpg import solver
 from shelldpg.estimator import AdaptiveConfig, adaptive_loop
 from shelldpg.mesh import Mesh, initial_rectangle_mesh, match_rows, refine
 from shelldpg.model import (
@@ -538,6 +541,50 @@ def test_element_systems_hold_no_element_matrices():
     kept = [*vars(neq).values(), *vars(el).values(), *el.classes]
     held = sum(x.nbytes for x in kept if isinstance(x, np.ndarray) and len(x) == nt)
     assert held < nt * nc * nc * 8 / 2
+
+
+@pytest.mark.parametrize("kind, k, bound", [("cyl_clamped", 0, 0.75),
+                                             ("point_parabolic", 1, 0.9)])
+def test_free_traces_numbered_in_elimination_order(kind, k, bound):
+    # the entities are numbered in minimum degree order of the vertex
+    # graph, each edge before the first-eliminated of its ends; factored
+    # in that order, the equilibrated A holds at most `bound` times the
+    # LU fill of SuperLU's minimum degree on A itself (measured 0.60 on
+    # the uniform mesh of 1,024 elements, 0.82 on the point-load mesh
+    # after 8 adaptive levels, 371 elements)
+    prob = make_benchmark(kind, d=1e-2)
+    if kind == "cyl_clamped":
+        mesh = initial_rectangle_mesh(prob.rect)
+        while mesh.ntriangles < 1024:
+            mesh = refine(mesh, np.arange(mesh.ntriangles))
+    else:
+        mesh = adaptive_loop(prob, AdaptiveConfig(k=k, max_levels=8)).levels[-1].mesh
+    neq = asm.assemble_normal_equations(mesh, prob, k)
+    nv, ne, n = mesh.nvertices, mesh.nedges, neq.A.shape[0]
+    position = asm._entity_order(mesh)
+    assert np.array_equal(np.sort(position), np.arange(nv + ne))
+
+    free = np.flatnonzero(neq.index_map >= 0)
+    owner, row = neq.dofmap.dof_entity[free], neq.index_map[free]
+    assert np.all(np.diff(position[owner[np.argsort(row)]]) >= 0)
+    first = np.full(nv + ne, n)
+    np.minimum.at(first, owner, row)
+    last = np.full(nv + ne, -1)
+    np.maximum.at(last, owner, row)
+    ends = mesh.edges
+    pivot = ends[np.arange(ne), np.argmin(position[ends], axis=1)]
+    edge_last, pivot_first = last[nv:], first[pivot]
+    both = (edge_last >= 0) & (pivot_first < n)
+    assert both.sum() > ne // 2
+    assert np.all(edge_last[both] < pivot_first[both])
+
+    s = scipy.sparse.diags(1.0 / np.sqrt(neq.A.diagonal()))
+    As = (s @ neq.A @ s).tocsc()
+    ours = solver._splu(As)
+    mmd = scipy.sparse.linalg.splu(As, permc_spec="MMD_AT_PLUS_A",
+                                   diag_pivot_thresh=0.0,
+                                   options={"SymmetricMode": True})
+    assert ours.L.nnz + ours.U.nnz <= bound * (mmd.L.nnz + mmd.U.nnz)
 
 
 def test_element_order_invariance():

@@ -54,6 +54,20 @@ def test_non_spd_detected():
         solve(singular)
 
 
+def test_diverging_refinement_refused(monkeypatch):
+    # factors of 0.4 S A S: the first solve overshoots by 1.5 times the
+    # solution and each correction step multiplies the error by -1.5, so
+    # the steps raise |r|.  The loose tol lets the backward error pass:
+    # only the residual guard stands between the worse iterate and the
+    # caller
+    neq = small_system()
+    splu = solver._splu
+    monkeypatch.setattr(solver, "_splu", lambda M: splu(0.4 * M))
+    with pytest.raises(SolverError,
+                       match=rf"raised the residual norm.*\(n={neq.A.shape[0]}\)"):
+        solve(neq, tol=1.0)
+
+
 def test_deterministic():
     neq = small_system("cyl_free", d=1e-3)
     (x, etas), (x2, etas2) = solve(neq), solve(neq)
@@ -63,9 +77,9 @@ def test_deterministic():
 def permuted_solve(neq, seed):
     """`solve` on the system with its dofs renumbered at random.
 
-    Minimum degree breaks ties by dof number, so the renumbered system
-    is factored in another elimination order.  Returns the solution in
-    the original numbering.
+    The factorization keeps the order it is given, so the renumbered
+    system is factored in that random elimination order.  Returns the
+    solution in the original numbering.
     """
     n = neq.A.shape[0]
     perm = np.random.default_rng(seed).permutation(n)
