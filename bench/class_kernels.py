@@ -8,12 +8,15 @@ For the problem and k of each benchmark workload of
 interior vertices that has at least 128 Jacobian classes, and times on
 the lowest-index elements of the first 1, 8, 32 and 128 classes:
 
-* `assembly.element_gram_batch`, the Gram matrices of the test norm;
+* `assembly.element_gram_batch`, the square-root rows of the Gram
+  matrices of the test norm (on a checkout from before them, the Gram
+  matrices);
 * `assembly.element_b_batch`, the trial-to-test matrices, and
   `traces.edge_pairings`, the part of them on the skeleton;
-* `assembly._class_kernels` over the batch's classes: the Gram factor,
-  the field elimination and the load map of each class, in one stacked
-  call.
+* `assembly._class_kernels` over the batch's classes: the factor of the
+  Gram matrix (one QR per diagonal block of its rows; on an older
+  checkout, a Cholesky factor of the matrix), the field elimination and
+  the load map of each class, in one stacked call.
 
 Each figure is the median seconds per call, on one BLAS thread, over
 `--rounds` child processes of `--repeat` calls each.  A child imports
@@ -97,11 +100,11 @@ def measure(repeat):
         rows = {}
         for n in BATCHES:
             els = reps[:n]
-            G = asm.element_gram_batch(mesh, prob, els)
+            F = asm.element_gram_batch(mesh, prob, els)
             Bm = asm.element_b_batch(mesh, prob, w.k, els)
 
             def kernels():
-                asm._class_kernels(G, Bm, els, np.arange(n))
+                asm._class_kernels(F, Bm, els, np.arange(n))
 
             rows[str(n)] = {
                 "gram_s": call_times(

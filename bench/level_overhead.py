@@ -16,7 +16,8 @@ Records, for each workload of `perfbench/workloads.py`:
   less the order, and `assembly._csr_fill`; on a checkout from before
   them, `scipy.sparse.coo_matrix.tocsr`), the element
   residuals of the solver's refinement steps and of its estimators
-  (`NormalEquations.residual`), the Gram and B matrices
+  (`NormalEquations.residual`), the Gram rows (the Gram matrices on a
+  checkout from before them) and the B matrices
   (`assembly.element_gram_batch`, `assembly.element_b_batch`), the rest
   of `assembly._element_systems` together with the element matrices
   formed for the fill (`ElementSystems.matrices`; on a checkout from

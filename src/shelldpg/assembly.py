@@ -1,17 +1,18 @@
 """Element systems and global DPG normal equations.
 
-Per element the method computes the scaled test-space Gram matrix G
-(111 x 111), the trial-to-test matrix Bmat, and the load vector l; the
-optimal test functions give the element normal equations
-Bmat' G^-1 Bmat u = Bmat' G^-1 l.  The 10 field dofs of an element
-couple only within it, so they are eliminated per element (static
-condensation) and only the skeleton traces are solved for globally:
-scatter-adding the condensed element contributions over the global
-trace numbering yields a sparse SPD system on the free trace dofs, and
-the fields are recovered per element after the solve
+Per element the method computes the square-root rows F of the scaled
+test-space Gram matrix G = F' F (111 x 111), the trial-to-test matrix
+Bmat, and the load vector l; the optimal test functions give the element
+normal equations Bmat' G^-1 Bmat u = Bmat' G^-1 l.  G is never formed:
+one QR per diagonal block of F gives G = R' R (`_gram_root`).  The 10
+field dofs of an element couple only within it, so they are eliminated
+per element (static condensation) and only the skeleton traces are
+solved for globally: scatter-adding the condensed element contributions
+over the global trace numbering yields a sparse SPD system on the free
+trace dofs, and the fields are recovered per element after the solve
 (`NormalEquations.fields`).
 
-G and Bmat depend on the element only through its Jacobian J: the
+F and Bmat depend on the element only through its Jacobian J: the
 element tensors of an affine map are those of its shape (Kirby and
 Logg, ACM TOMS 2006), and the trace pairings are written in the
 element's own frame (`traces.edge_pairings`), so that the orientation of
@@ -25,16 +26,16 @@ the vectors v, u, u_hat, grad w_hat and N_hat = N n are odd; z, T, S,
 Q, w, N, M, the w_hat values, m_n, q and the twists are even.  So the
 element tensors of -J are those of J with rows and columns signed, and
 the elements are grouped into classes of +-J (`jacobian_classes`), each
-element with its parity p_T = +-1 against its class's canonical J.  G,
-Bmat, the Cholesky factor of G, the field elimination and a load map
-are built on one element per class; per element only the load and the
+element with its parity p_T = +-1 against its class's canonical J.  F,
+Bmat, the QR factor of F, the field elimination and a load map are
+built on one element per class; per element only the load and the
 signs remain.  Most shapes survive a refinement step, so an assembly
 given the previous level's `NormalEquations` builds the class kernels
 only for the shapes new to its mesh and takes the others over.
 `ElementSystems` documents the algebra.
 
-Test space per element (broken): v in [P3]^2, z in P3, T in sym P3,
-S in sym P4, Q in skew P2; 111 dofs with the block offsets below.
+Test space per element (broken): v in [P3]^2, z in P3, Q in skew P2,
+T in sym P3, S in sym P4; 111 dofs: (v, z, Q) at 0:36, (T, S) at 36:111.
 Symmetric tensor blocks use the orthonormal frames (E11, E12s, E22)
 with E12s = offdiag/sqrt(2); the skew block uses [[0,1],[-1,0]]/sqrt(2).
 
@@ -91,25 +92,24 @@ from .polyquad import (
 from .traces import TraceDofMap, apply_bc, edge_pairings, local_trace_columns
 
 N_TEST = 111
-OFF_V, OFF_Z, OFF_T, OFF_S, OFF_Q = 0, 20, 30, 60, 105
+# the (v, z, Q) block of the test norm, then the (T, S) block
+OFF_V, OFF_Z, OFF_Q, OFF_T, OFF_S = 0, 20, 30, 36, 66
 QUAD_DEGREE = 8
 N_FIELD = 10
 # Jacobians are keyed on a grid of this size relative to the power of two
 # of their largest entry: rounding noise of a repeated shape stays on one
 # grid point, distinct shapes do not merge
 CLASS_RTOL = 1e-10
-# Jacobian classes per call of the element kernels.  At 128 classes a
-# call of `element_gram_batch` peaks at 2.4 times its (batch, 111, 111)
-# result (31 of 12.6 MB, tracemalloc) and one of `element_b_batch` at
-# 8 MB, so this bounds the peak memory on meshes with many distinct shapes
+# Jacobian classes per call of the element kernels.  At 128 classes
+# `element_gram_batch` peaks at 49 MB (41 MB of Gram rows, tracemalloc),
+# `element_b_batch` at 7 MB and `_class_kernels` at 36 MB, so this bounds
+# the peak memory on meshes with many distinct shapes
 CLASS_BATCH = 128
 
 # signs under J -> -J (`ElementSystems`): of the test rows, v odd; of the
 # field columns of B, u1 and u2 odd
 S_V = np.r_[-np.ones(OFF_Z - OFF_V), np.ones(N_TEST - OFF_Z)]
 SIGMA_F = np.r_[-1.0, -1.0, np.ones(N_FIELD - 2)]
-# test dofs of |grad v - B z + Q|^2
-VZQ = np.r_[OFF_V:OFF_T, OFF_Q:N_TEST]
 FRAME_SKEW = np.array([[0.0, 1.0 / SQ2], [-1.0 / SQ2, 0.0]])
 # M field directions M11, M12, M22
 DIR_M = np.array(
@@ -159,7 +159,8 @@ def _gram_block(X):
 
 
 def element_gram_batch(mesh, problem, els):
-    """Gram matrices (nel, 111, 111) of the scaled test inner product.
+    """Square-root rows F (nel, 361, 111) of the Gram matrices G = F' F
+    of the scaled test inner product.
 
     The squared test norm of tau = (v, z, T, S, Q) on an element is
 
@@ -167,13 +168,14 @@ def element_gram_batch(mesh, problem, els):
         + |grad v - B z + Q|^2 + |d grad grad z|^2 + |D C_disp^-1 div T|^2
         + |(D^2 / d) (divdiv S - B : T)|^2
 
-    integrated over it.  The mass terms are analytic: the reference
-    basis is orthonormal, so each element mass matrix is detJ I.  Each of
-    the four operator terms is tabulated at the `QUAD_DEGREE` rule,
-    weighted by sqrt(w_q detJ), as a table X with one row per point and
-    operator component and one column per test dof it acts on; its Gram
-    block is X' X, one batched product with the points as the
-    contracted axis.  The rule is exact: no integrand has degree above 6.
+    integrated over it: |F tau|^2.  No term couples (v, z, Q) with
+    (T, S), so F is block diagonal (`_gram_blocks`), with 36 + 7 nq and
+    75 + 3 nq rows, nq = 25 the points of the `QUAD_DEGREE` rule.  Each
+    block starts with its mass rows, sqrt(detJ) times the terms' weights
+    (the reference basis is orthonormal), then has the operator terms at
+    the rule's points weighted by sqrt(w_q detJ), one row per point and
+    component: grad v - B z + Q and d grad grad z; div T and
+    divdiv S - B : T.  The rule is exact: no integrand has degree above 6.
     """
     if problem.d <= 0.0 or problem.D <= 0.0:
         raise ValueError("thickness and scaling length must be positive")
@@ -187,46 +189,47 @@ def element_gram_batch(mesh, problem, els):
     sw = np.sqrt(rule.weights[None, :] * detJ[:, None])[:, :, None]  # (nel, nq, 1)
     v2, v3 = sw * t2.val, sw * t3.val
     g3 = sw[..., None] * map_gradients(t3.grad, Jinv)  # (nel, nq, 10, 2)
-    h3 = _divdiv_from_hess(map_hessians(t3.hess, Jinv))  # (nel, nq, 10, 3)
-    h4 = _divdiv_from_hess(map_hessians(t4.hess, Jinv))  # (nel, nq, 15, 3)
 
-    G = np.zeros((nel, N_TEST, N_TEST))
-    C2 = problem.C_disp @ problem.C_disp.T / D**2
-    i10 = np.arange(10)
-    for c in range(2):
-        for cc in range(2):
-            G[:, OFF_V + 2 * i10 + c, OFF_V + 2 * i10 + cc] = C2[c, cc] * detJ[:, None]
-    for off, n, mass in ((OFF_Z, 10, d * d / D**4), (OFF_T, 30, 1.0),
-                         (OFF_S, 45, 1.0 / d**2), (OFF_Q, 6, problem.c_Q)):
-        idx = off + np.arange(n)
-        G[:, idx, idx] = mass * detJ[:, None]
+    F = np.zeros((nel, N_TEST + 10 * nq, N_TEST))
+    F1, F2 = _gram_blocks(F)
+    n2 = N_TEST - OFF_T
+    M = np.diag(np.repeat([0.0, d / D**2, np.sqrt(problem.c_Q), 1.0, 1.0 / d],
+                          [OFF_Z, 10, 6, 30, 45]))
+    M[:OFF_Z, :OFF_Z] = np.kron(np.eye(10), problem.C_disp / D)
+    sdJ = np.sqrt(detJ)[:, None, None]
+    F1[:, :OFF_T], F2[:, :n2] = sdJ * M[:OFF_T, :OFF_T], sdJ * M[OFF_T:, OFF_T:]
 
     # grad v - B z + Q, component (a, b), over the v, z and Q columns
-    X = np.zeros((nel, nq, 2, 2, 36))
+    X = F1[:, OFF_T:OFF_T + 4 * nq].reshape(nel, nq, 2, 2, OFF_T)
     for c in range(2):
-        X[:, :, c, :, c:20:2] = g3.transpose(0, 1, 3, 2)
-    X[..., 20:30] = -B[:, :, None] * v3[:, :, None, None, :]
-    X[..., 30:] = FRAME_SKEW[:, :, None] * v2[:, :, None, None, :]
-    G[:, VZQ[:, None], VZQ] += _gram_block(X.reshape(nel, 4 * nq, 36))
+        X[:, :, c, :, OFF_V + c:OFF_Z:2] = g3.transpose(0, 1, 3, 2)
+    X[..., OFF_Z:OFF_Q] = -B[:, :, None] * v3[:, :, None, None, :]
+    X[..., OFF_Q:] = FRAME_SKEW[:, :, None] * v2[:, :, None, None, :]
 
     # d grad grad z, entries (xx, sqrt2 xy, yy)
-    X = d * sw[..., None] * h3
-    G[:, OFF_Z:OFF_T, OFF_Z:OFF_T] += _gram_block(
-        X.transpose(0, 1, 3, 2).reshape(nel, 3 * nq, 10))
+    h3 = _divdiv_from_hess(map_hessians(t3.hess, Jinv))  # (nel, nq, 10, 3)
+    F1[:, OFF_T + 4 * nq:, OFF_Z:OFF_Q] = (d * sw[..., None] * h3).transpose(
+        0, 1, 3, 2).reshape(nel, 3 * nq, 10)
 
     # D C_disp^-1 div T
-    divT = _div_from_grads(g3).reshape(nel, nq, 30, 2)
-    X = divT @ (D * np.linalg.inv(problem.C_disp).T)
-    G[:, OFF_T:OFF_S, OFF_T:OFF_S] += _gram_block(
-        X.transpose(0, 1, 3, 2).reshape(nel, 2 * nq, 30))
+    DCinvT = D * np.linalg.inv(problem.C_disp).T
+    divT = _div_from_grads(g3).reshape(nel, nq, 30, 2) @ DCinvT
+    F2[:, n2:n2 + 2 * nq, :30] = divT.transpose(0, 1, 3, 2).reshape(nel, 2 * nq, 30)
 
     # (D^2 / d) (divdiv S - B : T) over the T and S columns
-    X = np.empty((nel, nq, 75))
+    h4 = _divdiv_from_hess(map_hessians(t4.hess, Jinv))  # (nel, nq, 15, 3)
+    X = F2[:, n2 + 2 * nq:]
     X[..., :30] = -(v3[..., None] * _b_coeffs(B)).reshape(nel, nq, 30)
     X[..., 30:] = sw * h4.reshape(nel, nq, 45)
     X *= D * D / d
-    G[:, OFF_T:OFF_Q, OFF_T:OFF_Q] += _gram_block(X)
-    return G
+    return F
+
+
+def _gram_blocks(F):
+    """Views of the two diagonal blocks of Gram rows F (`element_gram_batch`):
+    its rows on the test dofs (v, z, Q), then those on (T, S)."""
+    m1 = OFF_T + 7 * (F.shape[1] - N_TEST) // 10
+    return F[:, :m1, :OFF_T], F[:, m1:, OFF_T:]
 
 
 def element_b_batch(mesh, problem, k, els):
@@ -388,39 +391,23 @@ def jacobian_classes(mesh):
     return cls.ravel(), reps, keys, parity
 
 
-def gram_factor(G):
-    """Cholesky factors of symmetrically equilibrated Gram matrices.
-
-    G is one matrix or a stack (..., 111, 111).  Returns (L, s) with
-    L L' = S G S for S = diag(s), s = diag(G)^-1/2, so that
-    G^-1 = S L^-T L^-1 S.
-    """
-    diag = np.diagonal(G, axis1=-2, axis2=-1)
-    if not np.all(diag > 0.0):
-        raise AssemblyError("Gram matrix not positive")
-    s = 1.0 / np.sqrt(diag)
-    try:
-        L = np.linalg.cholesky(s[..., :, None] * G * s[..., None, :])
-    except np.linalg.LinAlgError:
-        raise AssemblyError("Cholesky factorization of the Gram matrix failed") from None
-    return L, s
-
-
 @dataclass
 class ElementSystems:
     """Field-condensed element normal equations from Jacobian-class kernels.
 
-    The elements of class J (`jacobian_classes`) share G_J and B_J of the
-    class's canonical Jacobian, built on one element of the class in its
-    own frame, and the factor L_J of `gram_factor`; W_J = L_J^-1 S_J B_J
-    splits into its field and trace columns [W_f | W_t].  With the full
-    QR W_f = [Q_1 Q_2] [R; 0] the class keeps the kernels
+    The elements of class J (`jacobian_classes`) share the Gram rows F_J
+    and B_J of the class's canonical Jacobian, built on one element of
+    the class in its own frame, and L_J = R_J' with G_J = R_J' R_J
+    (`_gram_root`); W_J = L_J^-1 B_J splits into its field and trace
+    columns [W_f | W_t].  With the full QR W_f = [Q_1 Q_2] [R; 0] the
+    class keeps the kernels
 
         W^c_J = Q_2' W_t,  K_J = R^-1 Q_1' W_t,
-        E_J = [R^-1 Q_1'; Q_2'] L_J^-1 S_J[:, :OFF_T],
+        E_J = [R^-1 Q_1'; Q_2'] L_J^-1[:, :OFF_Q],
 
     E_J being the load map on the v and z test rows, the only ones a
-    load fills (`element_load_batch`).
+    load fills (`element_load_batch`).  The row signs of R_J that QR
+    leaves open flip rows of W_J and E_J alike, unseen by A_T, K_J, r_T.
 
     Point reflection.  J -> -J maps x - x_0 to -(x - x_0): first
     derivatives change sign, values and second derivatives do not, and
@@ -429,20 +416,21 @@ class ElementSystems:
     vectors v, u, u_hat, grad w_hat and N_hat = N n are odd; z, T, S, Q,
     w, N, M, the w_hat values, m_n, q and the twists are even.  Hence
 
-        G(-J) = S_v G(J) S_v,  B(-J) = S_v B(J) diag(sigma_f, sigma_t),
+        F(-J) = D_r F(J) S_v,  B(-J) = S_v B(J) diag(sigma_f, sigma_t),
 
     S_v = -1 on the 20 v test rows (`S_V`), sigma_f = -1 on u1 and u2
     (`SIGMA_F`), sigma_t = -1 on u_hat, on the two gradient dofs of each
-    vertex's w_hat and on N_hat (`_reflection_signs`).  A class keeps the
-    kernels of its canonical Jacobian: a representative of parity -1 has
-    its G and B signed by these identities before its kernels are built.
-    Element T of parity p_T (`parity`) keeps
+    vertex's w_hat and on N_hat (`_reflection_signs`), D_r = -1 on the
+    rows of the odd C_disp v and div T, which R does not see.  A class
+    keeps the kernels of its canonical Jacobian: a representative of
+    parity -1 has F and B signed before its kernels are built.  Element T
+    of parity p_T (`parity`) keeps
 
-        [f_T; y^c_T] = E_J l_T[:OFF_T],
+        [f_T; y^c_T] = E_J l_T[:OFF_Q],
 
     its load signed by S_v first where p_T = -1: the fields at zero
     traces f_T = R^-1 Q_1' y_T (in the canonical frame) and the condensed
-    load y^c_T = Q_2' y_T of the whitened load y_T = L_J^-1 S_J l_T.  Its
+    load y^c_T = Q_2' y_T of the whitened load y_T = L_J^-1 l_T.  Its
     signed column map P_T = diag(sign_T) holds the edge orientation
     (`TraceDofMap.element_signs`) times sigma_t where p_T = -1: the
     canonical element's trace values are P_T u_T for the global values
@@ -474,7 +462,7 @@ class ElementSystems:
     keys: np.ndarray  # (ncls, 5) class keys of `jacobian_classes`
     W: np.ndarray  # (ncls, 111 - 10, nc): W^c_J
     K: np.ndarray  # (ncls, 10, nc): field recovery
-    E: np.ndarray  # (ncls, 111, OFF_T): load map to [f_T; y^c_T]
+    E: np.ndarray  # (ncls, 111, OFF_Q): load map to [f_T; y^c_T]
     WtW: np.ndarray  # (ncls, nc, nc): W^c_J' W^c_J, exactly symmetric
     y: np.ndarray  # (nel, 111 - 10): y^c_T
     f: np.ndarray  # (nel, 10): fields at zero traces, canonical frame
@@ -528,41 +516,53 @@ def _by_class(classes, x, M):
     return out
 
 
-def _triangular_solve(T, b, lower, element, j):
-    """T^-1 b for a C-ordered triangular T, by the LAPACK call that
-    `scipy.linalg.solve_triangular` makes for it."""
-    x, info = dtrtrs(T.T, b, lower=not lower, trans=1)
+def _triangular_solve(R, b, trans, element, j):
+    """R^-1 b, or R'^-1 b if `trans`, for a C-ordered upper triangular R,
+    by the LAPACK call that `scipy.linalg.solve_triangular` makes for it."""
+    x, info = dtrtrs(R.T, b, lower=True, trans=0 if trans else 1)
     if info != 0:
         raise AssemblyError(f"singular triangular factor in element {element} "
                             f"(Jacobian class {j})")
     return x
 
 
-def _class_kernels(G, Bm, elements, classes):
+def _gram_root(F, elements, classes):
+    """R (nb, n, n) with R' R = F' F, one QR per class of the Gram rows
+    F (nb, m, n) of a block (`_gram_blocks`), so that the test norm's
+    condition enters once, not squared as in a Cholesky factor of F' F
+    (Keith, Petrides, Fuentes and Demkowicz, CMAME 2017); a column scaling
+    S of F would give R S and leave R'^-1 B as it is.  An error names the
+    first of `elements` whose R has a diagonal entry <= m eps |column|."""
+    R = np.linalg.qr(F, mode="r")
+    m = F.shape[1]
+    diag = np.abs(np.diagonal(R, axis1=1, axis2=2))
+    bad = ~(diag > m * np.finfo(float).eps * np.linalg.norm(R, axis=1)).all(axis=1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise AssemblyError(f"singular test-norm factor in element {elements[i]} "
+                            f"(Jacobian class {classes[i]})")
+    return R
+
+
+def _class_kernels(F, Bm, elements, classes):
     """W^c_J, K_J and E_J (`ElementSystems`) of a batch of classes, stacked.
 
-    G (nb, 111, 111) and Bm are those of one member element of each
-    class, `elements`, and `classes` are the class indices; an error
-    names the first member whose Gram matrix fails.
+    F, the Gram rows of `element_gram_batch`, and Bm are those of one
+    member element of each class, `elements`, and `classes` are the class
+    indices; an error names the first member whose factor is singular.
     """
-    try:
-        L, s = gram_factor(G)
-    except AssemblyError:
-        for g, element, j in zip(G, elements, classes):
-            try:
-                gram_factor(g)
-            except AssemblyError as err:
-                raise AssemblyError(
-                    f"{err} in element {element} (Jacobian class {j})") from None
-        raise
+    R1, R2 = (_gram_root(Fb, elements, classes) for Fb in _gram_blocks(F))
     nb, _, ncols = Bm.shape
     nc = ncols - N_FIELD
-    SB = np.concatenate(
-        [Bm, np.broadcast_to(np.eye(N_TEST, OFF_T), (nb, N_TEST, OFF_T))], axis=2)
-    SB *= s[:, :, None]
-    X = np.empty_like(SB)
+    # W = R_J'^-1 [B_J | I on the v and z rows], by blocks of R_J
+    X = np.zeros((nb, N_TEST, ncols + OFF_Q))
+    X[:, :, :ncols] = Bm
+    X[:, :OFF_Q, ncols:] = np.eye(OFF_Q)
     for i in range(nb):
-        X[i] = _triangular_solve(L[i], SB[i], True, elements[i], classes[i])
+        X[i, :OFF_T] = _triangular_solve(R1[i], X[i, :OFF_T], True,
+                                         elements[i], classes[i])
+        X[i, OFF_T:, :ncols] = _triangular_solve(R2[i], X[i, OFF_T:, :ncols], True,
+                                                 elements[i], classes[i])
     Q, R = np.linalg.qr(X[:, :, :N_FIELD], mode="complete")
     QX = Q.transpose(0, 2, 1) @ X[:, :, N_FIELD:]
     for i in range(nb):
@@ -588,7 +588,7 @@ def _element_systems(problem, dofmap, previous=None):
     ncls = len(reps)
     W = np.empty((ncls, N_TEST - N_FIELD, nc))
     K = np.empty((ncls, N_FIELD, nc))
-    E = np.empty((ncls, N_TEST, OFF_T))
+    E = np.empty((ncls, N_TEST, OFF_Q))
     WtW = np.empty((ncls, nc, nc))
     new = np.arange(ncls)
     if previous is not None:
@@ -599,17 +599,17 @@ def _element_systems(problem, dofmap, previous=None):
             mine[old] = theirs[src[old]]
     for lo in range(0, len(new), CLASS_BATCH):
         batch = new[lo:lo + CLASS_BATCH]
-        G = element_gram_batch(mesh, problem, reps[batch])
+        F = element_gram_batch(mesh, problem, reps[batch])
         Bm = element_b_batch(mesh, problem, k, reps[batch])
         # representatives of -J, signed to the canonical J
         flip = parity[reps[batch]] < 0
-        G[flip] *= S_V[:, None] * S_V
+        F[flip] *= S_V
         Bm[flip] *= S_V[:, None] * np.r_[SIGMA_F, sigma_t]
-        W[batch], K[batch], E[batch] = _class_kernels(G, Bm, reps[batch], batch)
+        W[batch], K[batch], E[batch] = _class_kernels(F, Bm, reps[batch], batch)
         WtW[batch] = _gram_block(W[batch])
     sign = dofmap.element_signs * np.where(parity[:, None] < 0, sigma_t, 1.0)
-    l = element_load_batch(mesh, problem, np.arange(nt))[:, :OFF_T]
-    l[parity < 0] *= S_V[:OFF_T]
+    l = element_load_batch(mesh, problem, np.arange(nt))[:, :OFF_Q]
+    l[parity < 0] *= S_V[:OFF_Q]
 
     classes = _class_order(cls)
     fy = _by_class(classes, l, E.transpose(0, 2, 1))

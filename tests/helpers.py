@@ -1,7 +1,8 @@
 """Shared oracle helpers: projections onto element test blocks, the
-element kernels of a single element, loop versions of the mesh,
-boundary-condition and class-kernel code, and the triplet scatter of
-the trace system."""
+element kernels of a single element, the Gram matrix and the whitened
+element system formed from the Gram rows, Householder QR and triangular
+solves in long double, loop versions of the mesh, boundary-condition and
+class-kernel code, and the triplet scatter of the trace system."""
 
 import numpy as np
 import scipy.sparse
@@ -10,16 +11,16 @@ from scipy.linalg import solve_triangular
 from shelldpg.assembly import (
     N_FIELD,
     N_TEST,
+    OFF_Q,
     OFF_T,
-    AssemblyError,
+    _gram_blocks,
     element_b_batch,
     element_gram_batch,
     element_load_batch,
-    gram_factor,
 )
 from shelldpg.mesh import Mesh
 from shelldpg.polyquad import map_points, triangle_basis, triangle_rule
-from shelldpg.traces import _classify_sides
+from shelldpg.traces import TraceDofMap, _classify_sides
 
 SQ2 = np.sqrt(2.0)
 # orthonormal symmetric frames and the skew frame
@@ -68,8 +69,56 @@ def project_sym_tensor(coords, fn, degree, fn_degree=4):
 
 
 def element_gram(mesh, problem, element=0):
-    """Gram matrix (111, 111) of one element."""
-    return element_gram_batch(mesh, problem, np.array([element]))[0]
+    """Gram matrix G = F' F (111, 111) of one element."""
+    F = element_gram_batch(mesh, problem, np.array([element]))[0]
+    return F.T @ F
+
+
+def householder_r(X):
+    """R (..., n, n) of the Householder QR of X (..., m, n), m >= n, in
+    long double (x86-64: 64-bit mantissa), for a stack of matrices; a
+    column that is zero below the diagonal is left as it is."""
+    A = np.array(X, dtype=np.longdouble)
+    n = A.shape[-1]
+    for j in range(n):
+        x = A[..., j:, j]
+        norm = np.sqrt(np.einsum("...i,...i->...", x, x))
+        v = x.copy()
+        v[..., 0] += np.where(x[..., 0] < 0, -norm, norm)
+        vv = np.einsum("...i,...i->...", v, v)
+        beta = 2.0 / np.where(vv > 0, vv, np.inf)
+        w = np.einsum("...i,...ij->...j", v, A[..., j:, j:])
+        A[..., j:, j:] -= beta[..., None, None] * v[..., :, None] * w[..., None, :]
+    return np.triu(A[..., :n, :])
+
+
+def triangular_solve_ld(R, B, trans):
+    """R^-1 B, or R'^-1 B if `trans`, for upper triangular R (..., n, n),
+    by substitution in long double."""
+    n = R.shape[-1]
+    X = np.empty(B.shape, dtype=np.longdouble)
+    rows = range(n) if trans else range(n - 1, -1, -1)
+    for i in rows:
+        done = slice(0, i) if trans else slice(i + 1, n)
+        coef = R[..., done, i] if trans else R[..., i, done]
+        done_part = np.einsum("...k,...kc->...c", coef, X[..., done, :])
+        X[..., i, :] = (B[..., i, :] - done_part) / R[..., i, i, None]
+    return X
+
+
+def whitened_element_systems(mesh, problem, k, els):
+    """W = R'^-1 [Bmat l] (nel, 111, 10 + ncols + 1) in long double, with
+    R' R = F' F the factor of each element's own Gram rows, by one
+    Householder QR per diagonal block; B's trace columns signed into the
+    global edge frames.  Then W' W = [Bmat l]' G^-1 [Bmat l]."""
+    F = _gram_blocks(element_gram_batch(mesh, problem, els))
+    Bl = np.concatenate([element_b_batch(mesh, problem, k, els),
+                         element_load_batch(mesh, problem, els)[:, :, None]],
+                        axis=2).astype(np.longdouble)
+    Bl[:, :, N_FIELD:-1] *= TraceDofMap(mesh, k).element_signs[els][:, None, :]
+    return np.concatenate(
+        [triangular_solve_ld(householder_r(Fb), Bl[:, rows], True)
+         for Fb, rows in zip(F, (slice(0, OFF_T), slice(OFF_T, None)))], axis=1)
 
 
 def element_b(mesh, problem, k, element=0):
@@ -229,17 +278,14 @@ def loop_apply_bc(dofmap, problem):
     return constrained
 
 
-def loop_class_kernels(G, Bm, element, j):
+def loop_class_kernels(F, Bm):
     """W^c_J, K_J and E_J of one class, as `shelldpg.assembly._class_kernels`
-    builds them for a stack of classes."""
-    try:
-        L, s = gram_factor(G)
-    except AssemblyError as err:
-        raise AssemblyError(
-            f"{err} in element {element} (Jacobian class {j})") from None
+    builds them for a stack of classes, from its Gram rows F."""
     nc = Bm.shape[1] - N_FIELD
-    X = solve_triangular(L, s[:, None] * np.hstack([Bm, np.eye(N_TEST, OFF_T)]),
-                         lower=True)
+    Bl = np.hstack([Bm, np.eye(N_TEST, OFF_Q)])
+    X = np.vstack([solve_triangular(np.linalg.qr(Fb[0], mode="r"), Bl[rows], trans="T")
+                   for Fb, rows in zip(_gram_blocks(F[None]),
+                                       (slice(0, OFF_T), slice(OFF_T, None)))])
     Q, R = np.linalg.qr(X[:, :N_FIELD], mode="complete")
     QX = Q.T @ X[:, N_FIELD:]
     QX[:N_FIELD] = solve_triangular(R[:N_FIELD], QX[:N_FIELD])

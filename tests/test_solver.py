@@ -139,7 +139,10 @@ def least_squares_oracle(neq, steps=4):
     long-double residuals of the stacked element operator.
 
     The normal matrix A only preconditions the steps, so its rounding
-    does not reach the limit (x86-64: 64-bit mantissa).
+    does not reach the limit (x86-64: 64-bit mantissa).  A arrives in a
+    fill-reducing elimination order, and its LU keeps that order: a
+    minimum degree ordering started from it takes longer than the
+    factorization.
     """
     el = neq.elements
     nel = len(el.y)
@@ -154,7 +157,7 @@ def least_squares_oracle(neq, steps=4):
     y = el.y.ravel().astype(np.longdouble)
     s = 1.0 / np.sqrt(neq.A.diagonal())
     As = (scipy.sparse.diags(s) @ neq.A @ scipy.sparse.diags(s)).tocsc()
-    lu = scipy.sparse.linalg.splu(As, permc_spec="MMD_AT_PLUS_A",
+    lu = scipy.sparse.linalg.splu(As, permc_spec="NATURAL",
                                   diag_pivot_thresh=0.0,
                                   options={"SymmetricMode": True})
     x = s * lu.solve(s * neq.rhs)
