@@ -98,7 +98,7 @@ def measure(mesh, problem, k, repeat):
     neq = assemble_normal_equations(mesh, problem, k)
     A = neq.A
     s = scipy.sparse.diags(1.0 / np.sqrt(A.diagonal()))
-    As = solver._as_csc((s @ A @ s).tocsr())
+    As = (s @ A @ s).tocsc()
     free = np.flatnonzero(neq.index_map >= 0)
     by_index = neq.index_map[free[np.argsort(neq.dofmap.dof_entity[free],
                                              kind="stable")]]

@@ -69,6 +69,7 @@ assemble finite element matrices in vector languages", BIT 2016) on the
 entity graph.
 """
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse
@@ -232,66 +233,58 @@ def _gram_blocks(F):
     return F[:, :m1, :OFF_T], F[:, m1:, OFF_T:]
 
 
+@lru_cache(maxsize=None)
+def _reference_integrals():
+    """Integrals over the reference triangle of the P2, P3 and P4 test
+    bases, of the P3 gradients and of the P3 and P4 Hessians."""
+    w = triangle_rule(QUAD_DEGREE).weights
+    t2, t3, t4 = (triangle_table(p, QUAD_DEGREE) for p in (2, 3, 4))
+    out = tuple(w @ t.val for t in (t2, t3, t4)) + tuple(
+        np.tensordot(w, x, 1)[None] for x in (t3.grad, t3.hess, t4.hess))
+    for arr in out:
+        arr.flags.writeable = False
+    return out
+
+
 def element_b_batch(mesh, problem, k, els):
     """Trial-to-test matrices (nel, 111, 10 + TraceDofMap.ncols).
 
     The trial fields are constant on an element, so each field column
     integrates a test function, its gradient or its Hessian over the
     element: detJ times a reference integral, the derivatives mapped by
-    Jinv after integrating.
+    Jinv after integrating.  Each block of test rows of the field
+    columns is one broadcast product of such an integral with the
+    coefficients of the field in that block's terms.
     """
     coords = mesh.triangle_coords(els)
     _, detJ, Jinv = triangle_geometry(coords)
-    w = triangle_rule(QUAD_DEGREE).weights
-    t2, t3, t4 = (triangle_table(p, QUAD_DEGREE) for p in (2, 3, 4))
     nel = len(detJ)
-    ncols = N_FIELD + local_trace_columns(k)
+    B, d = problem.B, problem.d
 
-    B = problem.B
-    bf = _b_coeffs(B)
-    nu = problem.nu
-    d = problem.d
+    Bmat = np.zeros((nel, N_TEST, N_FIELD + local_trace_columns(k)))
 
-    Bmat = np.zeros((nel, N_TEST, ncols))
-
+    I2, I3, I4, G3, H3, H4 = _reference_integrals()
     dJ = detJ[:, None]
-    IT2, IT3, IT4 = (dJ * (w @ t.val) for t in (t2, t3, t4))
-    Ig3 = dJ[..., None] * map_gradients(np.tensordot(w, t3.grad, 1)[None], Jinv)[:, 0]
-    Ih3, Ih4 = (dJ[..., None, None] * map_hessians(np.tensordot(w, t.hess, 1)[None],
-                                                   Jinv)[:, 0] for t in (t3, t4))
+    IT2, IT3, IT4 = dJ * I2, dJ * I3, dJ * I4
+    Ig3 = dJ[..., None] * map_gradients(G3, Jinv)[:, 0]
+    Ih3, Ih4 = (dJ[..., None, None] * map_hessians(H, Jinv)[:, 0] for H in (H3, H4))
 
-    # (u, div T)
-    IdivT = _div_from_grads(Ig3).reshape(nel, 30, 2)
-    for c in range(2):
-        Bmat[:, OFF_T : OFF_T + 30, c] = IdivT[:, :, c]
-
-    # (w, divdiv S - B:T)
-    Bmat[:, OFF_S : OFF_S + 45, 2] = _divdiv_from_hess(Ih4).reshape(nel, 45)
-    for f in range(3):
-        Bmat[:, OFF_T + 3 * np.arange(10) + f, 2] -= bf[f] * IT3
-
-    # (N, C^-1 T + grad v - B z + Q); N columns 3 + 2a + b
-    CinvF = apply_Cinv(FRAMES_SYM, nu)
+    # field columns u (0, 1), w (2), N11, N12, N21, N22 (3 + 2a + b) and
+    # M11, M12, M22 (7 + p) against the test terms
+    # (u, div T), (w, divdiv S - B:T), (N, C^-1 T + grad v - B z + Q) and
+    # (M, 12 d^-2 C^-1 S + eps grad z)
+    CinvF = apply_Cinv(FRAMES_SYM, problem.nu)  # (3 f, 2, 2)
+    on_T = np.c_[-_b_coeffs(B), CinvF.reshape(3, 4)]  # (3 f, w and N columns)
+    on_S = 12.0 / d**2 * np.einsum("pab,fab->pf", DIR_M, CinvF).T  # (3 f, M columns)
+    Bmat[:, OFF_T:OFF_S, :2] = _div_from_grads(Ig3).reshape(nel, 30, 2)
+    Bmat[:, OFF_T:OFF_S, 2:7] = (IT3[:, :, None, None] * on_T).reshape(nel, 30, 5)
+    Bmat[:, OFF_S:, 2] = _divdiv_from_hess(Ih4).reshape(nel, 45)
+    Bmat[:, OFF_S:, 7:N_FIELD] = (IT4[:, :, None, None] * on_S).reshape(nel, 45, 3)
     for a in range(2):
-        for b in range(2):
-            col = 3 + 2 * a + b
-            for f in range(3):
-                Bmat[:, OFF_T + 3 * np.arange(10) + f, col] += CinvF[f, a, b] * IT3
-            Bmat[:, OFF_V + 2 * np.arange(10) + a, col] += Ig3[:, :, b]
-            Bmat[:, OFF_Z + np.arange(10), col] -= B[a, b] * IT3
-            Bmat[:, OFF_Q + np.arange(6), col] += FRAME_SKEW[a, b] * IT2
-
-    # (M, 12 d^-2 C^-1 S + eps grad z); M columns 7 + f'
-    CM = np.einsum("pab,fab->pf", DIR_M, CinvF)
-    for p in range(3):
-        col = 7 + p
-        for f in range(3):
-            Bmat[:, OFF_S + 3 * np.arange(15) + f, col] += (
-                12.0 / d**2 * CM[p, f]
-            ) * IT4
-        Bmat[:, OFF_Z + np.arange(10), col] += np.einsum(
-            "ejab,ab->ej", Ih3, DIR_M[p]
-        )
+        Bmat[:, OFF_V + a:OFF_Z:2, 3 + 2 * a:5 + 2 * a] = Ig3
+    Bmat[:, OFF_Z:OFF_Q, 3:7] = IT3[:, :, None] * -B.ravel()
+    Bmat[:, OFF_Z:OFF_Q, 7:N_FIELD] = np.einsum("ejab,pab->ejp", Ih3, DIR_M)
+    Bmat[:, OFF_Q:OFF_T, 3:7] = IT2[:, :, None] * FRAME_SKEW.ravel()
 
     # trace columns, signs of the skeleton duality
     pair = edge_pairings(mesh, k, els)

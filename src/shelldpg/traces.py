@@ -82,6 +82,7 @@ refinement, k = 0, 64 / 256 / 1024 elements (table in CHANGES.md):
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -290,14 +291,62 @@ def _frame_times_normal(nrm):
     """(..., 3 frames, 2) arrays: each of `polyquad.FRAMES_SYM` applied to n."""
     n1, n2 = nrm[..., 0], nrm[..., 1]
     zero = np.zeros_like(n1)
-    return np.stack(
-        [
-            np.stack([n1, zero], axis=-1),
-            np.stack([n2 / SQ2, n1 / SQ2], axis=-1),
-            np.stack([zero, n2], axis=-1),
-        ],
-        axis=-2,
+    return np.stack([n1, zero, n2 / SQ2, n1 / SQ2, zero, n2], axis=-1).reshape(
+        nrm.shape[:-1] + (3, 2))
+
+
+# local edge j runs from vertex EDGE_FROM[j] = (j + 1) % 3 to vertex
+# EDGE_TO[j] = (j + 2) % 3; vertex m starts edge STARTS[m] = (m + 2) % 3
+# and ends edge ENDS[m] = (m + 1) % 3
+EDGE_FROM, EDGE_TO = [1, 2, 0], [2, 0, 1]
+STARTS, ENDS = [2, 0, 1], [1, 2, 0]
+
+
+@dataclass(frozen=True)
+class _EdgeTables:
+    """The element-independent factors of `edge_pairings`, stacked over the
+    three local edges j or vertices m, from `polyquad.edge_table`."""
+
+    ends: np.ndarray     # (10, 1, 3 m, 2): P3 x hat of m on STARTS[m], ENDS[m]
+    bubble: np.ndarray   # (10, 1, 3 j, 1): P3 against the edge bubble
+    wval4: np.ndarray    # (3 j, 1, 15, Q): weighted P4 values
+    wgrad4: np.ndarray   # (3 j, 2 d, 15, Q): weighted P4 gradients d/dxi_d
+    mean3: np.ndarray    # (3 j, 10): P3 edge integrals
+    dmean3: np.ndarray   # (3 j, 2, 10): P3 reference-gradient edge integrals
+    hermite: np.ndarray  # (5, Q, 2 ends): hval, hgrad, dval, dgrad, nlin
+    twists: np.ndarray   # (10, 3 j, 2): z at the start and -z at the end
+
+
+@lru_cache(maxsize=None)
+def _edge_tables():
+    rule = edge_rule(EDGE_RULE_DEGREE)
+    sq, wq = rule.points, rule.weights
+    t3 = [edge_table(3, EDGE_RULE_DEGREE, j) for j in range(3)]
+    t4 = [edge_table(4, EDGE_RULE_DEGREE, j) for j in range(3)]
+    wv3 = [wq[:, None] * t.val for t in t3]
+    hats = np.stack([1 - sq, sq], axis=0)
+    at_ends = np.array([[h @ wv for h in hats] for wv in wv3])  # (3 j, 2, 10)
+    z_at_vertex = triangle_basis(3).eval(REF_VERTICES)  # (3, 10)
+    tables = _EdgeTables(
+        ends=np.stack([at_ends[STARTS, 0], at_ends[ENDS, 1]], axis=-1
+                      ).transpose(1, 0, 2)[:, None],
+        bubble=np.stack([(4 * sq * (1 - sq)) @ wv for wv in wv3]).T[:, None, :, None],
+        wval4=np.stack([(wq[:, None] * t.val).T[None] for t in t4]),
+        wgrad4=np.stack([(wq[:, None, None] * t.grad).T for t in t4]),
+        mean3=np.stack([wq @ t.val for t in t3]),
+        dmean3=np.stack([np.tensordot(wq, t.grad, 1).T for t in t3]),
+        hermite=np.stack([
+            [2 * sq**3 - 3 * sq**2 + 1, -2 * sq**3 + 3 * sq**2],
+            [sq**3 - 2 * sq**2 + sq, sq**3 - sq**2],
+            [6 * sq**2 - 6 * sq, 6 * sq - 6 * sq**2],
+            [3 * sq**2 - 4 * sq + 1, 3 * sq**2 - 2 * sq], hats]
+        ).transpose(0, 2, 1),
+        twists=np.stack([z_at_vertex[EDGE_FROM], -z_at_vertex[EDGE_TO]], axis=-1
+                        ).transpose(1, 0, 2),
     )
+    for arr in vars(tables).values():
+        arr.flags.writeable = False
+    return tables
 
 
 def edge_pairings(mesh: Mesh, k: int, elements=None) -> TracePairings:
@@ -305,7 +354,15 @@ def edge_pairings(mesh: Mesh, k: int, elements=None) -> TracePairings:
     the element's own frame (`TracePairings`).
 
     Integrands are polynomials of degree <= 6 along each edge; a fixed
-    4-point Gauss rule integrates them exactly.
+    4-point Gauss rule integrates them exactly.  Every edge integral is
+    the edge length L times one over the reference edge.  The edge
+    geometry (L, tangent tau, outward normal n) and each per-edge term
+    carry an axis of the three local edges after the element axis,
+    against the reference tables of `_edge_tables`, which stack the
+    same axis; so a batch costs a fixed number of array operations.  A
+    vertex column sums the terms of the edge it starts and the edge it
+    ends (`STARTS`, `ENDS`), and the terms are then moved to the column
+    layout of `TracePairings`.
     """
     if k not in (0, 1):
         raise ValueError(f"trace order k must be 0 or 1, got {k}")
@@ -313,105 +370,59 @@ def edge_pairings(mesh: Mesh, k: int, elements=None) -> TracePairings:
     coords = mesh.triangle_coords(els)
     nt = len(els)
     _, _, Jinv = triangle_geometry(coords)
+    T = _edge_tables()
+    hval, hgrad, dval, dgrad, nlin = T.hermite
+    nq = len(hval)
 
-    rule = edge_rule(EDGE_RULE_DEGREE)
-    sq, wq = rule.points, rule.weights
-    z_at_vertex = triangle_basis(3).eval(REF_VERTICES)  # (3, 10)
+    ed = coords[:, EDGE_TO] - coords[:, EDGE_FROM]  # (nt, 3 j, 2)
+    L = np.hypot(ed[..., 0], ed[..., 1])
+    tau = ed / L[..., None]
+    nrm = np.stack([tau[..., 1], -tau[..., 0]], axis=-1)  # outward for CCW
+    Lfn3 = L[..., None, None] * _frame_times_normal(nrm)  # (nt, 3 j, 3 f, 2)
 
-    # Hermite value shapes and derivatives on the local edge parameter
-    h00 = 2 * sq**3 - 3 * sq**2 + 1
-    h10 = sq**3 - 2 * sq**2 + sq
-    h01 = -2 * sq**3 + 3 * sq**2
-    h11 = sq**3 - sq**2
-    d00 = 6 * sq**2 - 6 * sq
-    d10 = 3 * sq**2 - 4 * sq + 1
-    d01 = -d00
-    d11 = 3 * sq**2 - 2 * sq
-    # endpoint hat functions and, for k = 1, the edge bubble
-    hats = np.stack([1 - sq, sq], axis=0)
-    bub = 4 * sq * (1 - sq)
+    # --- u_hat columns: integral (T n) . phi over the edge; rows 3i+f,
+    # columns 2m+c (vertex m), then 6+2j+c (bubble of edge j, k = 1)
+    Lf = Lfn3.transpose(0, 2, 1, 3)[:, None]  # (nt, 1, 3 f, 3 j, 2)
+    pu = (T.ends[..., 0, None] * Lf[:, :, :, STARTS]
+          + T.ends[..., 1, None] * Lf[:, :, :, ENDS])
+    if k == 1:
+        pu = np.concatenate([pu, T.bubble * Lf], axis=3)
+    pu = pu.reshape(nt, 30, 6 + 6 * k)
 
-    nu = 6 + 6 * k
-    pu = np.zeros((nt, 30, nu))
-    pw = np.zeros((nt, 45, 9))
-    pn = np.zeros((nt, 20, 6))
-    pm = np.zeros((nt, 10, 12))
+    # --- w_hat columns: integral [ w (n . div S) - (S n) . grad w ]
+    # n . div(psi F) = grad psi . (F n) and S n = psi F n per frame F.
+    # At edge end p, column 3p (value dof): w = hval, grad w = (hval'/L)
+    # tau; column 3p+1+c (gradient dof c): w = L hgrad tau_c, grad w =
+    # hgrad' tau_c tau + nlin n_c n.  Axes (nt, 3 j, [2 d,] Q, 2 p, 3)
+    at_q, by_d = (slice(None), slice(None), None, None), (Ellipsis, None, None, None)
+    wcol = np.empty((nt, 3, nq, 2, 3))
+    wcol[..., 0] = hval
+    wcol[..., 1:] = (L[at_q] * hgrad)[..., None] * tau[at_q]
+    gcol = np.empty((nt, 3, 2, nq, 2, 3))
+    gcol[..., 0] = (dval / L[at_q])[:, :, None] * tau[..., None, None]
+    gcol[..., 1:] = ((dgrad[..., None] * tau[at_q])[:, :, None] * tau[by_d]
+                     + (nlin[..., None] * nrm[at_q])[:, :, None] * nrm[by_d])
+    # Iw: reference gradients against w, mapped by Jinv; Ig: psi against
+    # grad w; both (nt, 3 j, 2 d, (i, p, r)), each paired over d with F n
+    Iw = (T.wgrad4 @ wcol.reshape(nt, 3, 1, nq, 6)).reshape(nt, 3, 2, 90)
+    Ig = (T.wval4 @ gcol.reshape(nt, 3, 2, nq, 6)).reshape(nt, 3, 2, 90)
+    JFn = (Jinv[:, None] @ Lfn3.transpose(0, 1, 3, 2)).transpose(0, 1, 3, 2)
+    contrib = (JFn @ Iw - Lfn3 @ Ig).reshape(nt, 3, 3, 15, 2, 3)
+    pw = contrib[..., 0, :][:, STARTS] + contrib[..., 1, :][:, ENDS]  # (nt, 3 m, 3 f, 15, 3)
+    pw = pw.transpose(0, 3, 2, 1, 4).reshape(nt, 45, 9)
 
-    # every edge integral is L times one over the reference edge; the
-    # basis tables are weighted by the rule once, and each product below
-    # contracts two operands
-    for j in range(3):
-        a, b = (j + 1) % 3, (j + 2) % 3
-        t3 = edge_table(3, EDGE_RULE_DEGREE, j)
-        t4 = edge_table(4, EDGE_RULE_DEGREE, j)
-        wv3 = wq[:, None] * t3.val  # (Q, 10)
-        wv4 = wq[:, None] * t4.val  # (Q, 15)
-        wg4 = (wq[:, None, None] * t4.grad).reshape(len(wq), 30)  # (Q, 15 * 2)
+    # --- N_hat columns: integral sigma_hat . v; rows 2i+c, columns 2j+c
+    I3 = (L[..., None] * T.mean3).transpose(0, 2, 1)  # (nt, 10, 3 j)
+    pn = np.zeros((nt, 10, 2, 3, 2))
+    pn[:, :, [0, 1], :, [0, 1]] = I3
 
-        Pa, Pb = coords[:, a], coords[:, b]
-        ed = Pb - Pa
-        L = np.hypot(ed[:, 0], ed[:, 1])
-        tau = ed / L[:, None]
-        nrm = np.stack([tau[:, 1], -tau[:, 0]], axis=1)  # outward for CCW
+    # --- M_hat columns: -m_n integral dz/dn, q integral z, and the
+    #     twists' endpoint terms -[t z]_a^b: z(a) at the start, -z(b)
+    #     at the end
+    Jn = (Jinv[:, None] @ (L[..., None] * nrm)[..., None])[..., 0]  # (nt, 3 j, 2)
+    pm = np.empty((nt, 10, 2, 3, 2))
+    pm[:, :, 0, :, 0] = -(Jn.transpose(1, 0, 2) @ T.dmean3).transpose(1, 2, 0)
+    pm[:, :, 0, :, 1] = I3
+    pm[:, :, 1] = T.twists
 
-        Lfn3 = L[:, None, None] * _frame_times_normal(nrm)  # (nt, 3, 2)
-
-        # --- u_hat columns: integral (T n) . phi over the edge
-        # rows 3i+f, columns 2m+c
-        for p, m in enumerate((a, b)):
-            Iv = hats[p] @ wv3  # (10,)
-            pu[:, :, 2 * m : 2 * m + 2] += (
-                Iv[None, :, None, None] * Lfn3[:, None]).reshape(nt, 30, 2)
-        if k == 1:
-            pu[:, :, 6 + 2 * j : 8 + 2 * j] += (
-                (bub @ wv3)[None, :, None, None] * Lfn3[:, None]).reshape(nt, 30, 2)
-
-        # --- w_hat columns: integral [ w (n . div S) - (S n) . grad w ]
-        # n . div(psi F) = grad psi . (F n) and S n = psi F n per frame F
-        nq = len(sq)
-        wcol = np.zeros((nt, nq, 6))
-        gcol = np.zeros((nt, nq, 6, 2))
-        for p, (hval, dval, hgrad, dgrad, nlin) in enumerate(
-            ((h00, d00, h10, d10, 1 - sq), (h01, d01, h11, d11, sq))
-        ):
-            # value dof: w = hval, grad w = (hval'/L) tau
-            wcol[:, :, 3 * p] = hval[None, :]
-            gcol[:, :, 3 * p, :] = (
-                dval[None, :, None] / L[:, None, None]
-            ) * tau[:, None, :]
-            # gradient dof c: w = L hgrad tau_c,
-            # grad w = hgrad' tau_c tau + nlin n_c n
-            for c in range(2):
-                wcol[:, :, 3 * p + 1 + c] = L[:, None] * hgrad[None, :] * tau[:, c, None]
-                gcol[:, :, 3 * p + 1 + c, :] = (
-                    dgrad[None, :, None] * tau[:, c, None, None] * tau[:, None, :]
-                    + nlin[None, :, None] * nrm[:, c, None, None] * nrm[:, None, :]
-                )
-        # reference gradients against w: (nt, 15, 2, 6); mapped by Jinv
-        # and paired with F n
-        Iw = (wg4.T @ wcol).reshape(nt, 15, 2, 6)
-        JFn = (Jinv @ Lfn3.transpose(0, 2, 1)).transpose(0, 2, 1)  # (nt, 3, 2)
-        # psi against grad w: (nt, 15, 2, 6), paired with F n
-        Ig = (wv4.T @ gcol.reshape(nt, nq, 12)).reshape(nt, 15, 6, 2)
-        contrib = JFn[:, None] @ Iw - Lfn3[:, None] @ Ig.transpose(0, 1, 3, 2)
-        for p, m in enumerate((a, b)):
-            pw[:, :, 3 * m : 3 * m + 3] += contrib[:, :, :, 3 * p : 3 * p + 3].reshape(
-                nt, 45, 3
-            )
-
-        # --- N_hat columns: integral sigma_hat . v
-        I3 = L[:, None] * (wq @ t3.val)  # edge integrals of P3 scalars
-        for c in range(2):
-            pn[:, 2 * np.arange(10) + c, 2 * j + c] = I3
-
-        # --- M_hat columns: -m_n integral dz/dn, q integral z, and the
-        #     twists' endpoint terms -[t z]_a^b: z(a) at the start, -z(b)
-        #     at the end
-        Jn = (Jinv @ (L[:, None] * nrm)[:, :, None])[:, :, 0]  # (nt, 2)
-        pm[:, :, 2 * j] = -Jn @ np.tensordot(wq, t3.grad, 1).T
-        pm[:, :, 2 * j + 1] = I3
-        pm[:, :, 6 + 2 * j] = z_at_vertex[a]
-        pm[:, :, 7 + 2 * j] = -z_at_vertex[b]
-
-    return TracePairings(pu, pw, pn, pm)
-
+    return TracePairings(pu, pw, pn.reshape(nt, 20, 6), pm.reshape(nt, 10, 12))

@@ -56,8 +56,8 @@ def test_non_spd_detected():
 
 def test_diverging_refinement_refused(monkeypatch):
     # factors of 0.4 S A S: the first solve overshoots by 1.5 times the
-    # solution and each correction step multiplies the error by -1.5, so
-    # the steps raise |r|.  The loose tol lets the backward error pass:
+    # solution and the correction step multiplies the error by -1.5, so
+    # the step raises |r|.  The loose tol lets the backward error pass:
     # only the residual guard stands between the worse iterate and the
     # caller
     neq = small_system()
@@ -171,7 +171,9 @@ def least_squares_oracle(neq, steps=4):
 def test_solve_matches_least_squares_oracle(kind, k):
     # refined against long-double residuals of A itself, the solve of
     # the rounded normal equations measured 1.8e-9 (cyl_clamped) and
-    # 1.5e-8 (scordelis_lo) here; against the element residuals 2e-15
+    # 1.5e-8 (scordelis_lo) here; with one correction step against the
+    # element residuals 4.1e-15 and 1.9e-14 (2.6e-15 and 2.0e-15 after a
+    # second step)
     prob = make_benchmark(kind, d=1e-2)
     mesh = initial_rectangle_mesh(prob.rect)
     while mesh.ntriangles < 1024:
