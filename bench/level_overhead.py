@@ -19,10 +19,10 @@ Records, for each workload of `perfbench/workloads.py`:
   (`NormalEquations.residual`), the Gram rows (the Gram matrices on a
   checkout from before them) and the B matrices
   (`assembly.element_gram_batch`, `assembly.element_b_batch`), the rest
-  of `assembly._element_systems` together with the element matrices
-  formed for the fill (`ElementSystems.matrices`; on a checkout from
-  before it, inside `_element_systems`), mesh refinement (`refine`, which
-  builds the new `Mesh`) and the reference hook.  Seconds per run and
+  of `assembly._element_systems`, mesh refinement (`refine`, which
+  builds the new `Mesh`) and the reference hook.  The element matrices
+  formed for the fill (`ElementSystems.matrices`) count once, under the
+  scatter, whether `_csr_fill` forms them or takes them as an argument.  Seconds per run and
   the share of the run's `adaptive_loop` time;
 * `level_floor_s`: one level on each start mesh (24 or 25 elements)
   with every Jacobian class carried over from an assembly on the same
@@ -31,7 +31,7 @@ Records, for each workload of `perfbench/workloads.py`:
 and, once, `large_level`: the spans above (seconds, median over
 repetitions) of one assembly of the uniform cyl_clamped mesh of 4,096
 elements (k = 0, d = 1e-2) with every class carried over, followed by
-the 3 element-residual passes of a solve, and `held_bytes`, the bytes
+the 2 element-residual passes of a solve, and `held_bytes`, the bytes
 of the arrays the resulting `NormalEquations` keeps (A's data, indices
 and indptr, rhs, index_map and every array of its `elements`).  The
 workloads stop below 1,000 elements, where costs that grow with the
@@ -87,8 +87,9 @@ from workloads import DEFAULT_SEED, WORKLOADS, start_mesh  # noqa: E402
 START_MESHES = 16
 FLOOR_REPEAT = 5
 # (module or class, attribute, phase); nested phases are subtracted from
-# `element_systems` and `scatter` (`unnest`).  A target the imported
-# shelldpg lacks is skipped
+# `element_systems` and `scatter` (`unnest`), and a call inside another
+# of the same phase counts once.  A target the imported shelldpg lacks
+# is skipped
 SPANS = (
     ("shelldpg.solver", "_splu", "factor"),
     ("shelldpg.assembly", "_entity_order", "order"),
@@ -100,7 +101,7 @@ SPANS = (
     ("shelldpg.assembly", "element_gram_batch", "gram_b"),
     ("shelldpg.assembly", "element_b_batch", "gram_b"),
     ("shelldpg.assembly", "_element_systems", "element_systems"),
-    ("shelldpg.assembly.ElementSystems", "matrices", "element_systems"),
+    ("shelldpg.assembly.ElementSystems", "matrices", "scatter"),
     ("shelldpg.estimator", "refine", "refine"),
 )
 MESH_SIZES = (16384, 65536, 262144, "random")
@@ -118,6 +119,7 @@ def owner(dotted):
 
 def install_spans(acc):
     """Wrap every SPANS target so that its calls add to acc[phase]."""
+    running = set()
     for where, attr, phase in SPANS:
         obj = owner(where)
         fn = getattr(obj, attr, None)
@@ -125,11 +127,15 @@ def install_spans(acc):
             continue
 
         def timed(*args, _fn=fn, _phase=phase, **kwargs):
+            if _phase in running:
+                return _fn(*args, **kwargs)
+            running.add(_phase)
             t = time.perf_counter()
             try:
                 return _fn(*args, **kwargs)
             finally:
                 acc[_phase] += time.perf_counter() - t
+                running.discard(_phase)
 
         setattr(obj, attr, timed)
 
@@ -171,8 +177,8 @@ def held_bytes(neq):
 
 
 def large_level(acc):
-    """Median span seconds of a carried-over assembly and 3 residual
-    passes on a uniform mesh of LARGE_ELEMENTS elements."""
+    """Median span seconds of a carried-over assembly and the 2 residual
+    passes of a solve on a uniform mesh of LARGE_ELEMENTS elements."""
     import numpy as np
 
     from shelldpg import (assemble_normal_equations, initial_rectangle_mesh,
@@ -188,7 +194,7 @@ def large_level(acc):
         acc.clear()
         neq = assemble_normal_equations(mesh, problem, 0, previous=carried)
         x = np.zeros(neq.A.shape[0])
-        for _ in range(3):
+        for _ in range(2):
             neq.residual(x)
         unnest(acc)
         runs.append(dict(acc))

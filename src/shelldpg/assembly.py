@@ -60,13 +60,15 @@ J. Sci. Comput. 1995); the factorization keeps it (`solver._splu`).
 The sparsity of A depends only on the mesh topology and the
 constraints, so its CSR pattern is built from the element-entity
 incidence before any element matrix exists (`_trace_pattern`),
-together with the position in A.data of every element matrix entry;
-one `np.bincount` then sums the element matrices into it (`_csr_fill`).
-The element matrices are formed for that call only
-(`ElementSystems.matrices`) and are not kept.  This is the vectorised
-assembly of Cuvelier, Japhet and Scarella ("An efficient way to
-assemble finite element matrices in vector languages", BIT 2016) on the
-entity graph.
+together with what places an element matrix entry in A.data: the start
+of its row, the rank of its column within its entity, and the offset
+of each pair of the element's entities.  The fill (`_csr_fill`) forms
+the positions and the element matrices (`ElementSystems.matrices`) a
+fixed chunk of elements at a time and adds them in element order, so
+neither an (nt, nc, nc) table of positions nor one of matrices is ever
+held.  This is the vectorised assembly of Cuvelier, Japhet and Scarella
+("An efficient way to assemble finite element matrices in vector
+languages", BIT 2016) on the entity graph.
 """
 from dataclasses import dataclass
 from functools import lru_cache
@@ -74,7 +76,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
-from scipy.linalg.lapack import dtrtrs
+from scipy.linalg.lapack import dgeqrf, dormqr, dtrtrs
 
 from .mesh import match_rows
 from .model import apply_Cinv, eval_loads
@@ -96,16 +98,22 @@ N_TEST = 111
 # the (v, z, Q) block of the test norm, then the (T, S) block
 OFF_V, OFF_Z, OFF_Q, OFF_T, OFF_S = 0, 20, 30, 36, 66
 QUAD_DEGREE = 8
+# the orthonormal P3 basis, in which each operator term of the test norm
+# is given by its coefficients (`element_gram_batch`)
+N_P3 = 10
 N_FIELD = 10
 # Jacobians are keyed on a grid of this size relative to the power of two
 # of their largest entry: rounding noise of a repeated shape stays on one
 # grid point, distinct shapes do not merge
 CLASS_RTOL = 1e-10
 # Jacobian classes per call of the element kernels.  At 128 classes
-# `element_gram_batch` peaks at 49 MB (41 MB of Gram rows, tracemalloc),
-# `element_b_batch` at 7 MB and `_class_kernels` at 36 MB, so this bounds
-# the peak memory on meshes with many distinct shapes
+# `element_gram_batch` peaks at 32 MB (24 MB of Gram rows, tracemalloc),
+# `element_b_batch` at 9-10 MB and `_class_kernels` at 36-38 MB, so this
+# bounds the peak memory on meshes with many distinct shapes
 CLASS_BATCH = 128
+# elements per step of the CSR fill (`_csr_fill`): 32 to 128 fill as fast
+# from 384 to 6,144 elements, 256 and more up to twice as slow
+FILL_CHUNK = 64
 
 # signs under J -> -J (`ElementSystems`): of the test rows, v odd; of the
 # field columns of B, u1 and u2 odd
@@ -160,7 +168,7 @@ def _gram_block(X):
 
 
 def element_gram_batch(mesh, problem, els):
-    """Square-root rows F (nel, 361, 111) of the Gram matrices G = F' F
+    """Square-root rows F (nel, 211, 111) of the Gram matrices G = F' F
     of the scaled test inner product.
 
     The squared test norm of tau = (v, z, T, S, Q) on an element is
@@ -170,60 +178,77 @@ def element_gram_batch(mesh, problem, els):
         + |(D^2 / d) (divdiv S - B : T)|^2
 
     integrated over it: |F tau|^2.  No term couples (v, z, Q) with
-    (T, S), so F is block diagonal (`_gram_blocks`), with 36 + 7 nq and
-    75 + 3 nq rows, nq = 25 the points of the `QUAD_DEGREE` rule.  Each
-    block starts with its mass rows, sqrt(detJ) times the terms' weights
-    (the reference basis is orthonormal), then has the operator terms at
-    the rule's points weighted by sqrt(w_q detJ), one row per point and
-    component: grad v - B z + Q and d grad grad z; div T and
-    divdiv S - B : T.  The rule is exact: no integrand has degree above 6.
+    (T, S), so F is block diagonal (`_gram_blocks`), with 36 + 7 * 10 and
+    75 + 3 * 10 rows.  Each block starts with its mass rows, sqrt(detJ)
+    times the terms' weights (the reference basis is orthonormal).  Each
+    component of an operator term, grad v - B z + Q and d grad grad z,
+    then div T and divdiv S - B : T, has degree <= 3 on an affine element,
+    so its integral squared is detJ times the sum of its squared
+    coefficients in the orthonormal P3 basis: the rows of a component are
+    those 10 coefficients times sqrt(detJ), from the reference tables
+    projected onto P3 once (`_p3_coefficients`) and mapped by Jinv.
     """
     if problem.d <= 0.0 or problem.D <= 0.0:
         raise ValueError("thickness and scaling length must be positive")
     coords = mesh.triangle_coords(els)
     _, detJ, Jinv = triangle_geometry(coords)
-    rule = triangle_rule(QUAD_DEGREE)
-    t2, t3, t4 = (triangle_table(p, QUAD_DEGREE) for p in (2, 3, 4))
-    nel, nq = len(detJ), len(rule.weights)
+    nel, (c2, c3, g3, h3, h4) = len(detJ), _p3_coefficients()
     d, D, B = problem.d, problem.D, problem.B
 
-    sw = np.sqrt(rule.weights[None, :] * detJ[:, None])[:, :, None]  # (nel, nq, 1)
-    v2, v3 = sw * t2.val, sw * t3.val
-    g3 = sw[..., None] * map_gradients(t3.grad, Jinv)  # (nel, nq, 10, 2)
+    sdJ = np.sqrt(detJ)[:, None, None]
+    v2, v3 = sdJ * c2, sdJ * c3
+    g3 = sdJ[..., None] * map_gradients(g3, Jinv)  # (nel, P3, 10, 2)
 
-    F = np.zeros((nel, N_TEST + 10 * nq, N_TEST))
+    F = np.zeros((nel, N_TEST + 10 * N_P3, N_TEST))
     F1, F2 = _gram_blocks(F)
     n2 = N_TEST - OFF_T
     M = np.diag(np.repeat([0.0, d / D**2, np.sqrt(problem.c_Q), 1.0, 1.0 / d],
                           [OFF_Z, 10, 6, 30, 45]))
     M[:OFF_Z, :OFF_Z] = np.kron(np.eye(10), problem.C_disp / D)
-    sdJ = np.sqrt(detJ)[:, None, None]
     F1[:, :OFF_T], F2[:, :n2] = sdJ * M[:OFF_T, :OFF_T], sdJ * M[OFF_T:, OFF_T:]
 
     # grad v - B z + Q, component (a, b), over the v, z and Q columns
-    X = F1[:, OFF_T:OFF_T + 4 * nq].reshape(nel, nq, 2, 2, OFF_T)
+    X = F1[:, OFF_T:OFF_T + 4 * N_P3].reshape(nel, N_P3, 2, 2, OFF_T)
     for c in range(2):
         X[:, :, c, :, OFF_V + c:OFF_Z:2] = g3.transpose(0, 1, 3, 2)
     X[..., OFF_Z:OFF_Q] = -B[:, :, None] * v3[:, :, None, None, :]
     X[..., OFF_Q:] = FRAME_SKEW[:, :, None] * v2[:, :, None, None, :]
 
     # d grad grad z, entries (xx, sqrt2 xy, yy)
-    h3 = _divdiv_from_hess(map_hessians(t3.hess, Jinv))  # (nel, nq, 10, 3)
-    F1[:, OFF_T + 4 * nq:, OFF_Z:OFF_Q] = (d * sw[..., None] * h3).transpose(
-        0, 1, 3, 2).reshape(nel, 3 * nq, 10)
+    h3 = _divdiv_from_hess(map_hessians(h3, Jinv))  # (nel, P3, 10, 3)
+    F1[:, OFF_T + 4 * N_P3:, OFF_Z:OFF_Q] = (d * sdJ[..., None] * h3).transpose(
+        0, 1, 3, 2).reshape(nel, 3 * N_P3, 10)
 
     # D C_disp^-1 div T
     DCinvT = D * np.linalg.inv(problem.C_disp).T
-    divT = _div_from_grads(g3).reshape(nel, nq, 30, 2) @ DCinvT
-    F2[:, n2:n2 + 2 * nq, :30] = divT.transpose(0, 1, 3, 2).reshape(nel, 2 * nq, 30)
+    divT = _div_from_grads(g3).reshape(nel, N_P3, 30, 2) @ DCinvT
+    F2[:, n2:n2 + 2 * N_P3, :30] = divT.transpose(0, 1, 3, 2).reshape(
+        nel, 2 * N_P3, 30)
 
     # (D^2 / d) (divdiv S - B : T) over the T and S columns
-    h4 = _divdiv_from_hess(map_hessians(t4.hess, Jinv))  # (nel, nq, 15, 3)
-    X = F2[:, n2 + 2 * nq:]
-    X[..., :30] = -(v3[..., None] * _b_coeffs(B)).reshape(nel, nq, 30)
-    X[..., 30:] = sw * h4.reshape(nel, nq, 45)
+    h4 = _divdiv_from_hess(map_hessians(h4, Jinv))  # (nel, P3, 15, 3)
+    X = F2[:, n2 + 2 * N_P3:]
+    X[..., :30] = -(v3[..., None] * _b_coeffs(B)).reshape(nel, N_P3, 30)
+    X[..., 30:] = sdJ * h4.reshape(nel, N_P3, 45)
     X *= D * D / d
     return F
+
+
+@lru_cache(maxsize=None)
+def _p3_coefficients():
+    """Coefficients in the orthonormal P3 basis (leading axis) of the P2
+    and P3 test bases, of the P3 gradients and of the P3 and P4 Hessians
+    on the reference triangle: the tables at the points of the
+    `QUAD_DEGREE` rule, which is exact for these degree <= 6 products,
+    weighted by w_q phi_i(x_q) and summed over the points."""
+    rule = triangle_rule(QUAD_DEGREE)
+    t2, t3, t4 = (triangle_table(p, QUAD_DEGREE) for p in (2, 3, 4))
+    P = (rule.weights[:, None] * t3.val).T
+    out = tuple(np.tensordot(P, x, 1) for x in (t2.val, t3.val, t3.grad, t3.hess,
+                                                  t4.hess))
+    for arr in out:
+        arr.flags.writeable = False
+    return out
 
 
 def _gram_blocks(F):
@@ -274,7 +299,7 @@ def element_b_batch(mesh, problem, k, els):
     # (u, div T), (w, divdiv S - B:T), (N, C^-1 T + grad v - B z + Q) and
     # (M, 12 d^-2 C^-1 S + eps grad z)
     CinvF = apply_Cinv(FRAMES_SYM, problem.nu)  # (3 f, 2, 2)
-    on_T = np.c_[-_b_coeffs(B), CinvF.reshape(3, 4)]  # (3 f, w and N columns)
+    on_T = np.column_stack([-_b_coeffs(B), CinvF.reshape(3, 4)])  # (3 f, w, N columns)
     on_S = 12.0 / d**2 * np.einsum("pab,fab->pf", DIR_M, CinvF).T  # (3 f, M columns)
     Bmat[:, OFF_T:OFF_S, :2] = _div_from_grads(Ig3).reshape(nel, 30, 2)
     Bmat[:, OFF_T:OFF_S, 2:7] = (IT3[:, :, None, None] * on_T).reshape(nel, 30, 5)
@@ -380,8 +405,13 @@ def jacobian_classes(mesh):
     lead = grid[np.arange(len(grid)), np.argmax(grid != 0, axis=1)]
     parity = np.where(lead < 0, -1, 1)
     key = np.column_stack([expo, grid * parity[:, None]])
-    keys, reps, cls = np.unique(key, axis=0, return_index=True, return_inverse=True)
-    return cls.ravel(), reps, keys, parity
+    # the keys in lexicographic order, ties by element index
+    order = np.lexsort(key.T[::-1])
+    key = key[order]
+    first = np.concatenate([[True], (key[1:] != key[:-1]).any(axis=1)])
+    cls = np.empty(len(key), dtype=np.intp)
+    cls[order] = np.cumsum(first) - 1
+    return cls, order[first], key[first], parity
 
 
 @dataclass
@@ -495,7 +525,8 @@ class ElementSystems:
 def _class_order(cls):
     """(order, bounds): the elements sorted by class, and where each
     class starts in that order (every class has a member)."""
-    return np.argsort(cls, kind="stable"), np.r_[0, np.cumsum(np.bincount(cls))]
+    bounds = np.concatenate([[0], np.cumsum(np.bincount(cls))])
+    return np.argsort(cls, kind="stable"), bounds
 
 
 def _by_class(classes, x, M):
@@ -503,9 +534,11 @@ def _by_class(classes, x, M):
     M (ncls, a, b) of the elements' classes, one product per class."""
     order, bounds = classes
     xs = x[order]
-    out = np.empty((len(x), M.shape[2]))
-    out[order] = np.concatenate(
-        [xs[a:b] @ M[j] for j, (a, b) in enumerate(zip(bounds[:-1], bounds[1:]))])
+    ys = np.empty((len(x), M.shape[2]))
+    for j, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+        np.matmul(xs[a:b], M[j], out=ys[a:b])
+    out = np.empty_like(ys)
+    out[order] = ys
     return out
 
 
@@ -551,16 +584,20 @@ def _class_kernels(F, Bm, elements, classes):
     X = np.zeros((nb, N_TEST, ncols + OFF_Q))
     X[:, :, :ncols] = Bm
     X[:, :OFF_Q, ncols:] = np.eye(OFF_Q)
+    QX = np.empty((nb, N_TEST, ncols + OFF_Q - N_FIELD))
     for i in range(nb):
         X[i, :OFF_T] = _triangular_solve(R1[i], X[i, :OFF_T], True,
                                          elements[i], classes[i])
         X[i, OFF_T:, :ncols] = _triangular_solve(R2[i], X[i, OFF_T:, :ncols], True,
                                                  elements[i], classes[i])
-    Q, R = np.linalg.qr(X[:, :, :N_FIELD], mode="complete")
-    QX = Q.transpose(0, 2, 1) @ X[:, :, N_FIELD:]
-    for i in range(nb):
-        QX[i, :N_FIELD] = _triangular_solve(R[i, :N_FIELD], QX[i, :N_FIELD], False,
-                                            elements[i], classes[i])
+        # Q' [W_t | I] by the Householder reflectors of W_f = Q R, without
+        # forming the 111 x 111 Q; the workspace fits LAPACK's largest
+        # block of 64 reflectors
+        qr, tau, _, _ = dgeqrf(X[i, :, :N_FIELD])
+        QX[i], _, _ = dormqr("L", "T", qr, tau, X[i, :, N_FIELD:],
+                             lwork=64 * QX.shape[2])
+        QX[i, :N_FIELD] = _triangular_solve(np.triu(qr[:N_FIELD]), QX[i, :N_FIELD],
+                                            False, elements[i], classes[i])
     return QX[:, N_FIELD:, :nc], QX[:, :N_FIELD, :nc], QX[:, :, nc:]
 
 
@@ -597,7 +634,7 @@ def _element_systems(problem, dofmap, previous=None):
         # representatives of -J, signed to the canonical J
         flip = parity[reps[batch]] < 0
         F[flip] *= S_V
-        Bm[flip] *= S_V[:, None] * np.r_[SIGMA_F, sigma_t]
+        Bm[flip] *= S_V[:, None] * np.concatenate([SIGMA_F, sigma_t])
         W[batch], K[batch], E[batch] = _class_kernels(F, Bm, reps[batch], batch)
         WtW[batch] = _gram_block(W[batch])
     sign = dofmap.element_signs * np.where(parity[:, None] < 0, sigma_t, 1.0)
@@ -673,16 +710,17 @@ def _entity_order(mesh):
     vertex's clique and puts the dofs of both in one supernode.
     """
     nv, edges = mesh.nvertices, mesh.edges  # edges[:, 0] < edges[:, 1]
-    col, row = np.divmod(np.sort(np.r_[np.arange(nv) * (nv + 1),
-                                       edges[:, 1] * nv + edges[:, 0]]), nv)
+    links = np.concatenate([np.arange(nv) * (nv + 1), edges[:, 1] * nv + edges[:, 0]])
+    col, row = np.divmod(np.sort(links), nv)
     deg = np.bincount(edges.ravel(), minlength=nv)
     M = scipy.sparse.csc_matrix(
         (np.where(row == col, deg[col] + 1.0, -1.0), row,
-         np.r_[0, np.cumsum(np.bincount(col, minlength=nv))]), shape=(nv, nv))
+         np.concatenate([[0], np.cumsum(np.bincount(col, minlength=nv))])),
+        shape=(nv, nv))
     rank = scipy.sparse.linalg.splu(
         M, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
         options={"SymmetricMode": True}).perm_c
-    key = np.r_[2 * rank + 1, 2 * rank[edges].min(axis=1)]
+    key = np.concatenate([2 * rank + 1, 2 * rank[edges].min(axis=1)])
     position = np.empty(len(key), dtype=int)
     position[np.argsort(key, kind="stable")] = np.arange(len(key))
     return position
@@ -691,19 +729,24 @@ def _entity_order(mesh):
 def _trace_pattern(dofmap, constrained):
     """Free numbering and CSR pattern of A from the mesh topology alone.
 
-    Returns (index_map, indptr, indices, slots).  The free dofs are
+    Returns (index_map, indptr, indices, places).  The free dofs are
     numbered entity by entity (`TraceDofMap.dof_entity`), the entities
     in elimination order (`_entity_order`), each entity's dofs in trace
     order; `solver.solve` factors A in this order.  Two entities couple
     iff an element holds both, so all rows of entity i share one column
     list: the free dofs of each entity j coupled to i, j ascending; the
-    indices come out sorted and without duplicates.  `slots` (nt nc nc,)
-    places element entry (T, a, b) at indptr[row of a] + offset of the
-    block of entity(b) in that row + rank of b among its entity's free
-    dofs; an entry in a constrained row or column goes to slot nnz, past
-    the end of A.data.  indptr and indices are int32, the index type
-    scipy.sparse picks for them: nnz <= nt nc^2 < 2^31, since at 2^31
-    entries the element matrices alone would take 17 GB.
+    indices come out sorted and without duplicates.  indptr and indices
+    are int32, the index type scipy.sparse picks for them: nnz <= nt nc^2
+    < 2^31, since at 2^31 entries the element matrices alone would take
+    17 GB.
+
+    places = (start, rank, blocks, entity) place element entry (T, a, b)
+    in A.data (`_csr_fill`): at start[T, a], indptr at the row of a, plus
+    blocks[T, entity[a], entity[b]], the offset of the block of the local
+    entity of b in the rows of that of a, plus rank[T, b], the rank of b
+    among its entity's free dofs (`TraceDofMap.column_entity` gives the
+    local entity of a column).  start and rank are nnz at a constrained
+    column, so its entries fall past the end of A.data.
     """
     position = _entity_order(dofmap.mesh)
     nent, owner = dofmap.nentities, position[dofmap.dof_entity]
@@ -724,32 +767,42 @@ def _trace_pattern(dofmap, constrained):
     row_start = np.cumsum(row_len) - row_len  # of entity i's pairs in `width`
     block_off = np.cumsum(width) - width - row_start[i]
     row_entity = np.repeat(np.arange(nent), nfree)
-    indptr = np.r_[0, np.cumsum(row_len[row_entity])].astype(np.int32)
+    indptr = np.concatenate([[0], np.cumsum(row_len[row_entity])]).astype(np.int32)
     nnz = int(indptr[-1])
     indices = _ranges(first[j], width)[
         _ranges(row_start[row_entity], row_len[row_entity])]
 
     cols = dofmap.element_columns
-    nc = cols.shape[1]
     gcols = index_map[cols]
     held = gcols >= 0
-    start = np.where(held, indptr[gcols], nnz)
+    start = np.where(held, indptr[gcols].astype(np.intp), nnz)
     rank = np.where(held, gcols - first[owner[cols]], nnz)
-    ce = dofmap.column_entity
-    slots = np.take(block_off[pair_of.reshape(nt, 36)], (6 * ce[:, None] + ce).ravel(),
-                    axis=1).reshape(nt, nc, nc)
-    slots += start[:, :, None]
-    slots += rank[:, None, :]
-    np.minimum(slots, nnz, out=slots)
-    return index_map, indptr, indices, slots.ravel()
+    places = (start, rank, block_off[pair_of].reshape(nt, 6, 6), dofmap.column_entity)
+    return index_map, indptr, indices, places
 
 
-def _csr_fill(indptr, indices, slots, values):
+def _csr_fill(indptr, indices, places, elements):
     """The CSR matrix of the pattern (indptr, indices) holding the sums of
-    the element matrices `values` over their `slots`."""
-    n = len(indptr) - 1
-    data = np.bincount(slots, values.ravel(), minlength=len(indices) + 1)[:-1]
-    return scipy.sparse.csr_matrix((data, indices, indptr), shape=(n, n))
+    the element matrices A_T of `elements` (`ElementSystems.matrices`)
+    at their `places` (`_trace_pattern`).
+
+    The slots and A_T are formed `FILL_CHUNK` elements at a time and
+    added in element order, so no (nt, nc, nc) table is held and the sums
+    are those of one `np.bincount` over all the slots.
+    """
+    start, rank, blocks, entity = places
+    n, nnz = len(indptr) - 1, len(indices)
+    data = np.zeros(nnz + 1)
+    for lo in range(0, len(start), FILL_CHUNK):
+        els = slice(lo, lo + FILL_CHUNK)
+        # column b's offset in the rows of each local entity, then in row a
+        at = np.take(blocks[els], entity, axis=2)
+        at += rank[els, None, :]
+        slots = np.take(at, entity, axis=1)
+        slots += start[els, :, None]
+        np.minimum(slots, nnz, out=slots)
+        np.add.at(data, slots.ravel(), elements.matrices(els).ravel())
+    return scipy.sparse.csr_matrix((data[:-1], indices, indptr), shape=(n, n))
 
 
 def assemble_normal_equations(mesh, problem, k, previous=None):
@@ -773,11 +826,11 @@ def assemble_normal_equations(mesh, problem, k, previous=None):
     dofmap = TraceDofMap(mesh, k)
     constrained = apply_bc(dofmap, problem)
     constrained[dofmap.gauge] = True
-    index_map, indptr, indices, slots = _trace_pattern(dofmap, constrained)
+    index_map, indptr, indices, places = _trace_pattern(dofmap, constrained)
 
     elements = _element_systems(
         problem, dofmap, None if previous is None else previous.elements)
-    A = _csr_fill(indptr, indices, slots, elements.matrices())
+    A = _csr_fill(indptr, indices, places, elements)
     n = A.shape[0]
     rhs = _scatter(index_map[elements.cols], elements.rhs, n)
     return NormalEquations(A, rhs, dofmap, index_map, n + N_FIELD * mesh.ntriangles,

@@ -183,11 +183,13 @@ def refine(mesh, marked):
     m0, m1, m2 = mid[mesh.tri_edges].T
     kids = np.empty((mesh.ntriangles, 4, 3), dtype=int)
     kids[:, 0] = np.where(s0[:, None],
-                          np.where(s2[:, None], np.c_[m2, m0, a], np.c_[m0, a, b]),
+                          np.where(s2[:, None], np.column_stack([m2, m0, a]),
+                                   np.column_stack([m0, a, b])),
                           mesh.triangles)
-    kids[:, 1] = np.c_[m2, b, m0]
-    kids[:, 2] = np.where(s1[:, None], np.c_[m1, m0, c], np.c_[m0, c, a])
-    kids[:, 3] = np.c_[m1, a, m0]
+    kids[:, 1] = np.column_stack([m2, b, m0])
+    kids[:, 2] = np.where(s1[:, None], np.column_stack([m1, m0, c]),
+                          np.column_stack([m0, c, a]))
+    kids[:, 3] = np.column_stack([m1, a, m0])
     keep = np.stack([np.ones_like(s0), s0 & s2, s0, s0 & s1], axis=1)
     return Mesh(vertices, kids[keep], rect=mesh.rect)
 
@@ -212,7 +214,8 @@ def dorfler_mark(etas, theta):
         return np.empty(0, dtype=int)
     order = np.argsort(-eta2, kind="stable")
     desc = eta2[order]
-    group = np.cumsum(np.r_[False, desc[1:] < desc[:-1] * (1.0 - TIE_RTOL)])
+    drops = desc[1:] < desc[:-1] * (1.0 - TIE_RTOL)
+    group = np.cumsum(np.concatenate([[False], drops]))
     order = order[np.lexsort((order, group))]
     csum = np.cumsum(eta2[order])
     nsel = int(np.searchsorted(csum, theta * total * (1.0 - 1e-12))) + 1

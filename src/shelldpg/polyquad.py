@@ -11,8 +11,12 @@ The element kernels evaluate the bases only at the points of fixed
 rules: the triangle rules and the edge rules on the three local edges.
 `triangle_table` and `edge_table` tabulate values, gradients and
 Hessians there once per basis degree and rule, as read-only arrays
-shared by every caller; `TriangleBasis.eval`, `grad` and `hess`
-evaluate at any other points.
+shared by every caller; the three edges of one degree and rule share
+one table.  `TriangleBasis.eval`, `grad` and `hess` evaluate at any
+other points.  Every monomial of one derivative order comes from one
+table of the powers of the point coordinates, so a table costs a few
+array operations whatever its degree.  The tables are built on first
+use, in the first run of a process.
 """
 
 import math
@@ -44,16 +48,6 @@ def monomial_integral(a, b):
     return math.factorial(a) * math.factorial(b) / math.factorial(a + b + 2)
 
 
-def _falling(n, k):
-    """n (n-1) ... (n-k+1), zero when k > n."""
-    if k > n:
-        return 0
-    out = 1
-    for j in range(k):
-        out *= n - j
-    return out
-
-
 class TriangleBasis:
     """L2-orthonormal basis of P^degree on the reference triangle.
 
@@ -77,6 +71,7 @@ class TriangleBasis:
             (a, tot - a) for tot in range(degree + 1) for a in range(tot, -1, -1)
         ]
         self.dim = len(self.exponents)
+        self._exponents = np.array(self.exponents).T
         mass = np.array(
             [
                 [monomial_integral(ai + aj, bi + bj) for (aj, bj) in self.exponents]
@@ -92,16 +87,20 @@ class TriangleBasis:
         self.coeff = np.linalg.solve(np.linalg.cholesky(gram), coeff)
 
     def _monomials(self, points, dx, dy):
+        """d^dx/dx d^dy/dy of every monomial (npoints, dim): for exponents
+        (a, b), c x^(a - dx) y^(b - dy) with c = a!/(a - dx)! b!/(b - dy)!,
+        or zero where dx > a or dy > b; from one table of the powers of x
+        and of y."""
         points = np.asarray(points, dtype=float)
-        mono = np.empty((points.shape[0], self.dim))
-        for k, (a, b) in enumerate(self.exponents):
-            c = _falling(a, dx) * _falling(b, dy)
-            if c == 0:
-                mono[:, k] = 0.0
-            else:
-                mono[:, k] = (
-                    c * points[:, 0] ** (a - dx) * points[:, 1] ** (b - dy)
-                )
+        (a, b), n = self._exponents, self.degree + 1
+        c = np.array([math.perm(i, dx) * math.perm(j, dy) for i, j in self.exponents],
+                     dtype=float)
+        px, py = np.empty((2, len(points), n))
+        for p in range(n):
+            px[:, p] = points[:, 0] ** p
+            py[:, p] = points[:, 1] ** p
+        mono = c * px[:, np.maximum(a - dx, 0)] * py[:, np.maximum(b - dy, 0)]
+        mono[:, c == 0] = 0.0
         return mono
 
     def eval(self, points):
@@ -231,12 +230,22 @@ def triangle_table(degree, rule_degree):
 def edge_table(degree, rule_degree, edge):
     """`triangle_basis(degree)` at the points of `edge_rule(rule_degree)`
     on local edge `edge` of the reference triangle, which runs from
-    vertex (edge + 1) % 3 to vertex (edge + 2) % 3."""
+    vertex (edge + 1) % 3 to vertex (edge + 2) % 3: rows of one table of
+    the three edges' points (`_edges_table`)."""
     if edge not in (0, 1, 2):
         raise ValueError(f"local edge must be 0, 1 or 2, got {edge}")
+    table, n = _edges_table(degree, rule_degree), len(edge_rule(rule_degree).points)
+    rows = slice(edge * n, (edge + 1) * n)
+    return BasisTable(table.val[rows], table.grad[rows], table.hess[rows])
+
+
+@lru_cache(maxsize=None)
+def _edges_table(degree, rule_degree):
+    """`triangle_basis(degree)` at the points of `edge_rule(rule_degree)`
+    on local edges 0, 1 and 2 in turn."""
     s = edge_rule(rule_degree).points[:, None]
-    a, b = REF_VERTICES[(edge + 1) % 3], REF_VERTICES[(edge + 2) % 3]
-    return _tabulate(triangle_basis(degree), (1.0 - s) * a + s * b)
+    a, b = REF_VERTICES[[1, 2, 0], None], REF_VERTICES[[2, 0, 1], None]
+    return _tabulate(triangle_basis(degree), ((1.0 - s) * a + s * b).reshape(-1, 2))
 
 
 def triangle_geometry(coords):

@@ -198,7 +198,7 @@ class TraceDofMap:
         ends = mesh.edges.ravel()
         interior = np.repeat(~mesh.edge_is_boundary, 2)
         order = np.lexsort((np.arange(2 * ne), interior, ends))
-        first = np.r_[True, ends[order][1:] != ends[order][:-1]]
+        first = np.concatenate([[True], ends[order][1:] != ends[order][:-1]])
         gauge = self.off_twist + order[first]
         gauge.flags.writeable = False
         self.gauge = gauge
@@ -421,7 +421,10 @@ def edge_pairings(mesh: Mesh, k: int, elements=None) -> TracePairings:
     #     at the end
     Jn = (Jinv[:, None] @ (L[..., None] * nrm)[..., None])[..., 0]  # (nt, 3 j, 2)
     pm = np.empty((nt, 10, 2, 3, 2))
-    pm[:, :, 0, :, 0] = -(Jn.transpose(1, 0, 2) @ T.dmean3).transpose(1, 2, 0)
+    # two elementwise products, not a (nt, 2)(2, 10) product per edge,
+    # whose rounding depends on nt
+    pm[:, :, 0, :, 0] = -(Jn[..., 0, None] * T.dmean3[:, 0]
+                          + Jn[..., 1, None] * T.dmean3[:, 1]).transpose(0, 2, 1)
     pm[:, :, 0, :, 1] = I3
     pm[:, :, 1] = T.twists
 

@@ -4,22 +4,36 @@ element system formed from the Gram rows, Householder QR and triangular
 solves in long double, loop versions of the mesh, boundary-condition and
 class-kernel code, and the triplet scatter of the trace system."""
 
+import math
+
 import numpy as np
 import scipy.sparse
 from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dgeqrf, dormqr
 
 from shelldpg.assembly import (
+    CLASS_RTOL,
     N_FIELD,
     N_TEST,
     OFF_Q,
     OFF_T,
+    OFF_Z,
+    QUAD_DEGREE,
     _gram_blocks,
     element_b_batch,
     element_gram_batch,
     element_load_batch,
 )
 from shelldpg.mesh import Mesh
-from shelldpg.polyquad import map_points, triangle_basis, triangle_rule
+from shelldpg.polyquad import (
+    map_gradients,
+    map_hessians,
+    map_points,
+    triangle_basis,
+    triangle_geometry,
+    triangle_rule,
+    triangle_table,
+)
 from shelldpg.traces import TraceDofMap, _classify_sides
 
 SQ2 = np.sqrt(2.0)
@@ -286,9 +300,9 @@ def loop_class_kernels(F, Bm):
     X = np.vstack([solve_triangular(np.linalg.qr(Fb[0], mode="r"), Bl[rows], trans="T")
                    for Fb, rows in zip(_gram_blocks(F[None]),
                                        (slice(0, OFF_T), slice(OFF_T, None)))])
-    Q, R = np.linalg.qr(X[:, :N_FIELD], mode="complete")
-    QX = Q.T @ X[:, N_FIELD:]
-    QX[:N_FIELD] = solve_triangular(R[:N_FIELD], QX[:N_FIELD])
+    qr, tau, _, _ = dgeqrf(X[:, :N_FIELD])
+    QX = dormqr("L", "T", qr, tau, X[:, N_FIELD:], lwork=64 * X.shape[1])[0]
+    QX[:N_FIELD] = solve_triangular(np.triu(qr[:N_FIELD]), QX[:N_FIELD])
     return QX[N_FIELD:, :nc], QX[:N_FIELD, :nc], QX[:, nc:]
 
 
@@ -333,3 +347,70 @@ def coo_assembled_matrix(neq):
     A = scipy.sparse.coo_matrix((vals, (rows[keep], cols[keep])),
                                 shape=(free.size, free.size)).tocsr()
     return A, free
+
+
+def loop_monomials(basis, points, dx, dy):
+    """`TriangleBasis._monomials` as a loop over the exponents: column k
+    is c x^(a - dx) y^(b - dy) for the k-th exponent pair (a, b), c the
+    falling factorials a!/(a - dx)! b!/(b - dy)!, or zero where c is."""
+    points = np.asarray(points, dtype=float)
+    mono = np.empty((points.shape[0], basis.dim))
+    for k, (a, b) in enumerate(basis.exponents):
+        c = math.perm(a, dx) * math.perm(b, dy)
+        if c == 0:
+            mono[:, k] = 0.0
+        else:
+            mono[:, k] = c * points[:, 0] ** (a - dx) * points[:, 1] ** (b - dy)
+    return mono
+
+
+def unique_jacobian_classes(mesh):
+    """`shelldpg.assembly.jacobian_classes` grouped by `np.unique(axis=0)`
+    over the same keys."""
+    J, _, _ = triangle_geometry(mesh.triangle_coords())
+    J = J.reshape(len(J), 4)
+    _, expo = np.frexp(np.abs(J).max(axis=1))
+    grid = np.rint(np.ldexp(J, -expo[:, None]) / CLASS_RTOL).astype(np.int64)
+    lead = grid[np.arange(len(grid)), np.argmax(grid != 0, axis=1)]
+    parity = np.where(lead < 0, -1, 1)
+    key = np.column_stack([expo, grid * parity[:, None]])
+    keys, reps, cls = np.unique(key, axis=0, return_index=True, return_inverse=True)
+    return cls.ravel(), reps, keys, parity
+
+
+def pointwise_operator_rows(mesh, problem, els):
+    """The operator terms of the test norm at the points of the
+    `QUAD_DEGREE` rule, weighted by sqrt(w_q detJ), one row per point and
+    component: grad v - B z + Q (nel, nq, 4, 36) and d grad grad z
+    (nel, nq, 3, 36) over (v, z, Q); D C_disp^-1 div T (nel, nq, 2, 75)
+    and (D^2 / d) (divdiv S - B : T) (nel, nq, 1, 75) over (T, S)."""
+    _, detJ, Jinv = triangle_geometry(mesh.triangle_coords(els))
+    rule = triangle_rule(QUAD_DEGREE)
+    t2, t3, t4 = (triangle_table(p, QUAD_DEGREE) for p in (2, 3, 4))
+    nel, nq = len(detJ), len(rule.weights)
+    d, D, B = problem.d, problem.D, problem.B
+    sw = np.sqrt(rule.weights[None, :] * detJ[:, None])[:, :, None]
+    v2, v3 = sw * t2.val, sw * t3.val
+    g3 = sw[..., None] * map_gradients(t3.grad, Jinv)  # (nel, nq, 10, 2)
+    h3 = sw[..., None, None] * map_hessians(t3.hess, Jinv)
+    h4 = sw[..., None, None] * map_hessians(t4.hess, Jinv)
+
+    gv = np.zeros((nel, nq, 2, 2, OFF_T))
+    for c in range(2):
+        gv[:, :, c, :, c:OFF_Z:2] = g3.transpose(0, 1, 3, 2)
+    gv[..., OFF_Z:OFF_Q] = -B[:, :, None] * v3[:, :, None, None, :]
+    gv[..., OFF_Q:] = FRAME_SKEW[:, :, None] * v2[:, :, None, None, :]
+    hz = np.zeros((nel, nq, 3, OFF_T))
+    hz[..., OFF_Z:OFF_Q] = d * np.stack(
+        [h3[..., 0, 0], SQ2 * h3[..., 0, 1], h3[..., 1, 1]], axis=2)
+
+    Cinv = np.linalg.inv(problem.C_disp)
+    divT = np.zeros((nel, nq, 2, N_TEST - OFF_T))
+    ddS = np.zeros((nel, nq, 1, N_TEST - OFF_T))
+    for f, frame in enumerate(FRAMES_SYM):
+        # div(psi frame) = frame grad psi, then D C_disp^-1
+        divT[..., 3 * np.arange(10) + f] = D * np.einsum(
+            "ab,bc,eqic->eqai", Cinv, frame, g3)
+        ddS[:, :, 0, 30 + f::3] = np.einsum("eqiab,ab->eqi", h4, frame)
+        ddS[:, :, 0, f:30:3] = -np.sum(B * frame) * v3
+    return (gv.reshape(nel, nq, 4, OFF_T), hz, divT, D * D / d * ddS)

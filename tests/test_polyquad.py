@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from helpers import loop_monomials
 
 from shelldpg.polyquad import (
     MAX_TRIANGLE_DEGREE,
@@ -258,12 +259,30 @@ def test_map_hessians_matches_einsum_reference():
 
 
 def fresh_tables(basis, points):
-    """Values, gradients and Hessians straight from the monomials."""
-    mono = lambda dx, dy: basis._monomials(points, dx, dy) @ basis.coeff.T
+    """Values, gradients and Hessians straight from the monomials, built
+    by the loop over the exponents."""
+    mono = lambda dx, dy: loop_monomials(basis, points, dx, dy) @ basis.coeff.T
     grad = np.stack([mono(1, 0), mono(0, 1)], axis=-1)
     hess = np.stack([np.stack([mono(2, 0), mono(1, 1)], -1),
                      np.stack([mono(1, 1), mono(0, 2)], -1)], -2)
     return mono(0, 0), grad, hess
+
+
+@pytest.mark.parametrize("degree", range(5))
+def test_monomials_match_loop_over_exponents(degree):
+    # the monomials of each derivative order from one power table, bit
+    # for bit those of the loop, at the triangle and edge rule points and
+    # at points of either sign
+    basis = triangle_basis(degree)
+    s = edge_rule(7).points[:, None]
+    points = [triangle_rule(8).points, np.random.default_rng(2).uniform(-2, 2, (9, 2))]
+    for j in range(3):
+        points.append((1.0 - s) * REF_VERTICES[(j + 1) % 3] + s * REF_VERTICES[(j + 2) % 3])
+    for p in points:
+        for dx in range(4):
+            for dy in range(4 - dx):
+                got, want = basis._monomials(p, dx, dy), loop_monomials(basis, p, dx, dy)
+                assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("degree", range(5))

@@ -595,8 +595,7 @@ def test_pairings_depend_on_the_jacobian_only():
 def test_stacked_batch_matches_element_by_element(k):
     # the batch builders carry the elements and the three local edges on
     # leading axes: each element's B and pairings must not depend on the
-    # batch it is built in (measured: at most 1.7e-16 relative, from the
-    # M_hat products of a single element)
+    # batch it is built in, to the last bit
     prob = make_benchmark("scordelis_lo")
     mesh = refine_some(initial_rectangle_mesh(prob.rect), seed=5, rounds=3)
     _, _, _, parity = jacobian_classes(mesh)
@@ -605,11 +604,9 @@ def test_stacked_batch_matches_element_by_element(k):
     els = np.arange(mesh.ntriangles)
     Bm = element_b_batch(mesh, prob, k, els)
     pair = edge_pairings(mesh, k, els)
-    worst = 0.0
     for t in els:
         one = edge_pairings(mesh, k, [t])
         for got, want in [(Bm[t], element_b_batch(mesh, prob, k, [t])[0])] + [
                 (getattr(pair, f)[t], getattr(one, f)[0])
                 for f in ("u_hat", "w_hat", "N_hat", "M_hat")]:
-            worst = max(worst, np.abs(got - want).max() / np.abs(want).max())
-    assert worst <= 1e-15, worst
+            assert np.array_equal(got, want), t
