@@ -32,8 +32,9 @@ and, once, `large_level`: the spans above (seconds, median over
 repetitions) of one assembly of the uniform cyl_clamped mesh of 4,096
 elements (k = 0, d = 1e-2) with every class carried over, followed by
 the 2 element-residual passes of a solve, and `held_bytes`, the bytes
-of the arrays the resulting `NormalEquations` keeps (A's data, indices
-and indptr, rhs, index_map and every array of its `elements`).  The
+of the arrays the resulting `NormalEquations` keeps (the data, indices
+and indptr of S A S and s, or of A on a checkout from before the
+equilibrated fill, rhs, index_map and every array of its `elements`).  The
 workloads stop below 1,000 elements, where costs that grow with the
 element count hide.  The factorization is left out: it alone takes
 most of a second at this size (`bench/orderings.py` times it).
@@ -170,7 +171,10 @@ def held_bytes(neq):
     """Bytes of the arrays that `neq` keeps."""
     import numpy as np
 
-    arrays = [neq.A.data, neq.A.indices, neq.A.indptr, neq.rhs, neq.index_map]
+    held = vars(neq)
+    # S A S and s; A on a checkout from before the equilibrated fill
+    M = held["As"] if "As" in held else held["A"]
+    arrays = [M.data, M.indices, M.indptr, held.get("s"), neq.rhs, neq.index_map]
     for value in vars(neq.elements).values():
         arrays += value if isinstance(value, tuple) else [value]
     return sum(a.nbytes for a in arrays if isinstance(a, np.ndarray))
@@ -193,7 +197,7 @@ def large_level(acc):
     for _ in range(FLOOR_REPEAT):
         acc.clear()
         neq = assemble_normal_equations(mesh, problem, 0, previous=carried)
-        x = np.zeros(neq.A.shape[0])
+        x = np.zeros(len(neq.rhs))
         for _ in range(2):
             neq.residual(x)
         unnest(acc)

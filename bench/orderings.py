@@ -3,9 +3,11 @@
     python3 bench/orderings.py [--out BENCH_orderings.json] [--repeat 5]
                                [--starts 4]
 
-For every system below, A is assembled and equilibrated as `solver.solve`
-does it (S A S with S = diag(A)^-1/2), and three calls are timed, the
-median of `--repeat` interleaved repetitions on one BLAS thread:
+For every system below, the equilibrated trace matrix S A S (S =
+diag(A)^-1/2) is taken as the assembly fills it (`NormalEquations.As`)
+and read as CSC, as `solver.solve` hands it to SuperLU, and three calls
+are timed, the median of `--repeat` interleaved repetitions on one BLAS
+thread:
 
 * `order_s`: `assembly._entity_order`, the multiple minimum degree of
   the vertex graph that numbers the free traces (the assembly already
@@ -96,9 +98,8 @@ def timed(fn, *args):
 def measure(mesh, problem, k, repeat):
     """The figures of one system (see the module docstring)."""
     neq = assemble_normal_equations(mesh, problem, k)
-    A = neq.A
-    s = scipy.sparse.diags(1.0 / np.sqrt(A.diagonal()))
-    As = (s @ A @ s).tocsc()
+    As = scipy.sparse.csc_matrix((neq.As.data, neq.As.indices, neq.As.indptr),
+                                 shape=neq.As.shape)
     free = np.flatnonzero(neq.index_map >= 0)
     by_index = neq.index_map[free[np.argsort(neq.dofmap.dof_entity[free],
                                              kind="stable")]]
@@ -118,9 +119,9 @@ def measure(mesh, problem, k, repeat):
                 times["mmd_s"].append(dt)
             nnz.setdefault(path, lu_nnz(lu))
             del lu
-    out = {"n": A.shape[0], "nnz": A.nnz, "lu_nnz": nnz["ours"],
-           "mmd_lu_nnz": nnz["mmd"], "fill": nnz["ours"] / A.nnz,
-           "mmd_fill": nnz["mmd"] / A.nnz}
+    out = {"n": As.shape[0], "nnz": As.nnz, "lu_nnz": nnz["ours"],
+           "mmd_lu_nnz": nnz["mmd"], "fill": nnz["ours"] / As.nnz,
+           "mmd_fill": nnz["mmd"] / As.nnz}
     out.update({key: statistics.median(v) for key, v in times.items()})
     out["ratio"] = (out["order_s"] + out["factor_s"]) / out["mmd_s"]
     return out

@@ -69,6 +69,13 @@ neither an (nt, nc, nc) table of positions nor one of matrices is ever
 held.  This is the vectorised assembly of Cuvelier, Japhet and Scarella
 ("An efficient way to assemble finite element matrices in vector
 languages", BIT 2016) on the entity graph.
+
+The fill writes the matrix that `solver.solve` factors: As = S A S with
+the Jacobi scaling S = diag(s), s = diag(A)^-1/2 (`NormalEquations`).
+The signs of P_T square to one, so diag(A) sums the diagonals of the
+class matrices WtW[J] over the elements, one bincount before the fill,
+and the fill scales each column of A_T by s at its global dof in the
+product of signs it already forms (`ElementSystems.matrices`).
 """
 from dataclasses import dataclass
 from functools import lru_cache
@@ -493,12 +500,16 @@ class ElementSystems:
     parity: np.ndarray  # (nel,) p_T of `jacobian_classes`
     classes: tuple  # (order, bounds) of `_class_order`
 
-    def matrices(self, els=None):
+    def matrices(self, els=None, scale=None):
         """A_T = P_T WtW[J] P_T (n, nc, nc) over the local trace columns
-        of the elements `els` (all by default)."""
+        of the elements `els` (all by default), or D_T A_T D_T with
+        D_T = diag(scale[T]) for a factor per column of every element,
+        `scale` (nel, nc), joined to the signs before they touch WtW[J]."""
         if els is None:
             els = slice(None)
         sign = self.sign[els]
+        if scale is not None:
+            sign = sign * scale[els]
         A = self.WtW[self.cls[els]]
         A *= sign[:, :, None]
         A *= sign[:, None, :]
@@ -652,13 +663,26 @@ def _element_systems(problem, dofmap, previous=None):
 
 @dataclass
 class NormalEquations:
-    A: scipy.sparse.csr_matrix  # over the free trace dofs
-    rhs: np.ndarray
+    """The trace system A x = rhs over the free trace dofs, held as the
+    matrix `solver.solve` factors, As = S A S with S = diag(s)."""
+
+    As: scipy.sparse.csr_matrix  # S A S, symmetric up to the rounding of S
+    s: np.ndarray  # diag(A)^-1/2
+    rhs: np.ndarray  # of A x = rhs, unscaled
     dofmap: TraceDofMap
     index_map: np.ndarray  # trace dof -> row of A, -1 if constrained
     ndof: int  # free traces + 10 field dofs per element
     elements: ElementSystems
     problem: object = None
+
+    @property
+    def A(self):
+        """S^-1 As S^-1 (canonical CSR, on As's indptr and indices),
+        formed anew at each read."""
+        As, d = self.As, 1.0 / self.s
+        data = As.data * np.repeat(d, np.diff(As.indptr))
+        data *= d[As.indices]
+        return scipy.sparse.csr_matrix((data, As.indices, As.indptr), shape=As.shape)
 
     def expand(self, x):
         """Free-dof solution -> full trace vector (zeros on constrained dofs)."""
@@ -781,14 +805,15 @@ def _trace_pattern(dofmap, constrained):
     return index_map, indptr, indices, places
 
 
-def _csr_fill(indptr, indices, places, elements):
+def _csr_fill(indptr, indices, places, elements, scale):
     """The CSR matrix of the pattern (indptr, indices) holding the sums of
-    the element matrices A_T of `elements` (`ElementSystems.matrices`)
-    at their `places` (`_trace_pattern`).
+    the scaled element matrices D_T A_T D_T of `elements`
+    (`ElementSystems.matrices`) at their `places` (`_trace_pattern`),
+    D_T = diag(scale[T]).
 
-    The slots and A_T are formed `FILL_CHUNK` elements at a time and
-    added in element order, so no (nt, nc, nc) table is held and the sums
-    are those of one `np.bincount` over all the slots.
+    The slots and D_T A_T D_T are formed `FILL_CHUNK` elements at a time
+    and added in element order, so no (nt, nc, nc) table is held and the
+    sums are those of one `np.bincount` over all the slots.
     """
     start, rank, blocks, entity = places
     n, nnz = len(indptr) - 1, len(indices)
@@ -801,7 +826,7 @@ def _csr_fill(indptr, indices, places, elements):
         slots = np.take(at, entity, axis=1)
         slots += start[els, :, None]
         np.minimum(slots, nnz, out=slots)
-        np.add.at(data, slots.ravel(), elements.matrices(els).ravel())
+        np.add.at(data, slots.ravel(), elements.matrices(els, scale).ravel())
     return scipy.sparse.csr_matrix((data[:-1], indices, indptr), shape=(n, n))
 
 
@@ -830,8 +855,15 @@ def assemble_normal_equations(mesh, problem, k, previous=None):
 
     elements = _element_systems(
         problem, dofmap, None if previous is None else previous.elements)
-    A = _csr_fill(indptr, indices, places, elements)
-    n = A.shape[0]
-    rhs = _scatter(index_map[elements.cols], elements.rhs, n)
-    return NormalEquations(A, rhs, dofmap, index_map, n + N_FIELD * mesh.ntriangles,
-                           elements, problem)
+    n, gcols = len(indptr) - 1, index_map[elements.cols]
+    # diag(A), summed in element order as the fill would sum A
+    diag = _scatter(gcols, np.diagonal(elements.WtW, axis1=1, axis2=2)[elements.cls], n)
+    # a diagonal <= 0 leaves s not finite and positive, and As not finite
+    # where it scales: `solver.solve` refuses it
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = 1.0 / np.sqrt(diag)
+        # s at each element column, 0 at a constrained one (gcols = -1)
+        As = _csr_fill(indptr, indices, places, elements, np.append(s, 0.0)[gcols])
+    rhs = _scatter(gcols, elements.rhs, n)
+    return NormalEquations(As, s, rhs, dofmap, index_map,
+                           n + N_FIELD * mesh.ntriangles, elements, problem)

@@ -72,7 +72,10 @@ def adaptive_loop(problem, config=None, evaluator=None, initial_mesh=None):
 
     `evaluator(problem, mesh, fields)`, if given, returns a dict of
     extra per-level columns (reference errors, benchmark functionals).
-    `max_levels = 0` does a single solve without refinement.
+    `max_levels = 0` does a single solve without refinement, and so
+    does an estimator that is zero on every element, which marks
+    nothing.  A refinement that does not add dofs raises, naming the
+    level.
     """
     cfg = config if config is not None else AdaptiveConfig()
     mesh = initial_mesh
@@ -86,6 +89,9 @@ def adaptive_loop(problem, config=None, evaluator=None, initial_mesh=None):
     neq = None
     while True:
         neq = assemble_normal_equations(mesh, problem, cfg.k, previous=neq)
+        if levels and not neq.ndof > levels[-1].ndof:
+            raise RuntimeError(f"level {level}: refinement left {neq.ndof} dofs, "
+                               f"level {level - 1} had {levels[-1].ndof}")
         x, etas = solve(neq, cfg.tol)
         rec = LevelRecord(
             level=level,
@@ -106,10 +112,9 @@ def adaptive_loop(problem, config=None, evaluator=None, initial_mesh=None):
             marked = np.arange(mesh.ntriangles)
         else:
             marked = dorfler_mark(etas, cfg.theta)
+        if len(marked) == 0:  # a zero estimator: refinement would repeat the mesh
+            break
         rec.marked = marked
         mesh = refine(mesh, marked)
         level += 1
-
-    for prev, cur in zip(levels, levels[1:]):
-        assert cur.ndof > prev.ndof, "dof count must grow across levels"
     return AdaptiveRun(config=cfg, levels=levels)

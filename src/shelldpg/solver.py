@@ -16,10 +16,14 @@ in double precision (`NormalEquations.residual`),
 
 and the |r_T| of the returned x are the element estimators.  Moments
 and forces live on very different scales, so the equilibration is not
-optional at small thickness.  A second step changes no benchmark
-level's marks and its total estimator by less than 1e-15 relative, and
-where the factors are too inexact for the step to contract, more steps
-diverge: `solve` refuses a step that raises the residual norm.
+optional at small thickness.  The Jacobi scaling S is near-optimal among
+diagonal scalings of an SPD matrix (van der Sluis, Numer. Math. 1969),
+and it is known before A is: the assembly fills S A S directly
+(`NormalEquations.As`), and `solve` factors it as it is handed over.  A
+second step changes no benchmark level's marks and its total estimator
+by less than 1e-15 relative, and where the factors are too inexact for
+the step to contract, more steps diverge: `solve` refuses a step that
+raises the residual norm.
 
 The fill-reducing order lives in the numbering of the free traces
 (`assembly._trace_pattern`): SuperLU's multiple minimum degree (Liu, ACM
@@ -27,8 +31,8 @@ TOMS 1985) on the mesh's vertex graph, each edge eliminated together with
 its first-eliminated end, a compressed graph of A in the sense of
 Ashcraft (SIAM J. Sci. Comput. 1995).  The factorization keeps that
 order.  It is the only ordering.  Against minimum degree on the pattern
-of A itself it leaves 0.6-0.9 times the LU fill, and with the ordering
-call it factors in 0.1-0.8 of the time (`BENCH_orderings.json`).
+of A itself it leaves 0.87-1.02 times the LU fill, and with the ordering
+call it factors in 0.18-0.82 of the time (`BENCH_orderings.json`).
 """
 
 import numpy as np
@@ -64,27 +68,27 @@ def solve(neq, tol=1e-10):
         |S g| / (|W S| (|W S| |y| + |r|)),  |W S|^2 <= |S A S|_F,
 
     is at most tol, W being the stacked W^c_J P_T and r all the r_T.
+    A scale s that is not finite and positive, from a diagonal entry of
+    A <= 0, is refused before the factorization.
     """
-    A, rhs = neq.A, neq.rhs
-    n = A.shape[0]
+    As, s, rhs = neq.As, neq.s, neq.rhs
+    n = len(s)
     if float(np.linalg.norm(rhs)) == 0.0:
         x = np.zeros(n)
         return x, np.linalg.norm(neq.residual(x)[1], axis=1)
 
-    diag = A.diagonal()
-    if np.any(diag <= 0.0):
-        bad = int(np.argmin(diag))
+    ok = np.isfinite(s) & (s > 0.0)
+    if not ok.all():
+        bad = int(np.argmin(ok))
+        with np.errstate(divide="ignore"):
+            diag = s[bad] ** -2.0
         raise SolverError(
-            f"diagonal entry {diag[bad]:.3e} at dof {bad}: not SPD (n={n})")
-    s = 1.0 / np.sqrt(diag)
-    # the entries of S A S on the pattern of A, read as CSC: (S A S)',
-    # equal to S A S up to the rounding of the scaling, which the step
-    # against the element residuals does not see
-    data = A.data * np.repeat(s, np.diff(A.indptr))
-    data *= s[A.indices]
+            f"diagonal entry {diag:.3e} at dof {bad}: not SPD (n={n})")
+    # As read as CSC is As', equal to As up to the rounding of the scaling,
+    # which the step against the element residuals does not see
     try:
         lu_solve = _splu(scipy.sparse.csc_matrix(
-            (data, A.indices, A.indptr), shape=A.shape)).solve
+            (As.data, As.indices, As.indptr), shape=As.shape)).solve
     except RuntimeError as exc:
         raise SolverError(f"LU factorization broke down: {exc} (n={n})") from None
 
@@ -100,7 +104,7 @@ def solve(neq, tol=1e-10):
     if r_last > (1.0 + 1e-8) * r_first:
         raise SolverError(f"refinement raised the residual norm from {r_first:.6e} "
                           f"to {r_last:.6e} (n={n})")
-    norm_w = np.sqrt(np.linalg.norm(data))
+    norm_w = np.sqrt(np.linalg.norm(As.data))
     err = float(np.linalg.norm(s * g)) / (
         norm_w * (norm_w * float(np.linalg.norm(y)) + r_last))
     if not err <= tol:

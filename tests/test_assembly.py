@@ -516,13 +516,10 @@ def test_assembled_system_shape_and_symmetry():
     assert asym <= 1e-12 * np.abs(neq.A.data).max()
 
 
-@pytest.mark.parametrize("k", [0, 1])
-@pytest.mark.parametrize("kind", [b for b in BENCHMARKS if b != "custom"])
-def test_csr_pattern_matches_coo_scatter(kind, k):
-    # the pattern from the mesh topology holds exactly the entries the
-    # triplet scatter sums, renumbered entity by entity.  cyl_clamped has
-    # vertices with no free dof, cyl_free and scordelis_lo at k = 0 edges
-    # with none
+def refined_system(kind, k):
+    """`kind`'s system on a mesh refined 3 times at a random third of its
+    elements, and its COO oracle (`coo_assembled_matrix`) renumbered as
+    the free traces, with that renumbering."""
     prob = make_benchmark(kind)
     mesh = initial_rectangle_mesh(prob.rect)
     rng = np.random.default_rng(5)
@@ -530,11 +527,34 @@ def test_csr_pattern_matches_coo_scatter(kind, k):
         mesh = refine(mesh, rng.choice(mesh.ntriangles, (mesh.ntriangles + 2) // 3,
                                        replace=False))
     neq = asm.assemble_normal_equations(mesh, prob, k)
-    A = neq.A
     ref, free = coo_assembled_matrix(neq)
+    order = np.argsort(neq.index_map[free])
+    ref = ref[order][:, order].tocsr()
+    ref.sort_indices()
+    return mesh, neq, ref, free, order
+
+
+def fill_slots(places, nnz):
+    """The slot in A.data of every element entry (`_trace_pattern`), nnz
+    past the end, as one (nt, nc, nc) table."""
+    start, rank, blocks, entity = places
+    return np.minimum(blocks[:, entity][:, :, entity] + start[:, :, None]
+                      + rank[:, None, :], nnz)
+
+
+@pytest.mark.parametrize("k", [0, 1])
+@pytest.mark.parametrize("kind", [b for b in BENCHMARKS if b != "custom"])
+def test_csr_pattern_matches_coo_scatter(kind, k):
+    # the pattern from the mesh topology holds exactly the entries the
+    # triplet scatter sums, renumbered entity by entity.  cyl_clamped has
+    # vertices with no free dof, cyl_free and scordelis_lo at k = 0 edges
+    # with none.  The fill scales the element matrices before it sums
+    # them, the oracle after: 6.7e-16 apart here, 3 eps of S A S's unit
+    # diagonal
+    mesh, neq, ref, free, order = refined_system(kind, k)
+    As, s = neq.As, neq.s
     n = free.size
     new = neq.index_map[free]
-    order = np.argsort(new)
     assert np.array_equal(new[order], np.arange(n))
     owner = neq.dofmap.dof_entity[free[order]]
     assert np.count_nonzero(np.diff(owner)) + 1 == len(np.unique(owner))
@@ -544,22 +564,50 @@ def test_csr_pattern_matches_coo_scatter(kind, k):
     if kind == "cyl_free" and k == 0:
         assert np.any(nfree[mesh.nvertices:] == 0)
 
+    assert As.has_canonical_format
+    assert As.shape == ref.shape and As.nnz == ref.nnz
+    assert np.array_equal(As.indptr, ref.indptr)
+    assert np.array_equal(As.indices, ref.indices)
+    sref = ref.data * np.repeat(s, np.diff(ref.indptr)) * s[ref.indices]
+    assert np.abs(As.data - sref).max() <= 2e-15 * np.abs(sref).max()
+
+
+@pytest.mark.parametrize("kind, k", [("cyl_clamped", 0), ("scordelis_lo", 1),
+                                     ("point_parabolic", 1)])
+def test_unscaled_matrix_on_the_scaled_pattern(kind, k):
+    # A, derived from As for readers outside the solve, keeps As's
+    # pattern and agrees with the triplet scatter (2.2e-16 here)
+    _, neq, ref, _, _ = refined_system(kind, k)
+    A = neq.A
     assert A.has_canonical_format
-    ref = ref[order][:, order].tocsr()
-    ref.sort_indices()
-    assert A.shape == ref.shape and A.nnz == ref.nnz
-    assert np.array_equal(A.indptr, ref.indptr)
-    assert np.array_equal(A.indices, ref.indices)
+    assert np.array_equal(A.indptr, neq.As.indptr)
+    assert np.array_equal(A.indices, neq.As.indices)
     assert np.abs(A.data - ref.data).max() <= 1e-14 * np.abs(ref.data).max()
 
 
+def test_scale_is_the_root_of_the_filled_diagonal():
+    # s is the Jacobi scaling of the matrix the unscaled fill would sum,
+    # bitwise: its diagonal sums the element diagonals in element order,
+    # as one bincount over all the slots does
+    prob = make_benchmark("cyl_free", d=1e-3)
+    mesh = adaptive_loop(prob, AdaptiveConfig(k=1, max_levels=4)).levels[-1].mesh
+    neq = asm.assemble_normal_equations(mesh, prob, 1)
+    _, indptr, indices, places = asm._trace_pattern(neq.dofmap, neq.index_map < 0)
+    slots = fill_slots(places, len(indices))
+    data = np.bincount(slots.ravel(), neq.elements.matrices().ravel(),
+                       minlength=len(indices) + 1)[:-1]
+    A = scipy.sparse.csr_matrix((data, indices, indptr), shape=neq.As.shape)
+    assert np.array_equal(neq.s, 1.0 / np.sqrt(A.diagonal()))
+
+
 def test_element_systems_hold_no_element_matrices():
-    # A_T is formed for the fill only, a chunk of elements at a time: the
-    # fill gives A bitwise as one bincount over every slot and every A_T,
-    # the arrays a NormalEquations keeps per element stay well below one
-    # dense (nc, nc) matrix per element, and so does the assembly's peak
-    # memory above what its result keeps (measured 2.4 MB against 8.9 MB;
-    # 17.8 MB with a table of all the slots and one of all the A_T)
+    # the scaled A_T are formed for the fill only, a chunk of elements at
+    # a time: the fill gives As bitwise as one bincount over every slot
+    # and every scaled A_T, the arrays a NormalEquations keeps per
+    # element stay well below one dense (nc, nc) matrix per element, and
+    # so does the assembly's peak memory above what its result keeps
+    # (measured 2.7 MB against 8.9 MB; 17.8 MB with a table of all the
+    # slots and one of all the A_T)
     prob = make_benchmark("cyl_clamped")
     mesh = initial_rectangle_mesh(prob.rect)
     while mesh.ntriangles < 1024:
@@ -574,15 +622,14 @@ def test_element_systems_hold_no_element_matrices():
     el = neq.elements
     nt, nc = el.cols.shape
     _, indptr, indices, places = asm._trace_pattern(neq.dofmap, neq.index_map < 0)
-    A = asm._csr_fill(indptr, indices, places, el)
-    assert np.array_equal(A.indptr, neq.A.indptr)
-    assert np.array_equal(A.data, neq.A.data)
-    start, rank, blocks, entity = places
-    slots = np.minimum(blocks[:, entity][:, :, entity] + start[:, :, None]
-                       + rank[:, None, :], len(indices))
-    whole = np.bincount(slots.ravel(), el.matrices().ravel(),
+    scale = np.append(neq.s, 0.0)[neq.index_map[el.cols]]
+    As = asm._csr_fill(indptr, indices, places, el, scale)
+    assert np.array_equal(As.indptr, neq.As.indptr)
+    assert np.array_equal(As.data, neq.As.data)
+    whole = np.bincount(fill_slots(places, len(indices)).ravel(),
+                        el.matrices(scale=scale).ravel(),
                         minlength=len(indices) + 1)[:-1]
-    assert np.array_equal(A.data, whole)
+    assert np.array_equal(As.data, whole)
 
     kept = [*vars(neq).values(), *vars(el).values(), *el.classes]
     held = sum(x.nbytes for x in kept if isinstance(x, np.ndarray) and len(x) == nt)
@@ -607,7 +654,7 @@ def test_free_traces_numbered_in_elimination_order(kind, k, bound):
     else:
         mesh = adaptive_loop(prob, AdaptiveConfig(k=k, max_levels=8)).levels[-1].mesh
     neq = asm.assemble_normal_equations(mesh, prob, k)
-    nv, ne, n = mesh.nvertices, mesh.nedges, neq.A.shape[0]
+    nv, ne, n = mesh.nvertices, mesh.nedges, len(neq.s)
     position = asm._entity_order(mesh)
     assert np.array_equal(np.sort(position), np.arange(nv + ne))
 

@@ -6,6 +6,7 @@ import scipy.linalg
 
 from helpers import element_b, element_gram, element_load
 from shelldpg import assembly as asm
+from shelldpg import estimator
 from shelldpg.estimator import AdaptiveConfig, adaptive_loop
 from shelldpg.mesh import Mesh, initial_rectangle_mesh, refine
 from shelldpg.model import ShellProblem, make_benchmark
@@ -28,14 +29,33 @@ def loaded_problem():
     )
 
 
+def zero_data_problem():
+    return ShellProblem(rect=(0.0, 1.0, 0.0, 1.0), B=[[0.0, 0.0], [0.0, 1.0]],
+                        d=1e-2, f=None, p=None, bc=CLAMP_ALL)
+
+
 def test_zero_data_zero_eta():
     mesh = refine(initial_rectangle_mesh((0.0, 1.0, 0.0, 1.0)), np.arange(4))
-    prob = ShellProblem(rect=(0.0, 1.0, 0.0, 1.0), B=[[0.0, 0.0], [0.0, 1.0]],
-                        d=1e-2, f=None, p=None, bc=CLAMP_ALL)
-    neq = asm.assemble_normal_equations(mesh, prob, 0)
+    neq = asm.assemble_normal_equations(mesh, zero_data_problem(), 0)
     x, etas = solve(neq)
     assert np.abs(x).max() == 0.0
     assert np.abs(etas).max() == 0.0
+
+
+def test_zero_estimator_stops_the_loop():
+    # nothing is marked, so refining would solve the same mesh again
+    mesh = refine(initial_rectangle_mesh((0.0, 1.0, 0.0, 1.0)), np.arange(4))
+    run = adaptive_loop(zero_data_problem(), AdaptiveConfig(k=0, max_levels=5),
+                        initial_mesh=mesh)
+    assert len(run.levels) == 1
+    assert run.levels[0].eta == 0.0 and run.levels[0].marked is None
+
+
+def test_refinement_without_new_dofs_names_the_level(monkeypatch):
+    monkeypatch.setattr(estimator, "refine", lambda mesh, marked: mesh)
+    with pytest.raises(RuntimeError, match=r"^level 1: refinement left \d+ dofs"):
+        adaptive_loop(loaded_problem(), AdaptiveConfig(k=0, max_levels=3),
+                      initial_mesh=two_element_mesh())
 
 
 def test_rayleigh_quotient_oracle():

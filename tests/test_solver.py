@@ -41,15 +41,19 @@ def test_residual_tolerance_enforced():
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_spd_detected():
     neq = small_system()
-    n = neq.A.shape[0]
-    negative = dataclasses.replace(
-        neq, A=scipy.sparse.diags(np.r_[1.0, -1.0, np.ones(n - 2)]).tocsr())
-    with pytest.raises(SolverError, match=rf"not SPD \(n={n}\)"):
-        solve(negative)
+    n = len(neq.s)
+    # s = diag(A)^-1/2 of a negative and of a zero diagonal entry
+    for diag, shown in ((-1.0, "nan"), (0.0, "0.000e\\+00")):
+        not_spd = dataclasses.replace(
+            neq, As=scipy.sparse.identity(n, format="csr"),
+            s=1.0 / np.sqrt(np.r_[1.0, diag, np.ones(n - 2)]))
+        with pytest.raises(SolverError,
+                           match=rf"entry {shown} at dof 1: not SPD \(n={n}\)"):
+            solve(not_spd)
     # positive diagonal but singular: a 2 x 2 block of ones
     sing = scipy.sparse.identity(n, format="lil")
     sing[0, 1] = sing[1, 0] = 1.0
-    singular = dataclasses.replace(neq, A=sing.tocsr())
+    singular = dataclasses.replace(neq, As=sing.tocsr(), s=np.ones(n))
     with pytest.raises(SolverError, match=rf"factorization broke down.*\(n={n}\)"):
         solve(singular)
 
@@ -81,13 +85,13 @@ def permuted_solve(neq, seed):
     system is factored in that random elimination order.  Returns the
     solution in the original numbering.
     """
-    n = neq.A.shape[0]
+    n = len(neq.s)
     perm = np.random.default_rng(seed).permutation(n)
     P = scipy.sparse.csr_matrix((np.ones(n), (np.arange(n), perm)), shape=(n, n))
     new = np.empty(n, dtype=int)
     new[perm] = np.arange(n)
     index_map = np.where(neq.index_map >= 0, new[neq.index_map], -1)
-    renumbered = dataclasses.replace(neq, A=(P @ neq.A @ P.T).tocsr(),
+    renumbered = dataclasses.replace(neq, As=(P @ neq.As @ P.T).tocsr(), s=P @ neq.s,
                                      rhs=P @ neq.rhs, index_map=index_map)
     return P.T @ solve(renumbered)[0]
 
@@ -106,9 +110,8 @@ def test_dof_reorder_invariance():
 def least_squares_backward_error(neq, x):
     """|S g| / (|W S| (|W S| |y| + |r|)) of `solve`, with |W S|^2 bounded
     by |S A S|_F."""
-    s = 1.0 / np.sqrt(neq.A.diagonal())
-    As = scipy.sparse.diags(s) @ neq.A @ scipy.sparse.diags(s)
-    norm_w = np.sqrt(scipy.sparse.linalg.norm(As))
+    s = neq.s
+    norm_w = np.sqrt(scipy.sparse.linalg.norm(neq.As))
     g, r = neq.residual(x)
     return np.linalg.norm(s * g) / (
         norm_w * (norm_w * np.linalg.norm(x / s) + np.linalg.norm(r)))
@@ -138,8 +141,8 @@ def least_squares_oracle(neq, steps=4):
     """Least-squares solution for the stored W^c and y^c, refined with
     long-double residuals of the stacked element operator.
 
-    The normal matrix A only preconditions the steps, so its rounding
-    does not reach the limit (x86-64: 64-bit mantissa).  A arrives in a
+    The normal matrix S A S only preconditions the steps, so its rounding
+    does not reach the limit (x86-64: 64-bit mantissa).  It arrives in a
     fill-reducing elimination order, and its LU keeps that order: a
     minimum degree ordering started from it takes longer than the
     factorization.
@@ -150,14 +153,13 @@ def least_squares_oracle(neq, steps=4):
     WP = el.W[el.cls] * el.sign[:, None, :]
     gcols = np.broadcast_to(neq.index_map[el.cols][:, None, :], WP.shape)
     keep = gcols >= 0
-    n = neq.A.shape[0]
+    s = neq.s
+    n = len(s)
     indptr = np.r_[0, np.cumsum(keep.sum(axis=2).ravel())]
     W = scipy.sparse.csr_matrix(
         (WP[keep].astype(np.longdouble), gcols[keep], indptr), shape=(nel * m, n))
     y = el.y.ravel().astype(np.longdouble)
-    s = 1.0 / np.sqrt(neq.A.diagonal())
-    As = (scipy.sparse.diags(s) @ neq.A @ scipy.sparse.diags(s)).tocsc()
-    lu = scipy.sparse.linalg.splu(As, permc_spec="NATURAL",
+    lu = scipy.sparse.linalg.splu(neq.As.tocsc(), permc_spec="NATURAL",
                                   diag_pivot_thresh=0.0,
                                   options={"SymmetricMode": True})
     x = s * lu.solve(s * neq.rhs)
