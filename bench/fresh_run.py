@@ -3,11 +3,11 @@
     python3 bench/fresh_run.py [--out BENCH_fresh_run.json] [--parent-src DIR]
 
 For each workload of `perfbench/workloads.py` and each of its 16 start
-meshes (`workloads.start_mesh`, seed 1), a fresh child process on one
-BLAS thread sets up as `perfbench/worker.py` does (imports,
-`make_benchmark`, `make_evaluator` and the polyquad caches its `set_up`
-fills), then runs `adaptive_loop` from the start mesh twice, each time
-with a fresh `make_evaluator` hook.  Per run it records:
+meshes (`workloads.start_mesh`, seed 1), a fresh child process sets up
+as `perfbench/worker.py` does (imports, `make_benchmark`,
+`make_evaluator` and the polyquad caches its `set_up` fills), then runs
+`adaptive_loop` from the start mesh twice, each time with a fresh
+`make_evaluator` hook.  Per run it records:
 
 * `seconds`: the `time.perf_counter` time of the `adaptive_loop` call;
 * `minflt`: the minor page faults of the process during it (`ru_minflt`);
@@ -18,36 +18,19 @@ pays what the first run pays: the lazy basis and reference tables, and
 the first touch of the memory the run grows into.  The second run shows
 what the same run costs once those are paid.  Each side reports, per
 workload, the mean over the start meshes of each figure for the first
-and the second run, and the runs themselves.
-
-A child imports `shelldpg` from a given `src` directory: this
-checkout's, and with `--parent-src` also that of another checkout (say,
-one made with `git archive` at the parent commit).  The two sides
-alternate start mesh by start mesh, so that a drift in host speed
-reaches both.
+and the second run, and the runs themselves.  The start meshes are the
+rounds of `harness.alternate`.
 """
 
-import os
+import harness  # first: pins one BLAS thread before numpy loads
 
-if __name__ == "__main__":
-    # pinned before numpy loads OpenBLAS, here and in the child processes
-    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[_var] = "1"
+import argparse
+import resource
+import statistics
+import sys
+import time
 
-import argparse  # noqa: E402
-import json  # noqa: E402
-import platform  # noqa: E402
-import resource  # noqa: E402
-import statistics  # noqa: E402
-import subprocess  # noqa: E402
-import sys  # noqa: E402
-import time  # noqa: E402
-from pathlib import Path  # noqa: E402
-
-ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT / "perfbench"))
-
-from workloads import DEFAULT_SEED, WORKLOADS, start_mesh  # noqa: E402
+from workloads import DEFAULT_SEED, WORKLOADS, start_mesh
 
 START_MESHES = 16
 FIGURES = ("seconds", "minflt", "maxrss_mb")
@@ -83,14 +66,6 @@ def two_runs(name, instance):
     return runs
 
 
-def run_child(src, name, instance):
-    """`two_runs` in a fresh process importing shelldpg from `src`."""
-    proc = subprocess.run([sys.executable, __file__, "--child", str(src),
-                           "--workload", name, "--instance", str(instance)],
-                          check=True, stdout=subprocess.PIPE, text=True)
-    return json.loads(proc.stdout.splitlines()[-1])
-
-
 def summary(runs):
     """Mean of each figure over the start meshes, first and second run."""
     return {which: {f: statistics.fmean(r[i][f] for r in runs) for f in FIGURES}
@@ -98,51 +73,30 @@ def summary(runs):
 
 
 def main(argv=None):
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--out", default=str(ROOT / "BENCH_fresh_run.json"))
-    ap.add_argument("--parent-src", help="src directory of another checkout "
-                    "to measure next to this one")
-    ap.add_argument("--child", help=argparse.SUPPRESS)
+    ap = harness.parser(__doc__, str(harness.ROOT / "BENCH_fresh_run.json"))
     ap.add_argument("--workload", help=argparse.SUPPRESS)
     ap.add_argument("--instance", type=int, help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
-
     if args.child:
-        sys.path.insert(0, args.child)
-        print(json.dumps(two_runs(args.workload, args.instance)))
-        return 0
+        return harness.child(args.child, two_runs, args.workload, args.instance)
 
-    import numpy as np
-    import scipy
-
-    sides = {"change": ROOT / "src"}
-    if args.parent_src:
-        sides["parent"] = Path(args.parent_src).resolve()
     out = {
-        "env": {"OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
-                "nproc": os.cpu_count(), "python": platform.python_version(),
-                "numpy": np.__version__, "scipy": scipy.__version__},
         "seed": DEFAULT_SEED,
         "start_meshes": START_MESHES,
         "unit": "seconds: s per run; minflt: page faults per run; maxrss_mb: "
                 "MB of peak RSS growth per run; means over the start meshes",
     }
-    for side in sides:
-        out[side] = {}
     for name in WORKLOADS:
-        runs = {side: [] for side in sides}
-        for j in range(START_MESHES):
-            for side in (sides if j % 2 == 0 else reversed(sides)):
-                runs[side].append(run_child(sides[side], name, j))
-        for side in sides:
+        runs = harness.alternate(__file__, args.parent_src, START_MESHES,
+                                 lambda j: ("--workload", name, "--instance", j))
+        for side in runs:
             s = summary(runs[side])
-            out[side][name] = {**s, "runs": runs[side]}
+            out.setdefault(side, {})[name] = {**s, "runs": runs[side]}
             print(f"{side:7s} {name:26s} " + "  ".join(
                 f"{which} {s[which]['seconds'] * 1e3:6.1f} ms "
                 f"{s[which]['minflt']:6.0f} faults {s[which]['maxrss_mb']:5.1f} MB"
                 for which in ("first", "second")), flush=True)
-    Path(args.out).write_text(json.dumps(out, indent=1) + "\n")
-    print(f"wrote {args.out}")
+    harness.write(args.out, out)
     return 0
 
 

@@ -1,41 +1,34 @@
-"""Fixed cost per adaptive level: phase shares, small-level floor, mesh code.
+"""Fixed cost per adaptive level: phase shares, a large level, mesh code.
 
     python3 bench/level_overhead.py [--out BENCH_level_overhead.json]
                                     [--rounds 3] [--parent-src DIR]
 
-Records, for each workload of `perfbench/workloads.py`:
+Records, for each workload of `perfbench/workloads.py`, `phases`: one
+`adaptive_loop` from each of the workload's 16 start meshes
+(`workloads.start_mesh`, seed 1), with the `make_evaluator` hook as
+`perfbench/worker.py` runs it, and `time.perf_counter` spans around the
+SuperLU factorization of the trace system (`solver._splu`), the
+fill-reducing order of the free numbering (`assembly._entity_order`,
+which makes its own small `splu` call), the class kernels
+(`assembly._class_kernels`), the scatter of the element matrices (the
+CSR pattern from the mesh topology and its fill, `assembly._trace_pattern`
+less the order, and `assembly._csr_fill`), the element residuals of the
+solver's refinement steps and of its estimators
+(`NormalEquations.residual`), the Gram rows and the B matrices
+(`assembly.element_gram_batch`, `assembly.element_b_batch`), the rest
+of `assembly._element_systems`, mesh refinement (`refine`, which builds
+the new `Mesh`) and the reference hook.  The element matrices formed
+for the fill (`ElementSystems.matrices`) count once, under the scatter,
+whether `_csr_fill` forms them or takes them as an argument.  Seconds
+per run and the share of the run's `adaptive_loop` time.
 
-* `phases`: one `adaptive_loop` from each of the workload's 16 start
-  meshes (`workloads.start_mesh`, seed 1), with the `make_evaluator`
-  hook as `perfbench/worker.py` runs it, and `time.perf_counter` spans
-  around the SuperLU factorization of the trace system (`solver._splu`),
-  the fill-reducing order of the free numbering (`assembly._entity_order`,
-  which makes its own small `splu` call), the class kernels
-  (`assembly._class_kernels`), the scatter of the element matrices (the
-  CSR pattern from the mesh topology and its fill, `assembly._trace_pattern`
-  less the order, and `assembly._csr_fill`; on a checkout from before
-  them, `scipy.sparse.coo_matrix.tocsr`), the element
-  residuals of the solver's refinement steps and of its estimators
-  (`NormalEquations.residual`), the Gram rows (the Gram matrices on a
-  checkout from before them) and the B matrices
-  (`assembly.element_gram_batch`, `assembly.element_b_batch`), the rest
-  of `assembly._element_systems`, mesh refinement (`refine`, which
-  builds the new `Mesh`) and the reference hook.  The element matrices
-  formed for the fill (`ElementSystems.matrices`) count once, under the
-  scatter, whether `_csr_fill` forms them or takes them as an argument.  Seconds per run and
-  the share of the run's `adaptive_loop` time;
-* `level_floor_s`: one level on each start mesh (24 or 25 elements)
-  with every Jacobian class carried over from an assembly on the same
-  mesh: assemble, solve, estimate, recover the fields, mark and refine.
-
-and, once, `large_level`: the spans above (seconds, median over
-repetitions) of one assembly of the uniform cyl_clamped mesh of 4,096
-elements (k = 0, d = 1e-2) with every class carried over, followed by
-the 2 element-residual passes of a solve, and `held_bytes`, the bytes
-of the arrays the resulting `NormalEquations` keeps (the data, indices
-and indptr of S A S and s, or of A on a checkout from before the
-equilibrated fill, rhs, index_map and every array of its `elements`).  The
-workloads stop below 1,000 elements, where costs that grow with the
+Once, `large_level`: the spans above (seconds, median over repetitions)
+of one assembly of the uniform cyl_clamped mesh of 4,096 elements (k =
+0, d = 1e-2) with every class carried over, followed by the 2
+element-residual passes of a solve, and `held_bytes`, the bytes of the
+arrays the resulting `NormalEquations` keeps (the data, indices and
+indptr of S A S, s, rhs, index_map and every array of its `elements`).
+The workloads stop below 1,000 elements, where costs that grow with the
 element count hide.  The factorization is left out: it alone takes
 most of a second at this size (`bench/orderings.py` times it).
 
@@ -44,49 +37,30 @@ Also once, `mesh`: the time of the `refine` call that makes a mesh of
 elements (10% of the 262,144 marked at random), and of `Mesh(...)` on
 the vertices and triangles of each.
 
-Times are raw `time.perf_counter` seconds.  Next to them each child
-records `calibration_s`, the median time of the fixed host-speed kernel
-of `perfbench/calibrate.py`, timed right after each block of
-measurements (the level floors, the mesh times, the large level, each
-workload's phases): the ratio of the two sides' `calibration_s` shows
-how far the host speed drifted between them.  The times are not scaled
-by it, since the kernel's own spread can exceed that of the times it
-would scale; shares are ratios within one run and compare across sides
-as they are.  Each figure is the median, on one BLAS thread, over
-`--rounds` child processes.  A child imports `shelldpg` from a given
-`src` directory: this checkout's, and with `--parent-src` also that of
-another checkout
-(say, one made with `git clone` or `git archive` at the parent commit).
-The two sides alternate round by round, so that a drift in host speed
-reaches both.
+Times are raw `time.perf_counter` seconds, each the median over
+`--rounds` rounds (`harness`).  Next to them each child records
+`calibration_s`, the median time of the fixed host-speed kernel of
+`perfbench/calibrate.py`, timed right after each block of measurements
+(the mesh times, the large level, each workload's phases): the ratio
+of the two sides' `calibration_s` shows how far the host speed drifted
+between them.  The times are not scaled by it, since the kernel's own
+spread can exceed that of the times it would scale; shares are ratios
+within one run and compare across sides as they are.
 """
 
-import os
+import harness  # first: pins one BLAS thread before numpy loads
 
-if __name__ == "__main__":
-    # pinned before numpy loads OpenBLAS, here and in the child processes
-    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[_var] = "1"
+import importlib
+import statistics
+import sys
+import time
+from collections import defaultdict
 
-import argparse  # noqa: E402
-import importlib  # noqa: E402
-import json  # noqa: E402
-import platform  # noqa: E402
-import statistics  # noqa: E402
-import subprocess  # noqa: E402
-import sys  # noqa: E402
-import time  # noqa: E402
-from collections import defaultdict  # noqa: E402
-from pathlib import Path  # noqa: E402
-
-ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT / "perfbench"))
-
-from calibrate import kernel_parts  # noqa: E402
-from workloads import DEFAULT_SEED, WORKLOADS, start_mesh  # noqa: E402
+from calibrate import kernel_parts
+from workloads import DEFAULT_SEED, WORKLOADS, start_mesh
 
 START_MESHES = 16
-FLOOR_REPEAT = 5
+LARGE_REPEAT = 5
 # (module or class, attribute, phase); nested phases are subtracted from
 # `element_systems` and `scatter` (`unnest`), and a call inside another
 # of the same phase counts once.  A target the imported shelldpg lacks
@@ -97,7 +71,6 @@ SPANS = (
     ("shelldpg.assembly", "_class_kernels", "class_kernels"),
     ("shelldpg.assembly", "_trace_pattern", "scatter"),
     ("shelldpg.assembly", "_csr_fill", "scatter"),
-    ("scipy.sparse.coo_matrix", "tocsr", "scatter"),
     ("shelldpg.assembly.NormalEquations", "residual", "residual"),
     ("shelldpg.assembly", "element_gram_batch", "gram_b"),
     ("shelldpg.assembly", "element_b_batch", "gram_b"),
@@ -147,34 +120,12 @@ def unnest(acc):
     acc["scatter"] -= acc["order"]
 
 
-def level_floor(w, problem, meshes):
-    """Median seconds of one level with every class carried over."""
-    from shelldpg import assemble_normal_equations, dorfler_mark, refine
-    from shelldpg.solver import solve
-
-    times = []
-    for mesh in meshes:
-        carried = assemble_normal_equations(mesh, problem, w.k)
-        for _ in range(FLOOR_REPEAT):
-            t = time.perf_counter()
-            neq = assemble_normal_equations(mesh, problem, w.k, previous=carried)
-            x, etas = solve(neq, w.tol)
-            neq.fields(x)
-            marked = (range(mesh.ntriangles) if w.mode == "uniform"
-                      else dorfler_mark(etas, w.theta))
-            refine(mesh, marked)
-            times.append(time.perf_counter() - t)
-    return statistics.median(times)
-
-
 def held_bytes(neq):
     """Bytes of the arrays that `neq` keeps."""
     import numpy as np
 
-    held = vars(neq)
-    # S A S and s; A on a checkout from before the equilibrated fill
-    M = held["As"] if "As" in held else held["A"]
-    arrays = [M.data, M.indices, M.indptr, held.get("s"), neq.rhs, neq.index_map]
+    arrays = [neq.As.data, neq.As.indices, neq.As.indptr, neq.s, neq.rhs,
+              neq.index_map]
     for value in vars(neq.elements).values():
         arrays += value if isinstance(value, tuple) else [value]
     return sum(a.nbytes for a in arrays if isinstance(a, np.ndarray))
@@ -194,7 +145,7 @@ def large_level(acc):
         mesh = refine(mesh, np.arange(mesh.ntriangles))
     carried = assemble_normal_equations(mesh, problem, 0)
     runs = []
-    for _ in range(FLOOR_REPEAT):
+    for _ in range(LARGE_REPEAT):
         acc.clear()
         neq = assemble_normal_equations(mesh, problem, 0, previous=carried)
         x = np.zeros(len(neq.rhs))
@@ -238,13 +189,7 @@ def measure():
     import shelldpg
 
     kernels = []
-    out = {"workloads": {}}
-    for name, w in WORKLOADS.items():
-        problem = shelldpg.make_benchmark(w.benchmark, d=w.d)
-        meshes = [start_mesh(problem, DEFAULT_SEED, j) for j in range(START_MESHES)]
-        out["workloads"][name] = {"level_floor_s": level_floor(w, problem, meshes)}
-    kernels.append(sum(kernel_parts()))
-    out["mesh"] = mesh_times()
+    out = {"workloads": {}, "mesh": mesh_times()}
     kernels.append(sum(kernel_parts()))
 
     acc = defaultdict(float)
@@ -275,35 +220,19 @@ def measure():
         unnest(acc)
         acc["other"] = solve_s - sum(acc.values())
         kernels.append(sum(kernel_parts()))
-        out["workloads"][name]["solve_s"] = solve_s / START_MESHES
-        out["workloads"][name]["phases_s"] = {
-            k: v / START_MESHES for k, v in sorted(acc.items())}
-        out["workloads"][name]["shares"] = {
-            k: v / solve_s for k, v in sorted(acc.items())}
+        out["workloads"][name] = {
+            "solve_s": solve_s / START_MESHES,
+            "phases_s": {k: v / START_MESHES for k, v in sorted(acc.items())},
+            "shares": {k: v / solve_s for k, v in sorted(acc.items())}}
     out["calibration_s"] = statistics.median(kernels)
     return out
-
-
-def run_child(src):
-    """`measure` in a fresh process importing shelldpg from `src`."""
-    proc = subprocess.run([sys.executable, __file__, "--child", str(src)],
-                          check=True, stdout=subprocess.PIPE, text=True)
-    return json.loads(proc.stdout.splitlines()[-1])
-
-
-def median_tree(trees):
-    """Element-wise median of equally shaped nested dicts of numbers."""
-    first = trees[0]
-    if isinstance(first, dict):
-        return {k: median_tree([t[k] for t in trees]) for k in first}
-    return statistics.median(trees)
 
 
 def print_summary(label, res):
     for name, case in res["workloads"].items():
         shares = "  ".join(f"{k} {v:5.1%}" for k, v in case["shares"].items())
-        print(f"{label:7s} {name:26s} solve {case['solve_s'] * 1e3:7.1f} ms  "
-              f"floor {case['level_floor_s'] * 1e3:5.2f} ms", flush=True)
+        print(f"{label:7s} {name:26s} solve {case['solve_s'] * 1e3:7.1f} ms",
+              flush=True)
         print(f"{'':7s} {shares}", flush=True)
     large = "  ".join(f"{k} {v * 1e3:.2f} ms"
                       for k, v in res["large_level"]["phases_s"].items())
@@ -318,43 +247,19 @@ def print_summary(label, res):
 
 
 def main(argv=None):
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--out", default=str(ROOT / "BENCH_level_overhead.json"))
+    ap = harness.parser(__doc__, str(harness.ROOT / "BENCH_level_overhead.json"))
     ap.add_argument("--rounds", type=int, default=3)
-    ap.add_argument("--parent-src", help="src directory of another checkout "
-                    "to measure next to this one")
-    ap.add_argument("--child", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
-
     if args.child:
-        sys.path.insert(0, args.child)
-        print(json.dumps(measure()))
-        return 0
+        return harness.child(args.child, measure)
 
-    import numpy as np
-    import scipy
-
-    sides = {"change": ROOT / "src"}
-    if args.parent_src:
-        sides["parent"] = Path(args.parent_src).resolve()
-    runs = {side: [] for side in sides}
-    for r in range(args.rounds):
-        for side in (sides if r % 2 == 0 else reversed(sides)):
-            runs[side].append(run_child(sides[side]))
-    out = {
-        "env": {"OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
-                "nproc": os.cpu_count(), "python": platform.python_version(),
-                "numpy": np.__version__, "scipy": scipy.__version__},
-        "seed": DEFAULT_SEED,
-        "start_meshes": START_MESHES,
-        "rounds": args.rounds,
-        "unit": "s (per run for phases_s and solve_s), median over rounds",
-    }
-    for side in sides:
-        out[side] = median_tree(runs[side])
+    runs = harness.alternate(__file__, args.parent_src, args.rounds)
+    out = {"seed": DEFAULT_SEED, "start_meshes": START_MESHES, "rounds": args.rounds,
+           "unit": "s (per run for phases_s and solve_s), median over rounds"}
+    for side in runs:
+        out[side] = harness.median_tree(runs[side])
         print_summary(side, out[side])
-    Path(args.out).write_text(json.dumps(out, indent=1) + "\n")
-    print(f"wrote {args.out}")
+    harness.write(args.out, out)
     return 0
 
 

@@ -6,8 +6,7 @@
 For every system below, the equilibrated trace matrix S A S (S =
 diag(A)^-1/2) is taken as the assembly fills it (`NormalEquations.As`)
 and read as CSC, as `solver.solve` hands it to SuperLU, and three calls
-are timed, the median of `--repeat` interleaved repetitions on one BLAS
-thread:
+are timed, the median of `--repeat` interleaved repetitions:
 
 * `order_s`: `assembly._entity_order`, the multiple minimum degree of
   the vertex graph that numbers the free traces (the assembly already
@@ -37,32 +36,20 @@ Cases:
   from the 4-element rectangle (theta = 0.25).
 """
 
-import os
+import harness  # first: pins one BLAS thread before numpy loads
 
-if __name__ == "__main__":
-    # pinned before numpy loads OpenBLAS
-    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[_var] = "1"
+import argparse
+import statistics
+import sys
+import time
 
-import argparse  # noqa: E402
-import json  # noqa: E402
-import platform  # noqa: E402
-import statistics  # noqa: E402
-import sys  # noqa: E402
-import time  # noqa: E402
-from pathlib import Path  # noqa: E402
+sys.path.insert(0, str(harness.ROOT / "src"))
 
-ROOT = Path(__file__).resolve().parents[1]
-for _path in (ROOT / "src", ROOT / "perfbench"):
-    if str(_path) not in sys.path:
-        sys.path.insert(0, str(_path))
+import numpy as np
+import scipy.sparse
+import scipy.sparse.linalg
 
-import numpy as np  # noqa: E402
-import scipy  # noqa: E402
-import scipy.sparse  # noqa: E402
-import scipy.sparse.linalg  # noqa: E402
-
-from shelldpg import (  # noqa: E402
+from shelldpg import (
     AdaptiveConfig,
     adaptive_loop,
     assemble_normal_equations,
@@ -71,8 +58,8 @@ from shelldpg import (  # noqa: E402
     refine,
     solver,
 )
-from shelldpg.assembly import _entity_order  # noqa: E402
-from workloads import DEFAULT_SEED, WORKLOADS, start_mesh  # noqa: E402
+from shelldpg.assembly import _entity_order
+from workloads import DEFAULT_SEED, WORKLOADS, start_mesh
 
 UNIFORM = (("cyl_clamped", 0, 1e-2), ("scordelis_lo", 1, 0.25))
 UNIFORM_ELEMENTS = 4096
@@ -180,7 +167,7 @@ def show(case):
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--out", default=str(ROOT / "BENCH_orderings.json"))
+    ap.add_argument("--out", default=str(harness.ROOT / "BENCH_orderings.json"))
     ap.add_argument("--repeat", type=int, default=5)
     ap.add_argument("--starts", type=int, default=4)
     args = ap.parse_args(argv)
@@ -194,17 +181,9 @@ def main(argv=None):
         show(cases[-1])
     cases.append(adaptive_case(*ADAPTIVE, args.repeat))
     show(cases[-1])
-    out = {
-        "env": {"OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
-                "nproc": os.cpu_count(), "python": platform.python_version(),
-                "numpy": np.__version__, "scipy": scipy.__version__},
-        "seed": DEFAULT_SEED,
-        "repeat": args.repeat,
-        "unit": "s, median over interleaved repetitions",
-        "cases": cases,
-    }
-    Path(args.out).write_text(json.dumps(out, indent=1) + "\n")
-    print(f"wrote {args.out}")
+    harness.write(args.out, {"seed": DEFAULT_SEED, "repeat": args.repeat,
+                             "unit": "s, median over interleaved repetitions",
+                             "cases": cases})
     return 0
 
 

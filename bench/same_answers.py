@@ -4,10 +4,8 @@
 
 Runs `adaptive_loop` from the 16 start meshes (`workloads.start_mesh`)
 of each workload of `perfbench/workloads.py`, with the workload's
-problem, k, theta, refinement mode and dof budget, once with `shelldpg`
-imported from this checkout's `src` and once from DIR (say, the `src`
-of a `git archive` of the parent commit), each side in a child process
-on one BLAS thread.  Per level it records:
+problem, k, theta, refinement mode and dof budget, on this checkout and
+on the one whose `src` is DIR.  Per level it records:
 
 * `ndof` of both sides and whether the meshes are equal;
 * `marked_equal`: whether the marked sets are equal;
@@ -23,32 +21,21 @@ and writes the levels and the summary as JSON to `--out` (by default
 `same_answers.json` in the working directory).
 """
 
-import os
+import harness  # first: pins one BLAS thread before numpy loads
 
-if __name__ == "__main__":
-    # pinned before numpy loads OpenBLAS, here and in the child processes
-    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[_var] = "1"
+import sys
+import tempfile
 
-import argparse  # noqa: E402
-import json  # noqa: E402
-import subprocess  # noqa: E402
-import sys  # noqa: E402
-import tempfile  # noqa: E402
-from pathlib import Path  # noqa: E402
+import numpy as np
 
-import numpy as np  # noqa: E402
-
-ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT / "perfbench"))
-
-from workloads import DEFAULT_SEED, WORKLOADS, start_mesh  # noqa: E402
+from workloads import DEFAULT_SEED, WORKLOADS, start_mesh
 
 START_MESHES = 16
 
 
-def run_all(seed, out):
-    """Every level of every run, with shelldpg on sys.path, into `out` (npz)."""
+def run_all(seed, outdir):
+    """Every level of every run, with shelldpg on sys.path, into a new npz
+    file in `outdir`; its path."""
     from shelldpg import AdaptiveConfig, adaptive_loop, make_benchmark
 
     arrays = {}
@@ -67,13 +54,9 @@ def run_all(seed, out):
                 arrays[key + "fields"] = rec.fields
                 if rec.marked is not None:
                     arrays[key + "marked"] = np.sort(rec.marked)
-    np.savez(out, **arrays)
-
-
-def run_child(src, seed, out):
-    subprocess.run([sys.executable, __file__, "--child", str(src), "--seed", str(seed),
-                    "--out", str(out)], check=True)
-    return np.load(out)
+    with tempfile.NamedTemporaryFile(suffix=".npz", dir=outdir, delete=False) as fh:
+        np.savez(fh, **arrays)
+    return fh.name
 
 
 # field columns: u1, u2, w, N11, N12, N21, N22, M11, M12, M22
@@ -103,24 +86,18 @@ def compare_level(a, b, key):
 
 
 def main(argv=None):
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--parent-src", help="src directory of the other checkout")
-    ap.add_argument("--out", default="same_answers.json")
+    ap = harness.parser(__doc__, "same_answers.json")
     ap.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    ap.add_argument("--child", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
-
     if args.child:
-        sys.path.insert(0, args.child)
-        run_all(args.seed, args.out)
-        return 0
+        return harness.child(args.child, run_all, args.seed, args.out)
     if not args.parent_src:
         ap.error("--parent-src is required")
 
     with tempfile.TemporaryDirectory() as tmp:
-        mine = run_child(ROOT / "src", args.seed, Path(tmp) / "change.npz")
-        other = run_child(Path(args.parent_src).resolve(), args.seed,
-                          Path(tmp) / "parent.npz")
+        runs = harness.alternate(__file__, args.parent_src, 1,
+                                 lambda r: ("--seed", args.seed, "--out", tmp))
+        mine, other = np.load(runs["change"][0]), np.load(runs["parent"][0])
         levels = {}
         for key in sorted({k.rsplit("/", 1)[0] + "/" for k in mine.files}):
             if key + "ndof" in other:
@@ -145,10 +122,9 @@ def main(argv=None):
               f"etas {s['etas_rel']:.1e}  fields {s['fields_rel']:.1e}")
     if missing:
         print(f"levels on one side only: {', '.join(missing)}")
-    Path(args.out).write_text(json.dumps(
-        {"seed": args.seed, "parent_src": str(args.parent_src), "summary": summary,
-         "levels_on_one_side": missing, "levels": levels}, indent=1) + "\n")
-    print(f"wrote {args.out}")
+    harness.write(args.out, {"seed": args.seed, "parent_src": str(args.parent_src),
+                             "summary": summary, "levels_on_one_side": missing,
+                             "levels": levels})
     return 0
 
 

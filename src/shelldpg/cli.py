@@ -8,9 +8,9 @@ line extractions for the point-load shells.
 """
 
 import argparse
+import dataclasses
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,16 +26,16 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass
+@dataclasses.dataclass
 class RunConfig:
     benchmark: str = ""
     d: float = None
-    k: int = 0
-    mode: str = "adaptive"
-    theta: float = 0.25
-    tol: float = 1e-10  # least-squares backward error bound of `solver.solve`
-    max_dofs: int = 30000
-    max_levels: int = 25
+    k: int = AdaptiveConfig.k
+    mode: str = AdaptiveConfig.mode
+    theta: float = AdaptiveConfig.theta
+    tol: float = AdaptiveConfig.tol
+    max_dofs: int = AdaptiveConfig.max_dofs
+    max_levels: int = AdaptiveConfig.max_levels
     outdir: str = "out"
     D: float = None
     C_disp: tuple = None
@@ -113,9 +113,8 @@ def parse_config(text):
 def adaptive_config(cfg):
     """The refinement settings of a run, checked by `AdaptiveConfig`."""
     try:
-        return AdaptiveConfig(k=cfg.k, theta=cfg.theta, mode=cfg.mode,
-                              max_dofs=cfg.max_dofs, max_levels=cfg.max_levels,
-                              tol=cfg.tol)
+        return AdaptiveConfig(**{f.name: getattr(cfg, f.name)
+                                 for f in dataclasses.fields(AdaptiveConfig)})
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
