@@ -39,7 +39,7 @@ FIGURES = ("seconds", "minflt", "maxrss_mb")
 def two_runs(name, instance):
     """Set up as `perfbench/worker.py` does, then two timed runs."""
     import shelldpg
-    from shelldpg import assembly, polyquad
+    from shelldpg import assembly, polyquad, traces
 
     w = WORKLOADS[name]
     problem = shelldpg.make_benchmark(w.benchmark, d=w.d)
@@ -47,7 +47,7 @@ def two_runs(name, instance):
     polyquad.triangle_rule(assembly.QUAD_DEGREE)
     for degree in (2, 3, 4):
         polyquad.triangle_basis(degree)
-    polyquad.edge_rule(7)
+    polyquad.edge_rule(traces.EDGE_RULE_DEGREE)
     cfg = shelldpg.AdaptiveConfig(k=w.k, theta=w.theta, mode=w.mode,
                                   max_dofs=w.max_dofs, max_levels=w.max_levels,
                                   tol=w.tol)

@@ -195,11 +195,9 @@ def element_gram_batch(mesh, problem, els):
     those 10 coefficients times sqrt(detJ), from the reference tables
     projected onto P3 once (`_p3_coefficients`) and mapped by Jinv.
     """
-    if problem.d <= 0.0 or problem.D <= 0.0:
-        raise ValueError("thickness and scaling length must be positive")
     coords = mesh.triangle_coords(els)
     _, detJ, Jinv = triangle_geometry(coords)
-    nel, (c2, c3, g3, h3, h4) = len(detJ), _p3_coefficients()
+    nel, (c2, c3, _, g3, h3, h4) = len(detJ), _p3_coefficients()
     d, D, B = problem.d, problem.D, problem.B
 
     sdJ = np.sqrt(detJ)[:, None, None]
@@ -243,16 +241,18 @@ def element_gram_batch(mesh, problem, els):
 
 @lru_cache(maxsize=None)
 def _p3_coefficients():
-    """Coefficients in the orthonormal P3 basis (leading axis) of the P2
-    and P3 test bases, of the P3 gradients and of the P3 and P4 Hessians
-    on the reference triangle: the tables at the points of the
-    `QUAD_DEGREE` rule, which is exact for these degree <= 6 products,
-    weighted by w_q phi_i(x_q) and summed over the points."""
+    """Coefficients in the orthonormal P3 basis (leading axis) of the P2,
+    P3 and P4 test bases, of the P3 gradients and of the P3 and P4
+    Hessians on the reference triangle: the tables at the points of the
+    `QUAD_DEGREE` rule, which is exact for these degree <= 7 products,
+    weighted by w_q phi_i(x_q) and summed over the points.  The first
+    basis function is the constant sqrt(2), so row 0 over sqrt(2) is the
+    integral over the reference triangle."""
     rule = triangle_rule(QUAD_DEGREE)
     t2, t3, t4 = (triangle_table(p, QUAD_DEGREE) for p in (2, 3, 4))
     P = (rule.weights[:, None] * t3.val).T
-    out = tuple(np.tensordot(P, x, 1) for x in (t2.val, t3.val, t3.grad, t3.hess,
-                                                  t4.hess))
+    out = tuple(np.tensordot(P, x, 1) for x in (t2.val, t3.val, t4.val, t3.grad,
+                                                  t3.hess, t4.hess))
     for arr in out:
         arr.flags.writeable = False
     return out
@@ -265,28 +265,15 @@ def _gram_blocks(F):
     return F[:, :m1, :OFF_T], F[:, m1:, OFF_T:]
 
 
-@lru_cache(maxsize=None)
-def _reference_integrals():
-    """Integrals over the reference triangle of the P2, P3 and P4 test
-    bases, of the P3 gradients and of the P3 and P4 Hessians."""
-    w = triangle_rule(QUAD_DEGREE).weights
-    t2, t3, t4 = (triangle_table(p, QUAD_DEGREE) for p in (2, 3, 4))
-    out = tuple(w @ t.val for t in (t2, t3, t4)) + tuple(
-        np.tensordot(w, x, 1)[None] for x in (t3.grad, t3.hess, t4.hess))
-    for arr in out:
-        arr.flags.writeable = False
-    return out
-
-
 def element_b_batch(mesh, problem, k, els):
     """Trial-to-test matrices (nel, 111, 10 + TraceDofMap.ncols).
 
     The trial fields are constant on an element, so each field column
     integrates a test function, its gradient or its Hessian over the
-    element: detJ times a reference integral, the derivatives mapped by
-    Jinv after integrating.  Each block of test rows of the field
-    columns is one broadcast product of such an integral with the
-    coefficients of the field in that block's terms.
+    element: detJ times a reference integral (`_p3_coefficients`), the
+    derivatives mapped by Jinv after integrating.  Each block of test
+    rows of the field columns is one broadcast product of such an
+    integral with the coefficients of the field in that block's terms.
     """
     coords = mesh.triangle_coords(els)
     _, detJ, Jinv = triangle_geometry(coords)
@@ -295,11 +282,11 @@ def element_b_batch(mesh, problem, k, els):
 
     Bmat = np.zeros((nel, N_TEST, N_FIELD + local_trace_columns(k)))
 
-    I2, I3, I4, G3, H3, H4 = _reference_integrals()
+    I2, I3, I4, G3, H3, H4 = (x[0] / SQ2 for x in _p3_coefficients())
     dJ = detJ[:, None]
     IT2, IT3, IT4 = dJ * I2, dJ * I3, dJ * I4
-    Ig3 = dJ[..., None] * map_gradients(G3, Jinv)[:, 0]
-    Ih3, Ih4 = (dJ[..., None, None] * map_hessians(H, Jinv)[:, 0] for H in (H3, H4))
+    Ig3 = dJ[..., None] * map_gradients(G3, Jinv)
+    Ih3, Ih4 = (dJ[..., None, None] * map_hessians(H, Jinv) for H in (H3, H4))
 
     # field columns u (0, 1), w (2), N11, N12, N21, N22 (3 + 2a + b) and
     # M11, M12, M22 (7 + p) against the test terms

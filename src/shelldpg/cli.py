@@ -169,55 +169,41 @@ TABLE_COLUMNS = ("level", "nelems", "ndof", "eta",
                  "err_w", "err_u", "err_M", "err_N", "functional")
 
 # line extractions for the point-load shells: membrane force component,
-# its column in the per-element field table, and the sampling line
+# its column in the per-element field table, and the axis the sampling
+# line runs along (the other coordinate is 0)
 _LINES = {
-    "point_elliptic": ("N11", 3, "y=0"),
-    "point_parabolic": ("N22", 6, "x=0"),
+    "point_elliptic": ("N11", 3, 0),
+    "point_parabolic": ("N22", 6, 1),
 }
-
-
-def _fmt(value):
-    return f"{float(value):.12e}"
+_FLOAT = "%.12e"
 
 
 def write_convergence_table(path, run):
-    with open(path, "w") as fh:
-        fh.write("# " + " ".join(TABLE_COLUMNS) + "\n")
-        for rec in run.levels:
-            row = [str(rec.level), str(rec.nelems), str(rec.ndof), _fmt(rec.eta)]
-            for key in TABLE_COLUMNS[4:]:
-                row.append(_fmt(rec.extras.get(key, float("nan"))))
-            fh.write(" ".join(row) + "\n")
+    rows = [[rec.level, rec.nelems, rec.ndof, rec.eta]
+            + [rec.extras.get(key, np.nan) for key in TABLE_COLUMNS[4:]]
+            for rec in run.levels]
+    np.savetxt(path, np.array(rows, dtype=float),
+               fmt=["%d"] * 3 + [_FLOAT] * (len(TABLE_COLUMNS) - 3),
+               header=" ".join(TABLE_COLUMNS))
 
 
 def write_field_dump(path, mesh, fields):
     centers = mesh.triangle_coords().mean(axis=1)
-    with open(path, "w") as fh:
-        fh.write("# element cx cy w N11 N12 N21 N22\n")
-        for t in range(mesh.ntriangles):
-            row = [str(t), _fmt(centers[t, 0]), _fmt(centers[t, 1]),
-                   _fmt(fields[t, 2])]
-            row += [_fmt(fields[t, 3 + j]) for j in range(4)]
-            fh.write(" ".join(row) + "\n")
+    np.savetxt(path, np.column_stack([np.arange(mesh.ntriangles), centers,
+                                      fields[:, 2:7]]),
+               fmt=["%d"] + [_FLOAT] * 7, header="element cx cy w N11 N12 N21 N22")
 
 
 def write_line_extraction(path, problem, mesh, fields, npoints=401):
-    name, col, _ = _LINES[problem.kind]
+    name, col, axis = _LINES[problem.kind]
     s = np.linspace(-1.0, 1.0, npoints)
-    zero = np.zeros(npoints)
-    if problem.kind == "point_elliptic":
-        pts = np.column_stack([s, zero])
-        pick = (0, 0)
-    else:
-        pts = np.column_stack([zero, s])
-        pick = (1, 1)
+    pts = np.zeros((npoints, 2))
+    pts[:, axis] = s
     approx = sample_fields_on_line(mesh, fields, pts)[:, col]
     ref = make_reference(problem)
-    exact = ref.evaluate(pts[:, 0], pts[:, 1])["N"][:, pick[0], pick[1]]
-    with open(path, "w") as fh:
-        fh.write(f"# s exact_{name} approx_{name}\n")
-        for i in range(npoints):
-            fh.write(f"{_fmt(s[i])} {_fmt(exact[i])} {_fmt(approx[i])}\n")
+    exact = ref.evaluate(pts[:, 0], pts[:, 1])["N"][:, axis, axis]
+    np.savetxt(path, np.column_stack([s, exact, approx]), fmt=_FLOAT,
+               header=f"s exact_{name} approx_{name}")
 
 
 def run(cfg):

@@ -7,6 +7,8 @@ equal-area children (two bisection levels); conformity closure uses
 single bisections.  Every edge carries a fixed global unit normal nu_E:
 the direction from its lower-index to its higher-index vertex rotated by
 -90 degrees.  This orientation is deterministic and refinement-stable.
+The mesh keeps nu_E only through `Mesh.tri_edge_sign`, the sign of
+n_T . nu_E of each triangle T and local edge E.
 """
 
 import numpy as np
@@ -66,32 +68,19 @@ class Mesh:
         self.tri_edges.flags.writeable = False
         self.edges.flags.writeable = False
 
-        # incidences grouped by edge, each group in (triangle, local edge)
-        # order
-        ne = len(first)
-        count = np.bincount(self.tri_edges.ravel(), minlength=ne)
-        by_edge = np.argsort(self.tri_edges.ravel(), kind="stable")
-        start = np.cumsum(count) - count
+        count = np.bincount(self.tri_edges.ravel(), minlength=len(first))
         over = np.nonzero(count > 2)[0]
         if over.size:
-            # the edge a scan over the triangles finds first
+            # the edge a scan over the triangles finds first: incidences
+            # grouped by edge, each group in (triangle, local edge) order
+            by_edge = np.argsort(self.tri_edges.ravel(), kind="stable")
+            start = np.cumsum(count) - count
             e = over[np.argmin(by_edge[start[over] + 2])]
             raise ValueError(f"edge {e} has more than two incident triangles")
-        edge_tris = np.full((ne, 2), -1, dtype=int)
-        edge_tris[:, 0] = by_edge[start] // 3
-        two = count == 2
-        edge_tris[two, 1] = by_edge[start[two] + 1] // 3
-        self.edge_tris = edge_tris
         self.edge_is_boundary = count == 1
         self.boundary_edges = np.nonzero(self.edge_is_boundary)[0]
         self.vertex_is_boundary = np.zeros(self.vertices.shape[0], dtype=bool)
         self.vertex_is_boundary[self.edges[self.boundary_edges].ravel()] = True
-
-        tang = v[self.edges[:, 1]] - v[self.edges[:, 0]]
-        self.edge_lengths = np.hypot(tang[:, 0], tang[:, 1])
-        tang = tang / self.edge_lengths[:, None]
-        # lower-to-higher direction rotated by -90 degrees
-        self.edge_normals = np.stack([tang[:, 1], -tang[:, 0]], axis=1)
 
         # s_{T,E} = n_T . nu_E: +1 iff the CCW traversal of edge j runs
         # from the lower to the higher global vertex index
@@ -239,11 +228,9 @@ def match_rows(rows, known):
 
 def write_mesh(mesh, prefix):
     """Write `<prefix>_coords.dat` (index x y) and `<prefix>_elems.dat`."""
-    with open(f"{prefix}_coords.dat", "w") as fh:
-        fh.write("# vertex x y\n")
-        for i, (x, y) in enumerate(mesh.vertices):
-            fh.write(f"{i} {x:.15e} {y:.15e}\n")
-    with open(f"{prefix}_elems.dat", "w") as fh:
-        fh.write("# triangle v0 v1 v2\n")
-        for i, (a, b, c) in enumerate(mesh.triangles):
-            fh.write(f"{i} {a} {b} {c}\n")
+    np.savetxt(f"{prefix}_coords.dat",
+               np.column_stack([np.arange(mesh.nvertices), mesh.vertices]),
+               fmt=["%d", "%.15e", "%.15e"], header="vertex x y")
+    np.savetxt(f"{prefix}_elems.dat",
+               np.column_stack([np.arange(mesh.ntriangles), mesh.triangles]),
+               fmt="%d", header="triangle v0 v1 v2")

@@ -1,8 +1,13 @@
 """Shell problem definitions: curvature, material law, loads, scalings.
 
 The solver works entirely in rescaled variables (displacements absorb the
-factor d*E), so the Young modulus enters only through the load data of
-the Scordelis-Lo benchmark.  All built-in benchmarks use nu = 0.
+factor d*E), so the Young modulus is not a problem parameter: it enters
+only through the load data of the Scordelis-Lo benchmark.  All built-in
+benchmarks use nu = 0.
+
+The test norm carries the scalings D, C_disp and c_Q.  Each built-in
+benchmark sets the published values in its branch of `make_benchmark`;
+`select_scalings` holds the generic rule for any other problem.
 
 Boundary conditions are recorded per rectangle side as the set of
 kinematic variables constrained to zero, drawn from {"u1", "u2", "w",
@@ -79,7 +84,6 @@ class ShellProblem:
     rect: tuple
     B: np.ndarray
     d: float
-    E: float = 1.0
     nu: float = 0.0
     f: object = None
     p: object = None
@@ -121,39 +125,23 @@ class ShellProblem:
         return self.f if isinstance(self.f, PointLoad) else None
 
 
-def select_scalings(B, d, rect, benchmark_kind="custom"):
-    """Scaling parameters (D, C_disp, c_Q) of the test norm.
-
-    Benchmark kinds use the published per-case table; anything else uses
-    the generic choice D = diam(Omega), C_disp = c*I with
-    c = min{1, d / (D^2 |B|_inf)} and the convention min{1, 1/0} := 1.
-    c_Q = min{1, d^2 / (|B|_inf^2 D^4)} throughout.
+def select_scalings(B, d, rect):
+    """Scaling parameters (D, C_disp, c_Q) of the test norm of a problem
+    that is not a built-in benchmark: D = diam(Omega), C_disp = c*I with
+    c = min{1, d / (D^2 |B|_inf)} and the convention min{1, 1/0} := 1,
+    and c_Q as for every problem (`_shear_scaling`).
     """
-    B = np.asarray(B, dtype=float)
-    Bmax = float(np.abs(B).max())
+    Bmax = float(np.abs(np.asarray(B, dtype=float)).max())
     x0, x1, y0, y1 = rect
-    if benchmark_kind == "scordelis_lo":
-        R = x1 - x0
-        D = R
-        C_disp = np.diag([1.0, d / R])
-    elif benchmark_kind == "cyl_clamped":
-        D = 1.0
-        C_disp = np.diag([1.0, d])
-    elif benchmark_kind in ("cyl_free", "cyl_sliding"):
-        D = 1.0
-        C_disp = np.diag([d, d])
-    elif benchmark_kind in ("point_elliptic", "point_parabolic"):
-        D = 1.0
-        C_disp = np.diag([d, d])
-    elif benchmark_kind == "point_hyperbolic":
-        D = 1.0
-        C_disp = np.eye(2)
-    else:
-        D = float(np.hypot(x1 - x0, y1 - y0))
-        c = 1.0 if Bmax == 0.0 else min(1.0, d / (Bmax * D * D))
-        C_disp = np.diag([c, c])
-    c_Q = 1.0 if Bmax == 0.0 else min(1.0, d * d / (Bmax * Bmax * D**4))
-    return D, C_disp, c_Q
+    D = float(np.hypot(x1 - x0, y1 - y0))
+    c = 1.0 if Bmax == 0.0 else min(1.0, d / (Bmax * D * D))
+    return D, np.diag([c, c]), _shear_scaling(B, d, D)
+
+
+def _shear_scaling(B, d, D):
+    """c_Q = min{1, d^2 / (|B|_inf^2 D^4)}, with min{1, 1/0} := 1."""
+    Bmax = float(np.abs(np.asarray(B, dtype=float)).max())
+    return 1.0 if Bmax == 0.0 else min(1.0, d * d / (Bmax * Bmax * D**4))
 
 
 def eval_loads(problem, x, y):
@@ -177,8 +165,9 @@ def eval_loads(problem, x, y):
 def make_benchmark(kind, d=None, **overrides):
     """Construct a built-in benchmark problem.
 
-    Scaling parameters follow `select_scalings` unless overridden via
-    keyword arguments D, C_disp, c_Q.
+    Each kind sets the scaling parameters D and C_disp of the published
+    per-case table, and c_Q follows from them (`_shear_scaling`), unless
+    keyword arguments D, C_disp, c_Q override them.
     """
     if kind == "scordelis_lo":
         R = 25.0
@@ -204,7 +193,8 @@ def make_benchmark(kind, d=None, **overrides):
             "xmax": {"u2", "w"},
             "ymax": set(),
         }
-        prob = dict(rect=rect, B=B, d=d, E=E, f=f, p=p, bc=bc)
+        prob = dict(rect=rect, B=B, d=d, f=f, p=p, bc=bc, D=R,
+                    C_disp=np.diag([1.0, d / R]))
     elif kind in ("cyl_clamped", "cyl_free", "cyl_sliding"):
         d = 1e-2 if d is None else float(d)
         rect = (-1.0, 1.0, 0.0, np.pi / 4.0)
@@ -215,14 +205,14 @@ def make_benchmark(kind, d=None, **overrides):
 
         bc = {"ymax": {"w", "u1"}, "ymin": {"dnw", "u2"}}
         if kind == "cyl_clamped":
-            ends = {"u1", "u2", "w", "dnw"}
+            ends, C_disp = {"u1", "u2", "w", "dnw"}, np.diag([1.0, d])
         elif kind == "cyl_sliding":
-            ends = {"w"}
+            ends, C_disp = {"w"}, np.diag([d, d])
         else:
-            ends = set()
+            ends, C_disp = set(), np.diag([d, d])
         bc["xmin"] = set(ends)
         bc["xmax"] = set(ends)
-        prob = dict(rect=rect, B=B, d=d, f=f, bc=bc)
+        prob = dict(rect=rect, B=B, d=d, f=f, bc=bc, D=1.0, C_disp=C_disp)
     elif kind in ("point_elliptic", "point_parabolic", "point_hyperbolic"):
         d = 1e-2 if d is None else float(d)
         rect = (-1.0, 1.0, -1.0, 1.0)
@@ -238,6 +228,7 @@ def make_benchmark(kind, d=None, **overrides):
                 "ymin": {"u2", "w"},
                 "ymax": {"u2", "w"},
             }
+            C_disp = np.eye(2)
         else:
             bc = {
                 "xmin": {"u2", "w"},
@@ -245,11 +236,12 @@ def make_benchmark(kind, d=None, **overrides):
                 "ymin": {"u1", "w"},
                 "ymax": {"u1", "w"},
             }
-        prob = dict(rect=rect, B=B, d=d, f=PointLoad((0.0, 0.0), 1.0), bc=bc)
+            C_disp = np.diag([d, d])
+        prob = dict(rect=rect, B=B, d=d, f=PointLoad((0.0, 0.0), 1.0), bc=bc,
+                    D=1.0, C_disp=C_disp)
     else:
         raise ValueError(f"unknown benchmark kind {kind!r}")
 
-    D, C_disp, c_Q = select_scalings(prob["B"], prob["d"], prob["rect"], kind)
-    prob.update(D=D, C_disp=C_disp, c_Q=c_Q, kind=kind)
+    prob.update(c_Q=_shear_scaling(B, d, prob["D"]), kind=kind)
     prob.update(overrides)
     return ShellProblem(**prob)

@@ -5,13 +5,13 @@ elements are affine images of it.  Bases are L2-orthonormalized on the
 reference triangle, which keeps the element Gram matrices of the scaled
 test inner product reasonably conditioned.  Quadrature rules are built as
 conical products of Gauss-Jacobi and Gauss-Legendre rules, so they are
-exact (to rounding) for the polynomial degree they declare.
+exact (to rounding) for the polynomial degree they are asked for.
 
 The element kernels evaluate the bases only at the points of fixed
 rules: the triangle rules and the edge rules on the three local edges.
-`triangle_table` and `edge_table` tabulate values, gradients and
+`triangle_table` and `edges_table` tabulate values, gradients and
 Hessians there once per basis degree and rule, as read-only arrays
-shared by every caller; the three edges of one degree and rule share
+shared by every caller; `edges_table` stacks the three local edges in
 one table.  `TriangleBasis.eval`, `grad` and `hess` evaluate at any
 other points.  Every monomial of one derivative order comes from one
 table of the powers of the point coordinates, so a table costs a few
@@ -134,11 +134,10 @@ def triangle_basis(degree):
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Quadrature points and weights, exact up to `degree`."""
+    """Quadrature points and weights."""
 
     points: np.ndarray
     weights: np.ndarray
-    degree: int
 
 
 def gauss_jacobi_10(n):
@@ -147,7 +146,10 @@ def gauss_jacobi_10(n):
     Golub-Welsch: the nodes are the eigenvalues of the symmetric Jacobi
     matrix of the recurrence of the Jacobi polynomials P_k^(1,0), the
     weights 2 v_0^2 from the first components of its eigenvectors
-    (2 = the integral of the weight).
+    (2 = the integral of the weight).  `scipy.special.roots_jacobi` gives
+    the same rule to 4e-15, but the library does not import
+    `scipy.special`: on a 2-CPU host that import added 11-14% to the
+    set-up time of every `perfbench` process and 4-5 MB to its peak RSS.
     """
     k = np.arange(n, dtype=float)
     diag = -1.0 / ((2.0 * k + 1.0) * (2.0 * k + 3.0))
@@ -171,19 +173,12 @@ def triangle_rule(degree):
     xj, wj = gauss_jacobi_10(n)
     xl, wl = np.polynomial.legendre.leggauss(n)
     x = 0.5 * (xj + 1.0)
-    wx = 0.25 * wj
     u = 0.5 * (xl + 1.0)
-    wu = 0.5 * wl
-    pts = np.empty((n * n, 2))
-    wts = np.empty(n * n)
-    for i in range(n):
-        for j in range(n):
-            pts[i * n + j, 0] = x[i]
-            pts[i * n + j, 1] = u[j] * (1.0 - x[i])
-            wts[i * n + j] = wx[i] * wu[j]
+    pts = np.column_stack([np.repeat(x, n), np.outer(1.0 - x, u).ravel()])
+    wts = np.outer(0.25 * wj, 0.5 * wl).ravel()
     pts.flags.writeable = False
     wts.flags.writeable = False
-    return QuadratureRule(pts, wts, degree)
+    return QuadratureRule(pts, wts)
 
 
 @lru_cache(maxsize=None)
@@ -197,7 +192,7 @@ def edge_rule(degree):
     wts = 0.5 * wl
     pts.flags.writeable = False
     wts.flags.writeable = False
-    return QuadratureRule(pts, wts, degree)
+    return QuadratureRule(pts, wts)
 
 
 @dataclass(frozen=True)
@@ -227,22 +222,10 @@ def triangle_table(degree, rule_degree):
 
 
 @lru_cache(maxsize=None)
-def edge_table(degree, rule_degree, edge):
+def edges_table(degree, rule_degree):
     """`triangle_basis(degree)` at the points of `edge_rule(rule_degree)`
-    on local edge `edge` of the reference triangle, which runs from
-    vertex (edge + 1) % 3 to vertex (edge + 2) % 3: rows of one table of
-    the three edges' points (`_edges_table`)."""
-    if edge not in (0, 1, 2):
-        raise ValueError(f"local edge must be 0, 1 or 2, got {edge}")
-    table, n = _edges_table(degree, rule_degree), len(edge_rule(rule_degree).points)
-    rows = slice(edge * n, (edge + 1) * n)
-    return BasisTable(table.val[rows], table.grad[rows], table.hess[rows])
-
-
-@lru_cache(maxsize=None)
-def _edges_table(degree, rule_degree):
-    """`triangle_basis(degree)` at the points of `edge_rule(rule_degree)`
-    on local edges 0, 1 and 2 in turn."""
+    on local edges 0, 1 and 2 in turn; local edge j runs from vertex
+    (j + 1) % 3 to vertex (j + 2) % 3 of the reference triangle."""
     s = edge_rule(rule_degree).points[:, None]
     a, b = REF_VERTICES[[1, 2, 0], None], REF_VERTICES[[2, 0, 1], None]
     return _tabulate(triangle_basis(degree), ((1.0 - s) * a + s * b).reshape(-1, 2))

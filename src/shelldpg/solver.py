@@ -59,15 +59,16 @@ def _splu(M):
 def solve(neq, tol=1e-10):
     """(x, etas): the least-squares solution of `neq` and etas[T] = |r_T|.
 
-    One correction step follows the solve with the factors of S A S,
-    unless y = S^-1 x is not finite.  x is refused if its residual norm
-    |r| exceeds that of the first solve by more than 1e-8 relative: the
-    step diverged.  Otherwise it is accepted once the least-squares
-    backward error of the equilibrated problem,
+    One correction step follows the solve with the factors of S A S.
+    x is refused if its residual norm |r| exceeds that of the first
+    solve by more than 1e-8 relative: the step diverged.  Otherwise it is
+    accepted once the least-squares backward error of the equilibrated
+    problem,
 
         |S g| / (|W S| (|W S| |y| + |r|)),  |W S|^2 <= |S A S|_F,
 
-    is at most tol, W being the stacked W^c_J P_T and r all the r_T.
+    is at most tol, W being the stacked W^c_J P_T and r all the r_T,
+    y = S^-1 x; a y that is not finite makes it NaN, which is refused.
     A scale s that is not finite and positive, from a diagonal entry of
     A <= 0, is refused before the factorization.
     """
@@ -95,9 +96,8 @@ def solve(neq, tol=1e-10):
     y = lu_solve(s * rhs)
     g, r = neq.residual(s * y)
     r_first = float(np.linalg.norm(r))
-    if np.all(np.isfinite(y)):
-        y = y + lu_solve(s * g)
-        g, r = neq.residual(s * y)
+    y = y + lu_solve(s * g)
+    g, r = neq.residual(s * y)
 
     etas = np.linalg.norm(r, axis=1)
     r_last = float(np.linalg.norm(etas))

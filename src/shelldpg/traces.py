@@ -91,7 +91,7 @@ from .polyquad import (
     REF_VERTICES,
     SQ2,
     edge_rule,
-    edge_table,
+    edges_table,
     triangle_basis,
     triangle_geometry,
 )
@@ -305,7 +305,7 @@ STARTS, ENDS = [2, 0, 1], [1, 2, 0]
 @dataclass(frozen=True)
 class _EdgeTables:
     """The element-independent factors of `edge_pairings`, stacked over the
-    three local edges j or vertices m, from `polyquad.edge_table`."""
+    three local edges j or vertices m, from `polyquad.edges_table`."""
 
     ends: np.ndarray     # (10, 1, 3 m, 2): P3 x hat of m on STARTS[m], ENDS[m]
     bubble: np.ndarray   # (10, 1, 3 j, 1): P3 against the edge bubble
@@ -321,20 +321,22 @@ class _EdgeTables:
 def _edge_tables():
     rule = edge_rule(EDGE_RULE_DEGREE)
     sq, wq = rule.points, rule.weights
-    t3 = [edge_table(3, EDGE_RULE_DEGREE, j) for j in range(3)]
-    t4 = [edge_table(4, EDGE_RULE_DEGREE, j) for j in range(3)]
-    wv3 = [wq[:, None] * t.val for t in t3]
+    t3, t4 = (edges_table(p, EDGE_RULE_DEGREE) for p in (3, 4))
+    # (3 j, Q, ...): the rows of each local edge
+    val3, grad3, val4, grad4 = (x.reshape((3, -1) + x.shape[1:])
+                                for x in (t3.val, t3.grad, t4.val, t4.grad))
+    wv3 = wq[:, None] * val3
     hats = np.stack([1 - sq, sq], axis=0)
     at_ends = np.array([[h @ wv for h in hats] for wv in wv3])  # (3 j, 2, 10)
     z_at_vertex = triangle_basis(3).eval(REF_VERTICES)  # (3, 10)
     tables = _EdgeTables(
         ends=np.stack([at_ends[STARTS, 0], at_ends[ENDS, 1]], axis=-1
                       ).transpose(1, 0, 2)[:, None],
-        bubble=np.stack([(4 * sq * (1 - sq)) @ wv for wv in wv3]).T[:, None, :, None],
-        wval4=np.stack([(wq[:, None] * t.val).T[None] for t in t4]),
-        wgrad4=np.stack([(wq[:, None, None] * t.grad).T for t in t4]),
-        mean3=np.stack([wq @ t.val for t in t3]),
-        dmean3=np.stack([np.tensordot(wq, t.grad, 1).T for t in t3]),
+        bubble=((4 * sq * (1 - sq)) @ wv3).T[:, None, :, None],
+        wval4=(wq[:, None] * val4).transpose(0, 2, 1)[:, None],
+        wgrad4=(wq[:, None, None] * grad4).transpose(0, 3, 2, 1),
+        mean3=wq @ val3,
+        dmean3=np.tensordot(wq, grad3, (0, 1)).transpose(0, 2, 1),
         hermite=np.stack([
             [2 * sq**3 - 3 * sq**2 + 1, -2 * sq**3 + 3 * sq**2],
             [sq**3 - 2 * sq**2 + sq, sq**3 - sq**2],

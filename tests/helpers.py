@@ -182,25 +182,16 @@ class LoopMesh(Mesh):
         self.tri_edges.flags.writeable = False
         self.edges.flags.writeable = False
 
-        ne = len(edges)
-        edge_tris = np.full((ne, 2), -1, dtype=int)
-        count = np.zeros(ne, dtype=int)
+        count = np.zeros(len(edges), dtype=int)
         for it in range(self.triangles.shape[0]):
             for e in tri_edges[it]:
                 if count[e] == 2:
                     raise ValueError(f"edge {e} has more than two incident triangles")
-                edge_tris[e, count[e]] = it
                 count[e] += 1
-        self.edge_tris = edge_tris
         self.edge_is_boundary = count == 1
         self.boundary_edges = np.nonzero(self.edge_is_boundary)[0]
         self.vertex_is_boundary = np.zeros(self.vertices.shape[0], dtype=bool)
         self.vertex_is_boundary[self.edges[self.boundary_edges].ravel()] = True
-
-        tang = v[self.edges[:, 1]] - v[self.edges[:, 0]]
-        self.edge_lengths = np.hypot(tang[:, 0], tang[:, 1])
-        tang = tang / self.edge_lengths[:, None]
-        self.edge_normals = np.stack([tang[:, 1], -tang[:, 0]], axis=1)
 
         tri = self.triangles
         trav = np.stack(

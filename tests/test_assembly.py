@@ -282,10 +282,11 @@ def exact_constant_state(mesh, dofmap, B, nu, a, w0):
     for vtx in range(mesh.nvertices):
         tv[dofmap.off_uhat + 2 * vtx : dofmap.off_uhat + 2 * vtx + 2] = a
         tv[dofmap.off_what + 3 * vtx] = w0
+    # nu_E: the lower-to-higher direction of each edge rotated by -90 degrees
+    tang = mesh.vertices[mesh.edges[:, 1]] - mesh.vertices[mesh.edges[:, 0]]
+    nu = np.stack([tang[:, 1], -tang[:, 0]], axis=1) / np.hypot(*tang.T)[:, None]
     for e in range(mesh.nedges):
-        tv[dofmap.off_Nhat + 2 * e : dofmap.off_Nhat + 2 * e + 2] = (
-            N @ mesh.edge_normals[e]
-        )
+        tv[dofmap.off_Nhat + 2 * e : dofmap.off_Nhat + 2 * e + 2] = N @ nu[e]
     nt = mesh.ntriangles
     uloc = np.zeros((nt, 10 + dofmap.ncols))
     uloc[:, 0], uloc[:, 1], uloc[:, 2] = a[0], a[1], w0

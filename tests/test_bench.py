@@ -1,5 +1,7 @@
 """The scripts of bench/ start, and the A/B protocol they share holds."""
 
+import ast
+import importlib
 import importlib.util
 import os
 import statistics
@@ -8,6 +10,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import shelldpg
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 SCRIPTS = sorted(p.name for p in BENCH.glob("*.py") if p.name != "harness.py")
@@ -74,3 +78,21 @@ def test_median_tree_is_the_median_leaf_by_leaf(harness, count):
         "a": statistics.median(t["a"] for t in trees),
         "b": {"c": statistics.median(t["b"]["c"] for t in trees),
               "d": {"e": statistics.median(t["b"]["d"]["e"] for t in trees)}}}
+
+
+def test_level_overhead_spans_resolve():
+    # `level_overhead.install_spans` skips a target it cannot find, and
+    # its phase then reads 0: every target must exist in this checkout
+    assert Path(shelldpg.__file__).resolve().parents[1] == BENCH.parent / "src"
+    tree = ast.parse((BENCH / "level_overhead.py").read_text())
+    spans = [ast.literal_eval(node.value) for node in tree.body
+             if isinstance(node, ast.Assign)
+             and [getattr(t, "id", None) for t in node.targets] == ["SPANS"]]
+    assert len(spans) == 1 and spans[0]
+    for where, attr, _ in spans[0]:
+        try:
+            owner = importlib.import_module(where)
+        except ImportError:
+            module, _, name = where.rpartition(".")
+            owner = getattr(importlib.import_module(module), name)
+        assert hasattr(owner, attr), (where, attr)

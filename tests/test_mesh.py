@@ -72,11 +72,15 @@ def test_edge_data_consistency():
     assert mesh.nedges == 8
     assert len(mesh.boundary_edges) == 4
     check_conforming(mesh)
-    # normals are unit and perpendicular to the edge
-    tang = mesh.vertices[mesh.edges[:, 1]] - mesh.vertices[mesh.edges[:, 0]]
-    assert np.allclose(np.linalg.norm(mesh.edge_normals, axis=1), 1.0)
-    assert np.allclose(np.einsum("ij,ij->i", tang, mesh.edge_normals), 0.0, atol=1e-14)
-    assert np.allclose(np.linalg.norm(tang, axis=1), mesh.edge_lengths)
+    # tri_edge_sign is n_T . nu_E: nu_E is the lower-to-higher direction of
+    # edge E rotated by -90 degrees, n_T the outward normal of the CCW
+    # traversal of local edge j from vertex (j + 1) % 3 to (j + 2) % 3
+    # rotated the same way, so n_T . nu_E is the dot of the two directions
+    v, t = mesh.vertices, mesh.triangles
+    tang = (v[mesh.edges[:, 1]] - v[mesh.edges[:, 0]])[mesh.tri_edges]
+    trav = v[t[:, [2, 0, 1]]] - v[t[:, [1, 2, 0]]]
+    dots = tang[..., 1] * trav[..., 1] + tang[..., 0] * trav[..., 0]
+    assert np.array_equal(np.sign(dots), mesh.tri_edge_sign)
 
 
 def test_refine_none_is_identity():

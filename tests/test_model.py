@@ -71,11 +71,10 @@ def test_apply_C_self_adjoint_positive():
 
 
 def test_scalings_cylinder_cQ():
-    B = np.array([[0.0, 0.0], [0.0, 1.0]])
-    D, C_disp, c_Q = select_scalings(B, 1e-2, (-1.0, 1.0, 0.0, np.pi / 4), "cyl_clamped")
-    assert D == 1.0
-    assert np.allclose(C_disp, np.diag([1.0, 1e-2]))
-    assert c_Q == pytest.approx(1e-4)
+    prob = make_benchmark("cyl_clamped")
+    assert prob.D == 1.0
+    assert np.allclose(prob.C_disp, np.diag([1.0, 1e-2]))
+    assert prob.c_Q == pytest.approx(1e-4)
 
 
 def test_scalings_flat_plate():
@@ -85,10 +84,39 @@ def test_scalings_flat_plate():
 
 
 def test_scalings_scordelis_lo():
-    B = np.array([[0.0, 0.0], [0.0, 1.0 / 25.0]])
-    D, C_disp, c_Q = select_scalings(B, 0.25, (0.0, 25.0, 0.0, 25 * 2 * np.pi / 9), "scordelis_lo")
-    assert D == 25.0
-    assert np.allclose(C_disp, np.diag([1.0, 0.01]))
+    prob = make_benchmark("scordelis_lo")
+    assert prob.D == 25.0
+    assert np.allclose(prob.C_disp, np.diag([1.0, 0.01]))
+
+
+# (d, D, diagonal of C_disp, c_Q) of every built-in benchmark at its
+# default thickness and at d = 1e-3, from the published per-case table
+SCALINGS = {
+    "scordelis_lo": [(None, 25.0, (1.0, 1e-2), 1e-4), (1e-3, 25.0, (1.0, 4e-5), 1.6e-9)],
+    "cyl_clamped": [(None, 1.0, (1.0, 1e-2), 1e-4), (1e-3, 1.0, (1.0, 1e-3), 1e-6)],
+    "cyl_free": [(None, 1.0, (1e-2, 1e-2), 1e-4), (1e-3, 1.0, (1e-3, 1e-3), 1e-6)],
+    "cyl_sliding": [(None, 1.0, (1e-2, 1e-2), 1e-4), (1e-3, 1.0, (1e-3, 1e-3), 1e-6)],
+    "point_elliptic": [(None, 1.0, (1e-2, 1e-2), 1e-4), (1e-3, 1.0, (1e-3, 1e-3), 1e-6)],
+    "point_parabolic": [(None, 1.0, (1e-2, 1e-2), 1e-4), (1e-3, 1.0, (1e-3, 1e-3), 1e-6)],
+    "point_hyperbolic": [(None, 1.0, (1.0, 1.0), 1e-4), (1e-3, 1.0, (1.0, 1.0), 1e-6)],
+}
+
+
+@pytest.mark.parametrize("kind", [*SCALINGS, "custom"])
+def test_scalings_of_every_benchmark(kind):
+    if kind == "custom":
+        # the generic rule: D = diam, c = min{1, d / (D^2 |B|_inf)}
+        B = np.array([[0.0, 0.5], [0.5, 2.0]])
+        got = [select_scalings(B, 1e-2, (0.0, 3.0, -1.0, 3.0))]
+        want = [(5.0, (2e-4, 2e-4), 4e-8)]
+    else:
+        got = [(p.D, p.C_disp, p.c_Q) for p in
+               (make_benchmark(kind, d=d) for d, *_ in SCALINGS[kind])]
+        want = [case[1:] for case in SCALINGS[kind]]
+    for (D, C_disp, c_Q), (D0, diag0, c_Q0) in zip(got, want, strict=True):
+        assert D == D0
+        assert C_disp == pytest.approx(np.diag(diag0), rel=1e-15, abs=0.0)
+        assert c_Q == pytest.approx(c_Q0, rel=1e-15)
 
 
 def test_scalings_scale_consistency():

@@ -11,7 +11,7 @@ from shelldpg.polyquad import (
     REF_VERTICES,
     TriangleBasis,
     edge_rule,
-    edge_table,
+    edges_table,
     gauss_jacobi_10,
     map_gradients,
     map_hessians,
@@ -289,10 +289,11 @@ def test_monomials_match_loop_over_exponents(degree):
 def test_tables_are_fresh_evaluations_and_read_only(degree):
     basis = triangle_basis(degree)
     s = edge_rule(7).points[:, None]
-    cases = [(triangle_table(degree, 8), triangle_rule(8).points)]
-    for j in range(3):
-        a, b = REF_VERTICES[(j + 1) % 3], REF_VERTICES[(j + 2) % 3]
-        cases.append((edge_table(degree, 7, j), (1.0 - s) * a + s * b))
+    # local edge j runs from vertex (j + 1) % 3 to vertex (j + 2) % 3
+    edge_points = np.concatenate([(1.0 - s) * REF_VERTICES[(j + 1) % 3]
+                                  + s * REF_VERTICES[(j + 2) % 3] for j in range(3)])
+    cases = [(triangle_table(degree, 8), triangle_rule(8).points),
+             (edges_table(degree, 7), edge_points)]
     for table, points in cases:
         for got, want in zip((table.val, table.grad, table.hess),
                              fresh_tables(basis, points)):
@@ -301,17 +302,14 @@ def test_tables_are_fresh_evaluations_and_read_only(degree):
                 got[0] = 1.0
     # tabulated once per degree and rule
     assert triangle_table(degree, 8) is cases[0][0]
-    assert edge_table(degree, 7, 2) is cases[3][0]
-    with pytest.raises(ValueError):
-        edge_table(degree, 7, 3)
+    assert edges_table(degree, 7) is cases[1][0]
 
 
 def test_eval_at_other_points_is_a_fresh_evaluation():
     rng = np.random.default_rng(4)
     for degree in (2, 3, 4):
         triangle_table(degree, 8)
-        for j in range(3):
-            edge_table(degree, 7, j)
+        edges_table(degree, 7)
         basis = triangle_basis(degree)
         for points in (REF_VERTICES, rng.random((9, 2)) * 0.5,
                        triangle_rule(8).points.copy()):

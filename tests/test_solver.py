@@ -72,6 +72,21 @@ def test_diverging_refinement_refused(monkeypatch):
         solve(neq, tol=1.0)
 
 
+def test_non_finite_solve_refused(monkeypatch):
+    # factors whose solve returns NaN: the backward error of the result is
+    # NaN, which no tol admits
+    neq = small_system()
+
+    class NanFactor:
+        def solve(self, b):
+            return np.full_like(b, np.nan)
+
+    monkeypatch.setattr(solver, "_splu", lambda M: NanFactor())
+    with pytest.raises(SolverError,
+                       match=rf"backward error nan exceeds.*\(n={neq.A.shape[0]}\)"):
+        solve(neq, tol=1.0)
+
+
 def test_deterministic():
     neq = small_system("cyl_free", d=1e-3)
     (x, etas), (x2, etas2) = solve(neq), solve(neq)

@@ -563,7 +563,7 @@ def test_twist_shift_at_a_vertex_pairs_to_zero():
         slot = np.nonzero(ends == v)[0][0]
         single = np.zeros(dm.ntrace)
         single[dm.off_twist + slot] = 1.0
-        t = mesh.edge_tris[slot // 2, 0]
+        t = np.nonzero((mesh.tri_edges == slot // 2).any(axis=1))[0][0]
         assert np.abs(pair.M_hat[t] @ single[dm.element_columns[t, sm]]).max() > 0.1
 
 
