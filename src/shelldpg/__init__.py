@@ -1,7 +1,6 @@
 """DPG solver with optimal test functions for shallow shell problems."""
 
 from .assembly import AssemblyError, NormalEquations, assemble_normal_equations
-from .cli import ConfigError, RunConfig, parse_config, run
 from .estimator import (
     AdaptiveConfig,
     AdaptiveRun,
@@ -37,14 +36,12 @@ __all__ = [
     "AdaptiveConfig",
     "AdaptiveRun",
     "AssemblyError",
-    "ConfigError",
     "FourierReference",
     "InextensionalReference",
     "LevelRecord",
     "Mesh",
     "NormalEquations",
     "PointLoad",
-    "RunConfig",
     "ShellProblem",
     "SolverError",
     "TraceDofMap",
@@ -63,9 +60,7 @@ __all__ = [
     "make_benchmark",
     "make_evaluator",
     "make_reference",
-    "parse_config",
     "refine",
-    "run",
     "sample_fields_on_line",
     "scordelis_lo_functional",
     "select_scalings",

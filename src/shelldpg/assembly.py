@@ -338,12 +338,10 @@ def _reflection_signs(k):
 
 def find_point_element(mesh, point):
     """Vertex index and lowest-index element owning a point-load vertex."""
-    dist = np.abs(mesh.vertices - np.asarray(point)).max(axis=1)
-    v = int(np.argmin(dist))
     scale = max(abs(float(x)) for x in mesh.rect or (1.0,)) or 1.0
-    if dist[v] > 1e-12 * scale:
+    v, owners = mesh.vertex_at(point, scale)
+    if v is None:
         raise AssemblyError(f"point load location {tuple(point)} is not a mesh vertex")
-    owners = np.nonzero(np.any(mesh.triangles == v, axis=1))[0]
     return v, int(owners[0])
 
 

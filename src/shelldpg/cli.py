@@ -4,7 +4,8 @@ Reads a small key=value configuration (or the mirroring command-line
 flags), runs the refinement loop for the chosen benchmark, and writes
 plot-ready whitespace-separated text files: a convergence table, the
 mesh of every level, per-element fields on the finest mesh, and 1D
-line extractions for the point-load shells.
+line extractions for the point-load shells.  Each `RunConfig` field is
+one config key and one flag, `--key`.
 """
 
 import argparse
@@ -17,7 +18,8 @@ import numpy as np
 from .assembly import AssemblyError
 from .estimator import AdaptiveConfig, adaptive_loop
 from .mesh import write_mesh
-from .model import BC_VARS, BENCHMARKS, ShellProblem, make_benchmark, select_scalings
+from .model import (BC_VARS, BENCHMARKS, SIDES, ShellProblem, make_benchmark,
+                    select_scalings)
 from .reference import make_evaluator, make_reference, sample_fields_on_line
 from .solver import SolverError
 
@@ -28,6 +30,9 @@ class ConfigError(ValueError):
 
 @dataclasses.dataclass
 class RunConfig:
+    """The settings of one run.  A key is parsed by its field's type
+    unless `_PARSERS` names it."""
+
     benchmark: str = ""
     d: float = None
     k: int = AdaptiveConfig.k
@@ -67,27 +72,18 @@ def _bc_set(val):
     return names
 
 
-_SCHEMA = {
-    "benchmark": str,
-    "d": float,
-    "k": int,
-    "mode": str,
-    "theta": float,
-    "tol": float,
-    "max_dofs": int,
-    "max_levels": int,
-    "outdir": str,
-    "D": float,
-    "C_disp": _floats(2),
-    "c_Q": float,
-    "rect": _floats(4),
-    "B": _floats(3),
-    "f": float,
-    "bc_xmin": _bc_set,
-    "bc_xmax": _bc_set,
-    "bc_ymin": _bc_set,
-    "bc_ymax": _bc_set,
-}
+_PARSERS = {"C_disp": _floats(2), "rect": _floats(4), "B": _floats(3),
+            **{"bc_" + side: _bc_set for side in SIDES}}
+_SCHEMA = {f.name: _PARSERS.get(f.name, f.type)
+           for f in dataclasses.fields(RunConfig)}
+
+
+def _set(cfg, key, val, source):
+    """Parse `val` into `cfg.key`; `source` says where it came from."""
+    try:
+        setattr(cfg, key, _SCHEMA[key](val))
+    except ValueError as exc:
+        raise ConfigError(f"{source}: {exc}") from None
 
 
 def parse_config(text):
@@ -103,27 +99,22 @@ def parse_config(text):
             raise ConfigError(f"line {ln}: expected key=value, got {raw!r}")
         if key not in _SCHEMA:
             raise ConfigError(f"line {ln}: unknown key {key!r}")
-        try:
-            setattr(cfg, key, _SCHEMA[key](val))
-        except ValueError as exc:
-            raise ConfigError(f"line {ln}: bad value for {key}: {exc}") from None
+        _set(cfg, key, val, f"line {ln}: bad value for {key}")
     return cfg
 
 
-def adaptive_config(cfg):
-    """The refinement settings of a run, checked by `AdaptiveConfig`."""
-    try:
-        return AdaptiveConfig(**{f.name: getattr(cfg, f.name)
-                                 for f in dataclasses.fields(AdaptiveConfig)})
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
 def validate_config(cfg):
+    """The run's (ShellProblem, AdaptiveConfig).
+
+    `AdaptiveConfig` checks k, mode, theta, tol, max_dofs and
+    max_levels; `ShellProblem` checks d, D, C_disp and c_Q.  Checked
+    here is only what neither sees: the benchmark name, the keys
+    `custom` requires and the order of the `rect` bounds.  A refused
+    value raises ConfigError, which `main` reports with exit status 2.
+    """
     if cfg.benchmark not in BENCHMARKS:
         raise ConfigError(
             f"benchmark must be one of {', '.join(BENCHMARKS)}; got {cfg.benchmark!r}")
-    adaptive_config(cfg)
     if cfg.benchmark == "custom":
         missing = [key for key in ("rect", "B", "d") if getattr(cfg, key) is None]
         if missing:
@@ -132,18 +123,19 @@ def validate_config(cfg):
         x0, x1, y0, y1 = cfg.rect
         if x1 <= x0 or y1 <= y0:
             raise ConfigError("rect must satisfy x0 < x1 and y0 < y1")
-        if cfg.d <= 0.0:
-            raise ConfigError("d must be positive")
+    try:
+        settings = AdaptiveConfig(**{f.name: getattr(cfg, f.name)
+                                     for f in dataclasses.fields(AdaptiveConfig)})
+        return build_problem(cfg), settings
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def build_problem(cfg):
-    overrides = {}
-    if cfg.D is not None:
-        overrides["D"] = cfg.D
-    if cfg.C_disp is not None:
+    overrides = {key: getattr(cfg, key) for key in ("D", "C_disp", "c_Q")
+                 if getattr(cfg, key) is not None}
+    if "C_disp" in overrides:
         overrides["C_disp"] = np.diag(cfg.C_disp)
-    if cfg.c_Q is not None:
-        overrides["c_Q"] = cfg.c_Q
     if cfg.benchmark != "custom":
         return make_benchmark(cfg.benchmark, d=cfg.d, **overrides)
 
@@ -156,8 +148,7 @@ def build_problem(cfg):
         def load(x, y):
             return np.full(np.broadcast(x, y).shape, fval)
 
-    bc = {side: set(getattr(cfg, "bc_" + side)) for side in
-          ("xmin", "xmax", "ymin", "ymax")}
+    bc = {side: set(getattr(cfg, "bc_" + side)) for side in SIDES}
     D, C_disp, c_Q = select_scalings(B, cfg.d, cfg.rect)
     prob = dict(rect=cfg.rect, B=B, d=cfg.d, f=load, bc=bc,
                 D=D, C_disp=C_disp, c_Q=c_Q)
@@ -211,9 +202,8 @@ def run(cfg):
 
     Returns the AdaptiveRun for programmatic use.
     """
-    problem = build_problem(cfg)
-    result = adaptive_loop(problem, adaptive_config(cfg),
-                           evaluator=make_evaluator(problem))
+    problem, settings = validate_config(cfg)
+    result = adaptive_loop(problem, settings, evaluator=make_evaluator(problem))
 
     outdir = cfg.outdir
     os.makedirs(outdir, exist_ok=True)
@@ -240,28 +230,18 @@ def main(argv=None):
     args = ap.parse_args(argv)
 
     try:
+        cfg = RunConfig()
         if args.config:
             with open(args.config) as fh:
                 cfg = parse_config(fh.read())
-        else:
-            cfg = RunConfig()
         for key in _SCHEMA:
             val = getattr(args, key)
             if val is not None:
-                try:
-                    setattr(cfg, key, _SCHEMA[key](val))
-                except ValueError as exc:
-                    raise ConfigError(f"bad value for --{key}: {exc}") from None
-        validate_config(cfg)
-    except (OSError, ConfigError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
+                _set(cfg, key, val, f"bad value for --{key}")
         result = run(cfg)
-    except (AssemblyError, SolverError) as exc:
+    except (OSError, ConfigError, AssemblyError, SolverError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 1 if isinstance(exc, (AssemblyError, SolverError)) else 2
     for rec in result.levels:
         print(f"level {rec.level:3d}  elements {rec.nelems:7d}  "
               f"dof {rec.ndof:8d}  eta {rec.eta:.6e}")

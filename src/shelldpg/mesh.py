@@ -79,8 +79,6 @@ class Mesh:
             raise ValueError(f"edge {e} has more than two incident triangles")
         self.edge_is_boundary = count == 1
         self.boundary_edges = np.nonzero(self.edge_is_boundary)[0]
-        self.vertex_is_boundary = np.zeros(self.vertices.shape[0], dtype=bool)
-        self.vertex_is_boundary[self.edges[self.boundary_edges].ravel()] = True
 
         # s_{T,E} = n_T . nu_E: +1 iff the CCW traversal of edge j runs
         # from the lower to the higher global vertex index
@@ -102,6 +100,16 @@ class Mesh:
         """Vertex coordinates per triangle, shape (nt, 3, 2)."""
         tri = self.triangles if which is None else self.triangles[which]
         return self.vertices[tri]
+
+    def vertex_at(self, point, scale):
+        """The vertex within 1e-12 * scale of a point in the max norm and
+        the triangles incident to it, ascending; (None, None) if no
+        vertex is that close."""
+        dist = np.abs(self.vertices - np.asarray(point)).max(axis=1)
+        v = int(np.argmin(dist))
+        if dist[v] > 1e-12 * scale:
+            return None, None
+        return v, np.nonzero(np.any(self.triangles == v, axis=1))[0]
 
 
 def initial_rectangle_mesh(rect):

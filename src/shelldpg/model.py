@@ -177,14 +177,14 @@ def make_benchmark(kind, d=None, **overrides):
         g = 90.0
         rect = (0.0, R, 0.0, alpha * R)
         B = np.array([[0.0, 0.0], [0.0, 1.0 / R]])
-        load = g / (d * E)
 
+        # g / (d E) is formed per call, so that d = 0 reaches ShellProblem's check
         def f(x, y):
-            return -load * np.cos(y / R)
+            return -g / (d * E) * np.cos(y / R)
 
         def p(x, y):
             out = np.zeros(np.broadcast(x, y).shape + (2,))
-            out[..., 1] = load * np.sin(y / R)
+            out[..., 1] = g / (d * E) * np.sin(y / R)
             return out
 
         bc = {

@@ -260,14 +260,11 @@ def scordelis_lo_functional(mesh, problem, fields):
     R = 1.0 / problem.B[1, 1]
     alpha = rect[3] / R
     corner = np.array([rect[0], rect[3]])
-    scale = max(abs(v) for v in rect)
-    dist = np.abs(mesh.vertices - corner).max(axis=1)
-    v = int(np.argmin(dist))
-    if dist[v] > 1e-12 * scale:
+    v, els = mesh.vertex_at(corner, max(abs(x) for x in rect))
+    if v is None:
         raise ValueError("corner point is not a mesh vertex")
-    if not mesh.vertex_is_boundary[v]:
+    if v not in mesh.edges[mesh.boundary_edges]:
         raise ValueError("corner point is not on the mesh boundary")
-    els = np.nonzero(np.any(mesh.triangles == v, axis=1))[0]
     vals = fields[els, 1] * np.sin(alpha) - fields[els, 2] * np.cos(alpha)
     return float(vals.mean())
 

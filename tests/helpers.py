@@ -190,8 +190,6 @@ class LoopMesh(Mesh):
                 count[e] += 1
         self.edge_is_boundary = count == 1
         self.boundary_edges = np.nonzero(self.edge_is_boundary)[0]
-        self.vertex_is_boundary = np.zeros(self.vertices.shape[0], dtype=bool)
-        self.vertex_is_boundary[self.edges[self.boundary_edges].ravel()] = True
 
         tri = self.triangles
         trav = np.stack(

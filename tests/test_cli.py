@@ -1,10 +1,13 @@
 """Config parsing and CLI artifact emission."""
 
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import shelldpg
 from shelldpg.cli import (
     ConfigError,
     RunConfig,
@@ -176,6 +179,34 @@ def test_main_usage_errors(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
     assert main(["--config", str(tmp_path / "missing.cfg")]) == 2
     assert "error:" in capsys.readouterr().err
+    # values the problem's constructor refuses
+    custom = ["--benchmark", "custom", "--rect", "0,1,0,1", "--B", "0,0,1",
+              "--d", "0.01"]
+    for argv in (["--benchmark", "cyl_free", "--d", "-1"],
+                 ["--benchmark", "point_elliptic", "--D", "0"],
+                 ["--benchmark", "cyl_clamped", "--c_Q", "2"],
+                 ["--benchmark", "scordelis_lo", "--d", "0"],
+                 custom + ["--C_disp", "1,-1"]):
+        assert main(argv + ["--outdir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_module_runs_without_warning_and_package_leaves_cli_out():
+    # runpy warns when the module it runs is imported by its package
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(shelldpg.__file__)))
+    cli = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "shelldpg.cli",
+         "--help"], env=env, capture_output=True, text=True)
+    assert cli.returncode == 0, cli.stderr
+    probe = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, shelldpg; print('shelldpg.cli' in sys.modules)"],
+        env=env, capture_output=True, text=True)
+    assert probe.returncode == 0, probe.stderr
+    assert probe.stdout.strip() == "False"
 
 
 def test_main_reports_assembly_errors(tmp_path, capsys):
