@@ -95,11 +95,11 @@ from .polyquad import (
     map_hessians,
     map_points,
     triangle_basis,
-    triangle_geometry,
     triangle_rule,
     triangle_table,
 )
-from .traces import TraceDofMap, apply_bc, edge_pairings, local_trace_columns
+from .traces import (TraceDofMap, apply_bc, edge_pairings, local_trace_columns,
+                     reflection_signs, trace_blocks)
 
 N_TEST = 111
 # the (v, z, Q) block of the test norm, then the (T, S) block
@@ -195,8 +195,7 @@ def element_gram_batch(mesh, problem, els):
     those 10 coefficients times sqrt(detJ), from the reference tables
     projected onto P3 once (`_p3_coefficients`) and mapped by Jinv.
     """
-    coords = mesh.triangle_coords(els)
-    _, detJ, Jinv = triangle_geometry(coords)
+    detJ, Jinv = mesh.detJ[els], mesh.Jinv[els]
     nel, (c2, c3, _, g3, h3, h4) = len(detJ), _p3_coefficients()
     d, D, B = problem.d, problem.D, problem.B
 
@@ -275,8 +274,7 @@ def element_b_batch(mesh, problem, k, els):
     rows of the field columns is one broadcast product of such an
     integral with the coefficients of the field in that block's terms.
     """
-    coords = mesh.triangle_coords(els)
-    _, detJ, Jinv = triangle_geometry(coords)
+    detJ, Jinv = mesh.detJ[els], mesh.Jinv[els]
     nel = len(detJ)
     B, d = problem.B, problem.d
 
@@ -307,33 +305,13 @@ def element_b_batch(mesh, problem, k, els):
 
     # trace columns, signs of the skeleton duality
     pair = edge_pairings(mesh, k, els)
-    su, sw, sn, sm = _trace_blocks(k)
+    su, sw, sn, sm = trace_blocks(k)
     Bt = Bmat[:, :, N_FIELD:]
     Bt[:, OFF_T : OFF_T + 30, su] = -pair.u_hat
     Bt[:, OFF_S : OFF_S + 45, sw] = -pair.w_hat
     Bt[:, OFF_V : OFF_V + 20, sn] = -pair.N_hat
     Bt[:, OFF_Z : OFF_Z + 10, sm] = pair.M_hat
     return Bmat
-
-
-def _trace_blocks(k):
-    """The u_hat, w_hat (value, d/dx, d/dy at each vertex), N_hat and
-    M_hat slices of the local trace columns (`TraceDofMap.ncols`)."""
-    nu = 6 + 6 * k
-    return (slice(0, nu), slice(nu, nu + 9), slice(nu + 9, nu + 15),
-            slice(nu + 15, local_trace_columns(k)))
-
-
-def _reflection_signs(k):
-    """sigma_t (`TraceDofMap.ncols`,): the signs of the trace columns of B
-    under J -> -J (`ElementSystems`): -1 on u_hat, on the two gradient
-    dofs of each vertex's w_hat and on N_hat; +1 on the w_hat values,
-    m_n, q and the twists."""
-    su, sw, sn, _ = _trace_blocks(k)
-    sigma = np.ones(local_trace_columns(k))
-    sigma[su] = sigma[sn] = -1.0
-    sigma[sw] = np.tile([1.0, -1.0, -1.0], 3)
-    return sigma
 
 
 def find_point_element(mesh, point):
@@ -347,8 +325,7 @@ def find_point_element(mesh, point):
 
 def element_load_batch(mesh, problem, els):
     """Load vectors (nel, 111): (p, v) - (f, z), or the point-load entry."""
-    coords = mesh.triangle_coords(els)
-    _, detJ, _ = triangle_geometry(coords)
+    detJ = mesh.detJ[els]
     rule = triangle_rule(QUAD_DEGREE)
     nel = len(detJ)
     l = np.zeros((nel, N_TEST))
@@ -365,7 +342,7 @@ def element_load_batch(mesh, problem, els):
 
     wd = rule.weights[None, :] * detJ[:, None]
     v3 = triangle_table(3, QUAD_DEGREE).val
-    phys = map_points(coords, rule.points)
+    phys = map_points(mesh.triangle_coords(els), mesh.J[els], rule.points)
     f, p = eval_loads(problem, phys[..., 0], phys[..., 1])
     for c in range(2):
         l[:, OFF_V + 2 * np.arange(10) + c] = (wd * p[..., c]) @ v3
@@ -390,8 +367,7 @@ def jacobian_classes(mesh):
     classes, which costs one more kernel call and nothing else.  Keys
     are absolute, so equal keys on two meshes mean the same shape.
     """
-    J, _, _ = triangle_geometry(mesh.triangle_coords())
-    J = J.reshape(len(J), 4)
+    J = mesh.J.reshape(mesh.ntriangles, 4)
     _, expo = np.frexp(np.abs(J).max(axis=1))
     grid = np.rint(np.ldexp(J, -expo[:, None]) / CLASS_RTOL).astype(np.int64)
     lead = grid[np.arange(len(grid)), np.argmax(grid != 0, axis=1)]
@@ -435,8 +411,8 @@ class ElementSystems:
 
     S_v = -1 on the 20 v test rows (`S_V`), sigma_f = -1 on u1 and u2
     (`SIGMA_F`), sigma_t = -1 on u_hat, on the two gradient dofs of each
-    vertex's w_hat and on N_hat (`_reflection_signs`), D_r = -1 on the
-    rows of the odd C_disp v and div T, which R does not see.  A class
+    vertex's w_hat and on N_hat (`traces.reflection_signs`), D_r = -1 on
+    the rows of the odd C_disp v and div T, which R does not see.  A class
     keeps the kernels of its canonical Jacobian: a representative of
     parity -1 has F and B signed before its kernels are built.  Element T
     of parity p_T (`parity`) keeps
@@ -610,7 +586,7 @@ def _element_systems(problem, dofmap, previous=None):
     cols = dofmap.element_columns
     nt, nc = cols.shape
     cls, reps, keys, parity = jacobian_classes(mesh)
-    sigma_t = _reflection_signs(k)
+    sigma_t = reflection_signs(k)
     ncls = len(reps)
     W = np.empty((ncls, N_TEST - N_FIELD, nc))
     K = np.empty((ncls, N_FIELD, nc))

@@ -9,9 +9,16 @@ the direction from its lower-index to its higher-index vertex rotated by
 -90 degrees.  This orientation is deterministic and refinement-stable.
 The mesh keeps nu_E only through `Mesh.tri_edge_sign`, the sign of
 n_T . nu_E of each triangle T and local edge E.
+
+The mesh also holds each triangle's affine map from the reference
+triangle (`polyquad.triangle_geometry`): its Jacobian J, detJ and
+J^-1, computed once when the mesh is built and read by every element
+kernel, the error norms and the point location.
 """
 
 import numpy as np
+
+from .polyquad import EDGE_FROM, EDGE_TO, triangle_geometry
 
 # estimators whose squares agree to this relative tolerance tie in marking
 TIE_RTOL = 1e-10
@@ -29,33 +36,34 @@ class Mesh:
         The axis-aligned domain the mesh triangulates, kept for boundary
         classification; propagated through refinement.
 
+    Attributes J (nt, 2, 2), detJ (nt,) and Jinv (nt, 2, 2) hold the
+    affine map of each triangle (`polyquad.triangle_geometry`),
+    read-only like `vertices` and `triangles`.
+
     Raises
     ------
     ValueError
-        If a triangle has nonpositive signed area or an edge has more
-        than two incident triangles.
+        If a triangle is degenerate or has nonpositive signed area, or
+        an edge has more than two incident triangles.
     """
 
     def __init__(self, vertices, triangles, rect=None):
         self.vertices = np.array(vertices, dtype=float)
         self.triangles = np.array(triangles, dtype=int)
         self.rect = None if rect is None else tuple(float(v) for v in rect)
-        self.vertices.flags.writeable = False
-        self.triangles.flags.writeable = False
-
         v = self.vertices
         t = self.triangles
-        d1 = v[t[:, 1]] - v[t[:, 0]]
-        d2 = v[t[:, 2]] - v[t[:, 0]]
-        self.areas = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-        if np.any(self.areas <= 0.0):
-            bad = int(np.argmin(self.areas))
+        self.J, self.detJ, self.Jinv = triangle_geometry(v[t])
+        for arr in (v, t, self.J, self.detJ, self.Jinv):
+            arr.flags.writeable = False
+        if np.any(self.detJ <= 0.0):
+            bad = int(np.argmin(self.detJ))
             raise ValueError(f"triangle {bad} has nonpositive area")
 
-        # edge j of a triangle is opposite local vertex j; edges are
-        # numbered in order of first appearance over (triangle, local edge)
+        # edges are numbered in order of first appearance over
+        # (triangle, local edge)
         nt = t.shape[0]
-        ends = np.stack([t[:, [1, 2]], t[:, [2, 0]], t[:, [0, 1]]], axis=1)
+        ends = np.stack([t[:, EDGE_FROM], t[:, EDGE_TO]], axis=2)
         lo, hi = ends.min(axis=2).ravel(), ends.max(axis=2).ravel()
         _, first, inv = np.unique(lo * v.shape[0] + hi,
                                   return_index=True, return_inverse=True)
@@ -83,6 +91,10 @@ class Mesh:
         # s_{T,E} = n_T . nu_E: +1 iff the CCW traversal of edge j runs
         # from the lower to the higher global vertex index
         self.tri_edge_sign = np.where(ends[:, :, 0] < ends[:, :, 1], 1, -1)
+
+    @property
+    def areas(self):
+        return 0.5 * self.detJ
 
     @property
     def nvertices(self):

@@ -98,8 +98,9 @@ class ShellProblem:
         if B.shape != (2, 2) or not np.allclose(B, B.T, atol=1e-14):
             raise ValueError("curvature tensor must be symmetric 2x2")
         object.__setattr__(self, "B", B)
-        if self.d <= 0.0 or self.D <= 0.0:
-            raise ValueError("thickness and scaling length must be positive")
+        if not (0.0 < self.d < np.inf and 0.0 < self.D < np.inf):
+            raise ValueError("thickness and scaling length must be finite "
+                             "and positive")
         C = np.eye(2) if self.C_disp is None else np.asarray(self.C_disp, float)
         if C.shape != (2, 2) or not np.allclose(C, C.T, atol=1e-14):
             raise ValueError("C_disp must be symmetric 2x2")

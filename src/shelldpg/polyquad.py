@@ -17,6 +17,10 @@ other points.  Every monomial of one derivative order comes from one
 table of the powers of the point coordinates, so a table costs a few
 array operations whatever its degree.  The tables are built on first
 use, in the first run of a process.
+
+The local edge numbering of a triangle is defined here, once
+(`EDGE_FROM`, `EDGE_TO`); the mesh, the edge tables and the trace
+pairings read it.
 """
 
 import math
@@ -30,6 +34,11 @@ MAX_BASIS_DEGREE = 4
 
 REF_VERTICES = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 REF_VERTICES.flags.writeable = False
+# local edge j of a triangle is opposite vertex j and runs from vertex
+# EDGE_FROM[j] = (j + 1) % 3 to vertex EDGE_TO[j] = (j + 2) % 3, which is
+# counterclockwise on a counterclockwise triangle
+EDGE_FROM, EDGE_TO = np.array([1, 2, 0]), np.array([2, 0, 1])
+EDGE_FROM.flags.writeable = EDGE_TO.flags.writeable = False
 
 SQ2 = np.sqrt(2.0)
 # orthonormal frames of the symmetric 2x2 tensors (E11, E12s, E22), with
@@ -224,10 +233,9 @@ def triangle_table(degree, rule_degree):
 @lru_cache(maxsize=None)
 def edges_table(degree, rule_degree):
     """`triangle_basis(degree)` at the points of `edge_rule(rule_degree)`
-    on local edges 0, 1 and 2 in turn; local edge j runs from vertex
-    (j + 1) % 3 to vertex (j + 2) % 3 of the reference triangle."""
+    on local edges 0, 1 and 2 in turn (`EDGE_FROM`, `EDGE_TO`)."""
     s = edge_rule(rule_degree).points[:, None]
-    a, b = REF_VERTICES[[1, 2, 0], None], REF_VERTICES[[2, 0, 1], None]
+    a, b = REF_VERTICES[EDGE_FROM, None], REF_VERTICES[EDGE_TO, None]
     return _tabulate(triangle_basis(degree), ((1.0 - s) * a + s * b).reshape(-1, 2))
 
 
@@ -248,7 +256,8 @@ def triangle_geometry(coords):
     Raises
     ------
     ValueError
-        For (numerically) degenerate triangles.
+        For (numerically) degenerate triangles, naming the first by its
+        index over the leading axes.
     """
     coords = np.asarray(coords, dtype=float)
     J = np.stack(
@@ -257,8 +266,9 @@ def triangle_geometry(coords):
     )
     detJ = J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
     scale = np.max(np.abs(J), axis=(-2, -1)) ** 2
-    if np.any(np.abs(detJ) <= 1e-13 * scale):
-        raise ValueError("degenerate triangle")
+    bad = np.abs(detJ) <= 1e-13 * scale
+    if np.any(bad):
+        raise ValueError(f"triangle {int(np.argmax(bad))} is degenerate")
     Jinv = np.empty_like(J)
     Jinv[..., 0, 0] = J[..., 1, 1]
     Jinv[..., 0, 1] = -J[..., 0, 1]
@@ -268,11 +278,10 @@ def triangle_geometry(coords):
     return J, detJ, Jinv
 
 
-def map_points(coords, ref_points):
-    """Map reference points to physical coordinates; (..., npts, 2)."""
-    coords = np.asarray(coords, dtype=float)
-    J, _, _ = triangle_geometry(coords)
-    ref_points = np.asarray(ref_points, dtype=float)
+def map_points(coords, J, ref_points):
+    """Map reference points to physical coordinates; (..., npts, 2), by
+    the Jacobians J (..., 2, 2) of `triangle_geometry` of the triangles
+    with vertex coordinates coords (..., 3, 2)."""
     return coords[..., None, 0, :] + ref_points @ np.swapaxes(J, -1, -2)
 
 

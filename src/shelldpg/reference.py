@@ -21,7 +21,7 @@ keeps the tables and products in cache.
 import numpy as np
 
 from .mesh import match_rows
-from .polyquad import triangle_geometry, triangle_rule, map_points
+from .polyquad import map_points, triangle_rule
 
 # points per series block: its trig tables and GEMM products stay in
 # cache (256-512 measured best, 8192 worst)
@@ -38,8 +38,8 @@ class FourierReference:
     def __init__(self, kind, d, bound=100):
         if kind not in self.KINDS:
             raise ValueError(f"unknown Fourier geometry {kind!r}")
-        if d <= 0.0:
-            raise ValueError("thickness must be positive")
+        if not 0.0 < d < np.inf:
+            raise ValueError("thickness must be finite and positive")
         self.kind = kind
         self.d = float(d)
         self.bound = int(bound)
@@ -150,8 +150,8 @@ class InextensionalReference:
     """Closed-form free-cylinder solution with vanishing membrane strain."""
 
     def __init__(self, d):
-        if d <= 0.0:
-            raise ValueError("thickness must be positive")
+        if not 0.0 < d < np.inf:
+            raise ValueError("thickness must be finite and positive")
         self.d = float(d)
 
     def evaluate(self, x, y):
@@ -180,18 +180,19 @@ def make_reference(problem):
     return None
 
 
-def _rule_values(reference, triangles, coords, previous=None):
+def _rule_values(reference, mesh, previous=None):
     """Reference values at the error rule's points of each element.
 
-    `triangles` and `coords` are the vertex indices and coordinates of
-    the elements.  Returns `(triangles, coords, values)`: `values` maps
-    w, u, M, N to arrays with one leading row per element.  `previous`,
-    such a triple for another mesh, lends its rows to every element with
-    the same vertex indices in the same order and, exactly, the same
-    vertex coordinates; refinement keeps the indices of the old
-    vertices, so this finds the elements it left alone.  The series is
-    evaluated only at the points of the other elements.
+    Returns `(triangles, coords, values)`: the vertex indices and
+    coordinates of the elements, and `values`, which maps w, u, M, N to
+    arrays with one leading row per element.  `previous`, such a triple
+    for another mesh, lends its rows to every element with the same
+    vertex indices in the same order and, exactly, the same vertex
+    coordinates; refinement keeps the indices of the old vertices, so
+    this finds the elements it left alone.  The series is evaluated only
+    at the points of the other elements.
     """
+    triangles, coords = mesh.triangles, mesh.triangle_coords()
     src = np.full(len(coords), -1)
     if previous is not None:
         known_tri, known_coords, values = previous
@@ -201,7 +202,8 @@ def _rule_values(reference, triangles, coords, previous=None):
         src[hit[moved]] = -1
     old = np.nonzero(src >= 0)[0]
     new = np.nonzero(src < 0)[0]
-    phys = map_points(coords[new], triangle_rule(ERROR_RULE_DEGREE).points)
+    rule = triangle_rule(ERROR_RULE_DEGREE)
+    phys = map_points(coords[new], mesh.J[new], rule.points)
     fresh = reference.evaluate(phys[..., 0], phys[..., 1])
     out = {}
     for name, v in fresh.items():
@@ -212,11 +214,10 @@ def _rule_values(reference, triangles, coords, previous=None):
     return triangles, coords, out
 
 
-def _field_errors(coords, problem, fields, ref):
+def _field_errors(mesh, problem, fields, ref):
     """`error_norms` from the reference values `ref` of `_rule_values`
-    on the elements with vertex coordinates `coords`."""
-    _, detJ, _ = triangle_geometry(coords)
-    wd = triangle_rule(ERROR_RULE_DEGREE).weights[None, :] * detJ[:, None]
+    on the elements of `mesh`."""
+    wd = triangle_rule(ERROR_RULE_DEGREE).weights[None, :] * mesh.detJ[:, None]
     dw = ref["w"] - fields[:, None, 2]
     du = ref["u"] - fields[:, None, 0:2]
     Nh = fields[:, 3:7].reshape(-1, 2, 2)
@@ -244,9 +245,8 @@ def error_norms(mesh, problem, fields, reference):
     err(M) = (1/d) ||M - M_h||_F, err(N) = ||N - N_h||_F, by the
     `ERROR_RULE_DEGREE` rule on each element.
     """
-    coords = mesh.triangle_coords()
-    _, _, ref = _rule_values(reference, mesh.triangles, coords)
-    return _field_errors(coords, problem, fields, ref)
+    _, _, ref = _rule_values(reference, mesh)
+    return _field_errors(mesh, problem, fields, ref)
 
 
 def scordelis_lo_functional(mesh, problem, fields):
@@ -272,10 +272,8 @@ def scordelis_lo_functional(mesh, problem, fields):
 def locate_points(mesh, points):
     """Lowest-index element containing each point (tol 1e-12)."""
     points = np.asarray(points, dtype=float)
-    coords = mesh.triangle_coords()
-    _, _, Jinv = triangle_geometry(coords)
-    rel = points[None, :, :] - coords[:, None, 0, :]
-    xi = np.einsum("tba,tpa->tpb", Jinv, rel)
+    rel = points[None, :, :] - mesh.triangle_coords()[:, None, 0, :]
+    xi = np.einsum("tba,tpa->tpb", mesh.Jinv, rel)
     tol = 1e-12
     inside = (xi[..., 0] >= -tol) & (xi[..., 1] >= -tol) & (
         xi.sum(axis=-1) <= 1.0 + tol
@@ -311,9 +309,8 @@ def make_evaluator(problem):
         nonlocal last
         extras = {}
         if reference is not None:
-            coords = mesh.triangle_coords()
-            last = _rule_values(reference, mesh.triangles, coords, last)
-            extras.update(_field_errors(coords, prob, fields, last[2]))
+            last = _rule_values(reference, mesh, last)
+            extras.update(_field_errors(mesh, prob, fields, last[2]))
         if prob.kind == "scordelis_lo":
             extras["functional"] = scordelis_lo_functional(mesh, prob, fields)
         return extras

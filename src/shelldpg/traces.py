@@ -88,12 +88,13 @@ import numpy as np
 
 from .mesh import Mesh
 from .polyquad import (
+    EDGE_FROM,
+    EDGE_TO,
     REF_VERTICES,
     SQ2,
     edge_rule,
     edges_table,
     triangle_basis,
-    triangle_geometry,
 )
 
 EDGE_RULE_DEGREE = 7  # `edge_pairings` integrands have degree <= 6
@@ -104,6 +105,26 @@ def local_trace_columns(k):
     return 33 + 6 * k
 
 
+def trace_blocks(k):
+    """The u_hat, w_hat (value, d/dx, d/dy at each vertex), N_hat and
+    M_hat slices of the local trace columns (`TraceDofMap.ncols`)."""
+    nu = 6 + 6 * k
+    return (slice(0, nu), slice(nu, nu + 9), slice(nu + 9, nu + 15),
+            slice(nu + 15, local_trace_columns(k)))
+
+
+def reflection_signs(k):
+    """sigma_t (`TraceDofMap.ncols`,): the signs of the local trace
+    columns under the point reflection J -> -J (`assembly.ElementSystems`):
+    -1 on u_hat, on the two gradient dofs of each vertex's w_hat and on
+    N_hat; +1 on the w_hat values, m_n, q and the twists."""
+    su, sw, sn, _ = trace_blocks(k)
+    sigma = np.ones(local_trace_columns(k))
+    sigma[su] = sigma[sn] = -1.0
+    sigma[sw] = np.tile([1.0, -1.0, -1.0], 3)
+    return sigma
+
+
 class TraceDofMap:
     """Global numbering of the skeleton trace dofs for one mesh.
 
@@ -111,11 +132,12 @@ class TraceDofMap:
     per element, the global indices of its local trace dofs in the
     order u_hat (6 or 12), w_hat (9), N_hat (6), M_hat edge dofs (m_n, q
     per local edge: 6), M_hat twists (start then end of each local edge
-    on the counterclockwise traversal: 6).  `element_signs` (nt, ncols)
-    holds s_{T,E} on the N_hat and q columns and 1 on all others: the
-    element's own trace values are element_signs times the global ones
-    at element_columns.  `gauge` holds the one twist dof per vertex that
-    the numbering fixes at zero; it is never a free dof.
+    on the counterclockwise traversal: 6); `trace_blocks` slices them.
+    `element_signs` (nt, ncols) holds s_{T,E} on the N_hat and q columns
+    and 1 on all others: the element's own trace values are
+    element_signs times the global ones at element_columns.  `gauge`
+    holds the one twist dof per vertex that the numbering fixes at zero;
+    it is never a free dof.
 
     Every dof belongs to one mesh entity: vertex v is entity v and edge
     e is entity nv + e (`nentities` in all).  A vertex owns its u_hat
@@ -143,43 +165,26 @@ class TraceDofMap:
         self.ntrace = self.off_twist + 2 * ne
         self.ncols = local_trace_columns(k)
 
-        tri = mesh.triangles
-        edg = mesh.tri_edges
-        cols = np.empty((nt, self.ncols), dtype=int)
-        pos = 0
-        for m in range(3):
-            cols[:, pos] = 2 * tri[:, m]
-            cols[:, pos + 1] = 2 * tri[:, m] + 1
-            pos += 2
-        if k == 1:
-            for j in range(3):
-                cols[:, pos] = self.off_ubub + 2 * edg[:, j]
-                cols[:, pos + 1] = self.off_ubub + 2 * edg[:, j] + 1
-                pos += 2
-        for m in range(3):
-            for c in range(3):
-                cols[:, pos] = self.off_what + 3 * tri[:, m] + c
-                pos += 1
-        cn = pos  # first N_hat column
-        for off in (self.off_Nhat, self.off_Mhat):
-            for j in range(3):
-                cols[:, pos] = off + 2 * edg[:, j]
-                cols[:, pos + 1] = off + 2 * edg[:, j] + 1
-                pos += 2
+        tri, edg, s = mesh.triangles, mesh.tri_edges, mesh.tri_edge_sign
+
+        def dofs(off, entity, per):  # per dofs from off + per * entity
+            return (off + per * entity[:, :, None] + np.arange(per)).reshape(nt, -1)
+
         # twist 2e + i sits at vertex edges[e, i], and the
         # counterclockwise edge starts at the lower-index vertex iff
         # s_{T,E} = +1
-        s = mesh.tri_edge_sign
-        for j in range(3):
-            cols[:, pos] = self.off_twist + 2 * edg[:, j] + (s[:, j] < 0)
-            cols[:, pos + 1] = self.off_twist + 2 * edg[:, j] + (s[:, j] > 0)
-            pos += 2
-        assert pos == self.ncols
+        ends = np.stack([s < 0, s > 0], axis=2)
+        cols = np.hstack(
+            [dofs(self.off_uhat, tri, 2)] + [dofs(self.off_ubub, edg, 2)] * k
+            + [dofs(self.off_what, tri, 3), dofs(self.off_Nhat, edg, 2),
+               dofs(self.off_Mhat, edg, 2),
+               (self.off_twist + 2 * edg[:, :, None] + ends).reshape(nt, 6)])
         cols.flags.writeable = False
         self.element_columns = cols
+        _, _, sn, sm = trace_blocks(k)
         sign = np.ones((nt, self.ncols))
-        sign[:, cn:cn + 6] = np.repeat(s, 2, axis=1)
-        sign[:, cn + 7:cn + 12:2] = s
+        sign[:, sn] = np.repeat(s, 2, axis=1)
+        sign[:, sm][:, 1:6:2] = s  # q of each local edge
         sign.flags.writeable = False
         self.element_signs = sign
 
@@ -295,11 +300,9 @@ def _frame_times_normal(nrm):
         nrm.shape[:-1] + (3, 2))
 
 
-# local edge j runs from vertex EDGE_FROM[j] = (j + 1) % 3 to vertex
-# EDGE_TO[j] = (j + 2) % 3; vertex m starts edge STARTS[m] = (m + 2) % 3
-# and ends edge ENDS[m] = (m + 1) % 3
-EDGE_FROM, EDGE_TO = [1, 2, 0], [2, 0, 1]
-STARTS, ENDS = [2, 0, 1], [1, 2, 0]
+# vertex m starts local edge STARTS[m] and ends local edge ENDS[m]
+# (`polyquad.EDGE_FROM`, `EDGE_TO`)
+STARTS, ENDS = np.argsort(EDGE_FROM), np.argsort(EDGE_TO)
 
 
 @dataclass(frozen=True)
@@ -371,7 +374,7 @@ def edge_pairings(mesh: Mesh, k: int, elements=None) -> TracePairings:
     els = np.arange(mesh.ntriangles) if elements is None else np.asarray(elements)
     coords = mesh.triangle_coords(els)
     nt = len(els)
-    _, _, Jinv = triangle_geometry(coords)
+    Jinv = mesh.Jinv[els]
     T = _edge_tables()
     hval, hgrad, dval, dgrad, nlin = T.hermite
     nq = len(hval)

@@ -54,7 +54,7 @@ def project_scalar(coords, fn, degree, fn_degree=4):
     basis = triangle_basis(degree)
     rule = triangle_rule(degree + fn_degree)
     vals = basis.eval(rule.points)
-    phys = map_points(coords, rule.points)
+    phys = map_points(coords, triangle_geometry(coords)[0], rule.points)
     f = np.asarray(fn(phys[..., 0], phys[..., 1]), dtype=float)
     return (vals * rule.weights[:, None]).T @ f
 
@@ -64,7 +64,7 @@ def project_vector(coords, fn, degree, fn_degree=4):
     basis = triangle_basis(degree)
     rule = triangle_rule(degree + fn_degree)
     vals = basis.eval(rule.points)
-    phys = map_points(coords, rule.points)
+    phys = map_points(coords, triangle_geometry(coords)[0], rule.points)
     f = np.asarray(fn(phys[..., 0], phys[..., 1]), dtype=float)  # (Q, 2)
     coef = (vals * rule.weights[:, None]).T @ f  # (dim, 2)
     return coef.reshape(-1)
@@ -75,7 +75,7 @@ def project_sym_tensor(coords, fn, degree, fn_degree=4):
     basis = triangle_basis(degree)
     rule = triangle_rule(degree + fn_degree)
     vals = basis.eval(rule.points)
-    phys = map_points(coords, rule.points)
+    phys = map_points(coords, triangle_geometry(coords)[0], rule.points)
     f = np.asarray(fn(phys[..., 0], phys[..., 1]), dtype=float)  # (Q, 2, 2)
     fr = np.einsum("qab,fab->qf", f, FRAMES_SYM)
     coef = (vals * rule.weights[:, None]).T @ fr  # (dim, 3)
@@ -146,8 +146,9 @@ def element_load(mesh, problem, element=0):
 
 
 class LoopMesh(Mesh):
-    """`Mesh` with its edge tables built by loops over the triangles: an
-    oracle for the array construction of `shelldpg.mesh.Mesh`."""
+    """`Mesh` with its affine maps and edge tables built by loops over the
+    triangles: an oracle for the array construction of
+    `shelldpg.mesh.Mesh`."""
 
     def __init__(self, vertices, triangles, rect=None):
         self.vertices = np.array(vertices, dtype=float)
@@ -156,13 +157,14 @@ class LoopMesh(Mesh):
         self.vertices.flags.writeable = False
         self.triangles.flags.writeable = False
 
-        v = self.vertices
-        t = self.triangles
-        d1 = v[t[:, 1]] - v[t[:, 0]]
-        d2 = v[t[:, 2]] - v[t[:, 0]]
-        self.areas = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-        if np.any(self.areas <= 0.0):
-            bad = int(np.argmin(self.areas))
+        nt = len(self.triangles)
+        self.J, self.detJ, self.Jinv = np.empty((nt, 2, 2)), np.empty(nt), np.empty((nt, 2, 2))
+        for it, tri in enumerate(self.triangles):
+            self.J[it], self.detJ[it], self.Jinv[it] = triangle_geometry(self.vertices[tri])
+        for arr in (self.J, self.detJ, self.Jinv):
+            arr.flags.writeable = False
+        if np.any(self.detJ <= 0.0):
+            bad = int(np.argmin(self.detJ))
             raise ValueError(f"triangle {bad} has nonpositive area")
 
         edge_of = {}
@@ -242,6 +244,31 @@ def loop_refine(mesh, marked):
             else:
                 triangles.append(child)
     return LoopMesh(vertices, triangles, rect=mesh.rect)
+
+
+def loop_element_columns(dofmap):
+    """`TraceDofMap.element_columns` by loops over the local vertices and
+    edges, column by column in the order of its docstring."""
+    mesh, k = dofmap.mesh, dofmap.k
+    tri, edg, s = mesh.triangles, mesh.tri_edges, mesh.tri_edge_sign
+    cols = np.empty((mesh.ntriangles, dofmap.ncols), dtype=int)
+    pos = 0
+    for off, entity, per in ([(0, tri, 2)] + [(dofmap.off_ubub, edg, 2)] * k
+                             + [(dofmap.off_what, tri, 3), (dofmap.off_Nhat, edg, 2),
+                                (dofmap.off_Mhat, edg, 2)]):
+        for j in range(3):
+            for c in range(per):
+                cols[:, pos] = off + per * entity[:, j] + c
+                pos += 1
+    # the start, then the end of each counterclockwise local edge; twist
+    # 2e + i sits at vertex edges[e, i]
+    for j in range(3):
+        low_first = s[:, j] > 0
+        cols[:, pos] = dofmap.off_twist + 2 * edg[:, j] + ~low_first
+        cols[:, pos + 1] = dofmap.off_twist + 2 * edg[:, j] + low_first
+        pos += 2
+    assert pos == dofmap.ncols
+    return cols
 
 
 def loop_apply_bc(dofmap, problem):

@@ -17,6 +17,7 @@ from shelldpg.cli import (
     run,
     validate_config,
 )
+from shelldpg.model import BENCHMARKS
 
 
 def test_parse_defaults():
@@ -190,6 +191,13 @@ def test_main_usage_errors(tmp_path, capsys):
         assert main(argv + ["--outdir", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+    # a thickness that is not finite is named, on every benchmark
+    for kind in BENCHMARKS:
+        for value in ("nan", "inf"):
+            argv = custom if kind == "custom" else ["--benchmark", kind]
+            assert main(argv + ["--d", value, "--outdir", str(tmp_path / "out")]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "thickness" in err, (kind, value)
     assert not (tmp_path / "out").exists()
 
 

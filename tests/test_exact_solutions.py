@@ -35,9 +35,9 @@ def w_ratio(mesh, fields):
     """L2 factor (w_h, w) / (w, w) of the discrete deflection."""
     rule = triangle_rule(8)
     coords = mesh.triangle_coords()
-    _, detJ, _ = triangle_geometry(coords)
+    J, detJ, _ = triangle_geometry(coords)
     wd = rule.weights[None, :] * detJ[:, None]
-    w = 0.75 * np.cos(2.0 * map_points(coords, rule.points)[..., 1])
+    w = 0.75 * np.cos(2.0 * map_points(coords, J, rule.points)[..., 1])
     return np.sum(wd * fields[:, 2, None] * w) / np.sum(wd * w * w)
 
 

@@ -61,6 +61,16 @@ def test_initial_mesh_rejects_bad_rect():
         initial_rectangle_mesh((0.0, 1.0, 2.0, 1.0))
 
 
+@pytest.mark.parametrize("cls", [Mesh, LoopMesh])
+def test_mesh_refuses_a_sliver_and_names_it(cls):
+    # positive area, but degenerate at the tolerance of the affine map
+    # (|detJ| <= 1e-13 max|J|^2), which every kernel reads from the mesh
+    with pytest.raises(ValueError, match="triangle 0 is degenerate"):
+        cls([(0, 0), (1, 0), (0.5, 1e-14)], [(0, 1, 2)])
+    with pytest.raises(ValueError, match="triangle 1 is degenerate"):
+        Mesh([(0, 0), (1, 0), (0, 1), (0.5, 1e-14)], [(0, 1, 2), (0, 1, 3)])
+
+
 def test_mesh_rejects_wrong_orientation():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(ValueError, match="area"):

@@ -144,6 +144,14 @@ def test_problem_validation():
         ShellProblem(**good, c_Q=0.0)
 
 
+@pytest.mark.parametrize("name", ["d", "D"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_problem_refuses_non_finite_lengths(name, value):
+    good = dict(rect=(0.0, 1.0, 0.0, 1.0), B=np.eye(2), d=0.1)
+    with pytest.raises(ValueError, match="thickness and scaling length"):
+        ShellProblem(**{**good, name: value})
+
+
 def test_scordelis_lo_benchmark():
     prob = make_benchmark("scordelis_lo")
     assert prob.d == 0.25

@@ -231,12 +231,13 @@ def test_eval_basis_physical_hessian():
 
     from shelldpg.polyquad import map_points
 
-    phys = map_points(coords, ref_pts)
+    J, _, _ = triangle_geometry(coords)
+    phys = map_points(coords, J, ref_pts)
     x = phys[..., 0]
     # fit coefficients of x^2 in the mapped basis via least squares on many points
     rule = triangle_rule(4)
     vals_q, _, _ = eval_basis(basis, coords, rule.points)
-    phys_q = map_points(coords, rule.points)
+    phys_q = map_points(coords, J, rule.points)
     target = phys_q[..., 0] ** 2
     coef, *_ = np.linalg.lstsq(vals_q, target, rcond=None)
     assert np.allclose(vals @ coef, x**2, atol=1e-12)

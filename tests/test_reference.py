@@ -249,6 +249,14 @@ def test_truncation_change_small_at_random_points():
         assert np.abs(wa - wb).max() / abs(peak) < 1e-6
 
 
+@pytest.mark.parametrize("d", [0.0, np.nan, np.inf])
+def test_references_refuse_a_thickness_not_finite_and_positive(d):
+    with pytest.raises(ValueError, match="thickness"):
+        FourierReference("elliptic", d)
+    with pytest.raises(ValueError, match="thickness"):
+        InextensionalReference(d)
+
+
 def test_inextensional_solution():
     rng = np.random.default_rng(3)
     x = rng.uniform(-1.0, 1.0, 11)

@@ -2,14 +2,14 @@
 
 import numpy as np
 import pytest
-from helpers import (FRAMES_SYM, loop_apply_bc, project_scalar, project_sym_tensor,
-                     project_vector)
+from helpers import (FRAMES_SYM, loop_apply_bc, loop_element_columns, project_scalar,
+                     project_sym_tensor, project_vector)
 
-from shelldpg.assembly import S_V, SIGMA_F, _reflection_signs, element_b_batch, jacobian_classes
+from shelldpg.assembly import S_V, SIGMA_F, element_b_batch, jacobian_classes
 from shelldpg.mesh import Mesh, initial_rectangle_mesh, refine
 from shelldpg.model import BENCHMARKS, ShellProblem, make_benchmark
 from shelldpg.polyquad import triangle_basis, triangle_geometry, triangle_rule, map_gradients, map_hessians, map_points
-from shelldpg.traces import TraceDofMap, apply_bc, edge_pairings
+from shelldpg.traces import TraceDofMap, apply_bc, edge_pairings, reflection_signs
 
 UNIT_TRI = Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.array([[0, 1, 2]]))
 
@@ -50,6 +50,15 @@ def test_dofmap_counts():
         assert np.all(per[mesh.nvertices:] == 6 + 2 * dm.k)
     with pytest.raises(ValueError):
         TraceDofMap(mesh, 2)
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_element_columns_match_loop_version(k):
+    mesh = refine_some(initial_rectangle_mesh((0.0, 2.0, 0.0, 1.0)), seed=4, rounds=3)
+    dm = TraceDofMap(mesh, k)
+    cols = loop_element_columns(dm)
+    assert dm.element_columns.dtype == cols.dtype
+    assert np.array_equal(dm.element_columns, cols)
 
 
 def test_dofmap_shared_edge_dofs():
@@ -375,7 +384,7 @@ def test_pair_w_hat_volume_form_oracle():
 
     hz = np.array([[1.6, -0.6], [-0.6, 0.6]])
 
-    phys = map_points(coords, rule.points)
+    phys = map_points(coords, J, rule.points)
     x, y = phys[..., 0], phys[..., 1]
     w = rule.weights * detJ
     vol = np.sum(w * z(x, y) * ddS) - np.sum(w * np.einsum("ab,qab->q", hz, S))
@@ -581,7 +590,7 @@ def test_pairings_depend_on_the_jacobian_only():
     for k in (0, 1):
         Bm = element_b_batch(mesh, prob, k, np.arange(mesh.ntriangles))
         # a member of the other parity has -J: B(-J) = S_v B(J) diag(sigma_f, sigma_t)
-        reflect = S_V[:, None] * np.r_[SIGMA_F, _reflection_signs(k)]
+        reflect = S_V[:, None] * np.r_[SIGMA_F, reflection_signs(k)]
         for c in np.unique(cls[flipped]):
             ref = Bm[reps[c]]
             members = np.nonzero(cls == c)[0]
