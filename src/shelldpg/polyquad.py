@@ -264,17 +264,15 @@ def triangle_geometry(coords):
         [coords[..., 1, :] - coords[..., 0, :], coords[..., 2, :] - coords[..., 0, :]],
         axis=-1,
     )
-    detJ = J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
-    scale = np.max(np.abs(J), axis=(-2, -1)) ** 2
+    a, b, c, d = J[..., 0, 0], J[..., 0, 1], J[..., 1, 0], J[..., 1, 1]
+    detJ = a * d - b * c
+    # max |J_ij| by pairs: a reduction over the last two axes takes 10x
+    # as long on a mesh's worth of triangles
+    scale = np.maximum(np.maximum(abs(a), abs(b)), np.maximum(abs(c), abs(d))) ** 2
     bad = np.abs(detJ) <= 1e-13 * scale
     if np.any(bad):
         raise ValueError(f"triangle {int(np.argmax(bad))} is degenerate")
-    Jinv = np.empty_like(J)
-    Jinv[..., 0, 0] = J[..., 1, 1]
-    Jinv[..., 0, 1] = -J[..., 0, 1]
-    Jinv[..., 1, 0] = -J[..., 1, 0]
-    Jinv[..., 1, 1] = J[..., 0, 0]
-    Jinv = Jinv / detJ[..., None, None]
+    Jinv = np.stack([d, -b, -c, a], axis=-1).reshape(J.shape) / detJ[..., None, None]
     return J, detJ, Jinv
 
 

@@ -184,7 +184,7 @@ class TraceDofMap:
         _, _, sn, sm = trace_blocks(k)
         sign = np.ones((nt, self.ncols))
         sign[:, sn] = np.repeat(s, 2, axis=1)
-        sign[:, sm][:, 1:6:2] = s  # q of each local edge
+        sign[:, sm.start + 1:sm.start + 6:2] = s  # q of each local edge
         sign.flags.writeable = False
         self.element_signs = sign
 
